@@ -1,7 +1,7 @@
 //! Baseline admission-control algorithms.
 
 use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
-use acmr_graph::{EdgeSet, LoadTracker};
+use acmr_graph::{LiveSet, LoadTracker};
 use rand::Rng;
 
 /// Accept a request iff it currently fits; never preempt.
@@ -37,96 +37,6 @@ impl OnlineAdmission for GreedyNonPreemptive {
     }
 }
 
-/// Preempt the cheapest conflicting requests when that is cheaper than
-/// rejecting the newcomer.
-///
-/// For each over-subscribed edge of the newcomer's footprint the
-/// cheapest accepted requests on that edge are marked as victims; the
-/// newcomer is admitted iff the victims' total cost is strictly less
-/// than its own cost (otherwise the newcomer is rejected).
-pub struct PreemptCheapest {
-    load: LoadTracker,
-    accepted: Vec<Option<(EdgeSet, f64)>>, // footprint + cost while accepted
-}
-
-impl PreemptCheapest {
-    /// Baseline over the given capacities.
-    pub fn new(capacities: &[u32]) -> Self {
-        PreemptCheapest {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
-        }
-    }
-}
-
-impl OnlineAdmission for PreemptCheapest {
-    fn name(&self) -> &'static str {
-        "preempt-cheapest"
-    }
-
-    fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
-        if self.load.fits(&request.footprint) {
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            return Outcome::accept();
-        }
-        // Victim selection: for every saturated edge of the newcomer,
-        // evict cheapest-first until one slot frees up.
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut planned: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            // Discount victims already planned on this edge.
-            for (i, p) in planned.iter().enumerate() {
-                if *p {
-                    if let Some((fp, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
-                }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            // Cheapest accepted requests on e.
-            let mut on_edge: Vec<(usize, f64)> = self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost)| {
-                        (!planned[i] && fp.contains(e)).then_some((i, *cost))
-                    })
-                })
-                .collect();
-            on_edge.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            for (i, cost) in on_edge.into_iter().take(needed as usize) {
-                planned[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
-            }
-        }
-        if victim_cost < request.cost && !victims.is_empty() {
-            for v in &victims {
-                let (fp, _) = self.accepted[v.index()].take().expect("victim accepted");
-                self.load.release(&fp);
-            }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            Outcome {
-                accepted: true,
-                preempted: victims,
-            }
-        } else {
-            Outcome::reject()
-        }
-    }
-}
-
 /// Cancellation-cost ("buyback") admission: preempt only when the
 /// newcomer's cost beats the victims' by the theorem's margin.
 ///
@@ -140,18 +50,20 @@ impl OnlineAdmission for PreemptCheapest {
 ///     δ = f + √(f(1 + f)),
 /// ```
 ///
-/// which yields the competitive ratio `1 + 2f + 2√(f(1+f))` (at
-/// `f = 0` this degenerates to `preempt-cheapest`'s strict-improvement
-/// rule with ratio 1 on a single edge's value game). Victim selection
-/// is cheapest-first per saturated edge, exactly as in
-/// [`PreemptCheapest`]; only the admission threshold differs. The
-/// algorithm advertises its factor through
+/// which yields the competitive ratio `1 + 2f + 2√(f(1+f))`. At
+/// `f = 0` it is free preemption with the strict-improvement rule
+/// `Σ cost(victims) < cost(newcomer)`: the `preempt-cheapest`
+/// baseline, built by [`Buyback::preempt_cheapest`]. Victims are
+/// [`LiveSet::cheapest_victims`], cheapest-first per saturated edge.
+/// The algorithm advertises its factor through
 /// [`OnlineAdmission::buyback_factor`], so every [`acmr_core::Session`]
 /// driving it bills the charges into `RunReport::buyback_paid`
 /// automatically.
 pub struct Buyback {
-    load: LoadTracker,
-    accepted: Vec<Option<(EdgeSet, f64)>>, // footprint + cost while accepted
+    name: &'static str,
+    live: LiveSet,
+    /// Scratch for the current arrival's victims.
+    victims: Vec<u32>,
     factor: f64,
     delta: f64,
 }
@@ -161,10 +73,21 @@ impl Buyback {
     /// factor `f ≥ 0` (finite; the caller validates).
     pub fn new(capacities: &[u32], factor: f64) -> Self {
         Buyback {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
+            name: "buyback",
+            live: LiveSet::from_capacities(capacities.to_vec()),
+            victims: Vec::new(),
             factor,
             delta: factor + (factor * (1.0 + factor)).sqrt(),
+        }
+    }
+
+    /// Buyback at `f = 0`, named `preempt-cheapest`: evict the cheapest
+    /// conflicting requests whenever their total cost is below the
+    /// newcomer's.
+    pub fn preempt_cheapest(capacities: &[u32]) -> Self {
+        Buyback {
+            name: "preempt-cheapest",
+            ..Buyback::new(capacities, 0.0)
         }
     }
 
@@ -182,7 +105,7 @@ impl Buyback {
 
 impl OnlineAdmission for Buyback {
     fn name(&self) -> &'static str {
-        "buyback"
+        self.name
     }
 
     fn buyback_factor(&self) -> f64 {
@@ -190,61 +113,23 @@ impl OnlineAdmission for Buyback {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
-        if self.load.fits(&request.footprint) {
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
+        if self.live.tracker().fits(&request.footprint) {
+            self.live.insert(id.0, &request.footprint, request.cost);
             return Outcome::accept();
         }
-        // Victim selection: cheapest-first per saturated edge, as in
-        // PreemptCheapest.
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut planned: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            for (i, p) in planned.iter().enumerate() {
-                if *p {
-                    if let Some((fp, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
-                }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            let mut on_edge: Vec<(usize, f64)> = self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost)| {
-                        (!planned[i] && fp.contains(e)).then_some((i, *cost))
-                    })
-                })
-                .collect();
-            on_edge.sort_by(|a, b| a.1.total_cmp(&b.1));
-            for (i, cost) in on_edge.into_iter().take(needed as usize) {
-                planned[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
-            }
-        }
+        let victim_cost = self
+            .live
+            .cheapest_victims(&request.footprint, &mut self.victims);
         // The buyback margin: an upgrade must beat the victims by a
         // (1 + δ) factor to amortize the cancellation charges.
-        if !victims.is_empty() && request.cost > (1.0 + self.delta) * victim_cost {
-            for v in &victims {
-                let (fp, _) = self.accepted[v.index()].take().expect("victim accepted");
-                self.load.release(&fp);
+        if request.cost > (1.0 + self.delta) * victim_cost {
+            for &v in &self.victims {
+                self.live.remove(v);
             }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
+            self.live.insert(id.0, &request.footprint, request.cost);
             Outcome {
                 accepted: true,
-                preempted: victims,
+                preempted: self.victims.iter().map(|&v| RequestId(v)).collect(),
             }
         } else {
             Outcome::reject()
@@ -313,8 +198,7 @@ impl OnlineAdmission for CreditSqrtM {
 /// Preempt uniformly random conflicting requests to make room — the
 /// control baseline for E7.
 pub struct RandomPreempt<R: Rng> {
-    load: LoadTracker,
-    accepted: Vec<Option<EdgeSet>>,
+    live: LiveSet,
     rng: R,
 }
 
@@ -322,8 +206,7 @@ impl<R: Rng> RandomPreempt<R> {
     /// Baseline over the given capacities.
     pub fn new(capacities: &[u32], rng: R) -> Self {
         RandomPreempt {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
+            live: LiveSet::from_capacities(capacities.to_vec()),
             rng,
         }
     }
@@ -335,21 +218,12 @@ impl<R: Rng> OnlineAdmission for RandomPreempt<R> {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
         let mut victims: Vec<RequestId> = Vec::new();
         for e in request.footprint.iter() {
-            while self.load.residual(e) == 0 {
+            while self.live.tracker().residual(e) == 0 {
                 // Random accepted request on e (counting victims already
                 // released frees this loop eventually).
-                let on_edge: Vec<usize> = self
-                    .accepted
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, slot)| {
-                        slot.as_ref().and_then(|fp| fp.contains(e).then_some(i))
-                    })
-                    .collect();
+                let on_edge = self.live.occupancy(e);
                 if on_edge.is_empty() {
                     // Capacity consumed by nothing we can evict (cannot
                     // happen with consistent state) — reject.
@@ -358,14 +232,14 @@ impl<R: Rng> OnlineAdmission for RandomPreempt<R> {
                         preempted: victims,
                     };
                 }
-                let pick = on_edge[self.rng.gen_range(0..on_edge.len())];
-                let fp = self.accepted[pick].take().expect("victim accepted");
-                self.load.release(&fp);
-                victims.push(RequestId(pick as u32));
+                let (_, pick) = on_edge[self.rng.gen_range(0..on_edge.len())];
+                self.live.remove(pick);
+                victims.push(RequestId(pick));
             }
         }
-        self.load.admit(&request.footprint);
-        self.accepted[id.index()] = Some(request.footprint.clone());
+        // One shared rank keeps every edge's occupants in arrival order,
+        // the order the seeded draw indexes into.
+        self.live.insert(id.0, &request.footprint, 0.0);
         Outcome {
             accepted: true,
             preempted: victims,
@@ -376,7 +250,7 @@ impl<R: Rng> OnlineAdmission for RandomPreempt<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acmr_graph::EdgeId;
+    use acmr_graph::{EdgeId, EdgeSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -427,7 +301,7 @@ mod tests {
     fn preempt_cheapest_evicts_for_expensive() {
         let caps = [1u32];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0], 1.0), (&[0], 100.0)];
-        let mut alg = PreemptCheapest::new(&caps);
+        let mut alg = Buyback::preempt_cheapest(&caps);
         let (accepted, cost) = drive(&mut alg, &caps, &arrivals);
         assert!(!accepted[0] && accepted[1]);
         assert_eq!(cost, 1.0);
@@ -439,7 +313,7 @@ mod tests {
         // per edge (here one request sits on each).
         let caps = [1u32, 1];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0], 2.0), (&[1], 3.0), (&[0, 1], 100.0)];
-        let mut alg = PreemptCheapest::new(&caps);
+        let mut alg = Buyback::preempt_cheapest(&caps);
         let (accepted, cost) = drive(&mut alg, &caps, &arrivals);
         assert!(accepted[2]);
         assert_eq!(cost, 5.0);
@@ -449,7 +323,7 @@ mod tests {
     fn preempt_cheapest_keeps_cheap_newcomer_out() {
         let caps = [1u32];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0], 100.0), (&[0], 1.0)];
-        let mut alg = PreemptCheapest::new(&caps);
+        let mut alg = Buyback::preempt_cheapest(&caps);
         let (accepted, cost) = drive(&mut alg, &caps, &arrivals);
         assert!(accepted[0] && !accepted[1]);
         assert_eq!(cost, 1.0);
@@ -485,6 +359,14 @@ mod tests {
         let (accepted, _) = drive(&mut alg, &caps, &arrivals);
         assert!(!accepted[0] && accepted[1]);
         assert_eq!(Buyback::guarantee(0.0), 1.0);
+        // The registry's preempt-cheapest is this parameterization under
+        // its own reported name, billing nothing.
+        let mut reg = acmr_core::Registry::new();
+        crate::register_baselines(&mut reg);
+        let spec = acmr_core::AlgorithmSpec::parse("preempt-cheapest").unwrap();
+        let session = acmr_core::Session::from_registry(&reg, &spec, &caps, 0).unwrap();
+        assert_eq!(session.algorithm_name(), "preempt-cheapest");
+        assert_eq!(session.buyback_factor(), 0.0);
     }
 
     #[test]
@@ -552,7 +434,7 @@ mod tests {
         let caps = [4u32, 4];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0, 1], 3.0); 4];
         let (a1, c1) = drive(&mut GreedyNonPreemptive::new(&caps), &caps, &arrivals);
-        let (a2, c2) = drive(&mut PreemptCheapest::new(&caps), &caps, &arrivals);
+        let (a2, c2) = drive(&mut Buyback::preempt_cheapest(&caps), &caps, &arrivals);
         let (a3, c3) = drive(&mut CreditSqrtM::new(&caps), &caps, &arrivals);
         let (a4, c4) = drive(
             &mut RandomPreempt::new(&caps, StdRng::seed_from_u64(1)),

@@ -17,9 +17,10 @@
 //!   (it rejects at most all `k` excess arrivals while OPT rejects
 //!   `k − c` … within a `c+1` factor), the flavour of BKK's first
 //!   algorithm.
-//! * [`PreemptCheapest`] — make room for an expensive newcomer by
+//! * `preempt-cheapest` — make room for an expensive newcomer by
 //!   evicting the cheapest evictable requests when that is cheaper
-//!   than rejecting the newcomer. A natural cost-greedy heuristic.
+//!   than rejecting the newcomer. A natural cost-greedy heuristic, and
+//!   exactly [`Buyback`] at `f = 0` ([`Buyback::preempt_cheapest`]).
 //! * [`CreditSqrtM`] — credit/charging scheme: each edge accrues a
 //!   credit per rejection it causes; a newcomer is rejected outright
 //!   once an edge on its footprint has accumulated `√m` credits
@@ -33,6 +34,10 @@
 //!   `1 + 2f + 2√(f(1+f))`-competitive on the single-resource value
 //!   game, and the session bills its charges into
 //!   `RunReport::buyback_paid`.
+//!
+//! Every preempting policy here keeps its accepted requests in an
+//! [`acmr_graph::LiveSet`], so victim search reads only the saturated
+//! edges' occupants and a decision costs the same at any trace length.
 //!
 //! Beyond the worst-case baselines, [`stochastic`] holds the
 //! production-shaped policies benchmarked in E18: [`LpResolve`]
@@ -55,7 +60,7 @@ pub mod registry;
 pub mod setcover;
 pub mod stochastic;
 
-pub use admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, PreemptCheapest, RandomPreempt};
+pub use admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, RandomPreempt};
 pub use registry::register_baselines;
 pub use setcover::NaiveOnlineCover;
 pub use stochastic::{LcbGreedy, LpResolve};

@@ -1,16 +1,17 @@
 //! Registry registration for the baseline algorithms.
 
-use crate::admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, PreemptCheapest, RandomPreempt};
+use crate::admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, RandomPreempt};
 use crate::stochastic::{LcbGreedy, LpResolve};
 use acmr_core::registry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Register every baseline admission algorithm — the worst-case
-/// baselines `greedy`, `preempt-cheapest`, `credit-sqrt-m`,
-/// `random-preempt`, the cancellation-cost policy `buyback`
-/// (`?factor=`), and the stochastic policies `lp-resolve`
-/// (`?period=`, `?buffer=`) and `lcb-greedy` (`?delta=`).
+/// baselines `greedy`, `preempt-cheapest` (`buyback` at factor 0 under
+/// its own name), `credit-sqrt-m`, `random-preempt`, the
+/// cancellation-cost policy `buyback` (`?factor=`), and the stochastic
+/// policies `lp-resolve` (`?period=`, `?buffer=`) and `lcb-greedy`
+/// (`?delta=`).
 ///
 /// The worst-case baselines take no tuning parameters; only the shared
 /// `seed` key is accepted (and only `random-preempt` consumes
@@ -31,7 +32,7 @@ pub fn register_baselines(reg: &mut Registry) {
         "evict cheapest conflicting requests when cheaper than rejecting the newcomer",
         Box::new(|spec, ctx| {
             spec.reject_unknown_params(&["seed"])?;
-            Ok(Box::new(PreemptCheapest::new(ctx.capacities)))
+            Ok(Box::new(Buyback::preempt_cheapest(ctx.capacities)))
         }),
     );
     reg.register(

@@ -68,12 +68,7 @@ impl OnlineSetCover for NaiveOnlineCover {
                 .iter()
                 .filter(|s| !self.bought[s.index()])
                 .copied()
-                .min_by(|a, b| {
-                    self.system
-                        .cost(*a)
-                        .partial_cmp(&self.system.cost(*b))
-                        .unwrap()
-                })
+                .min_by(|a, b| self.system.cost(*a).total_cmp(&self.system.cost(*b)))
                 .expect("degree bound guarantees an unbought set");
             self.bought[cheapest.index()] = true;
             self.bought_order.push(cheapest);

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
-use acmr_graph::{EdgeSet, LoadTracker};
+use acmr_graph::{LiveSet, LoadTracker};
 use acmr_lp::{solve, Cmp, Lp};
 
 /// Request classes are `(width, ⌊log₂ cost⌋)` buckets — coarse enough
@@ -75,7 +75,9 @@ struct PlanEntry {
 /// is decision-for-decision the preempt-cheapest baseline; each
 /// re-solve then layers the learned reclamation on top.
 pub struct LpResolve {
-    load: LoadTracker,
+    /// The currently-accepted requests; each one's class is recomputed
+    /// from its width and cost.
+    live: LiveSet,
     period: u32,
     buffer: f64,
     seen: u32,
@@ -85,18 +87,17 @@ pub struct LpResolve {
     /// value per planned edge-slot. This approximates the price of an
     /// edge slot and is what a freed slot is expected to earn back.
     price: f64,
-    /// Footprint, cost and class of each currently-accepted request.
-    accepted: Vec<Option<(EdgeSet, f64, ClassKey)>>,
+    /// Scratch for the current arrival's victims.
+    victims: Vec<u32>,
 }
 
-fn class_key(request: &Request) -> ClassKey {
-    let width = request.footprint.len() as u32;
-    let band = if request.cost > 0.0 {
-        request.cost.log2().floor() as i32
+fn class_key(width: usize, cost: f64) -> ClassKey {
+    let band = if cost > 0.0 {
+        cost.log2().floor() as i32
     } else {
         i32::MIN
     };
-    (width, band)
+    (width as u32, band)
 }
 
 impl LpResolve {
@@ -106,85 +107,57 @@ impl LpResolve {
         assert!(period >= 1, "period must be >= 1");
         assert!((0.0..1.0).contains(&buffer), "buffer must be in [0,1)");
         LpResolve {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
+            live: LiveSet::from_capacities(capacities.to_vec()),
             period,
             buffer,
             seen: 0,
             window: BTreeMap::new(),
             plan: BTreeMap::new(),
             price: 0.0,
-            accepted: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
-    /// Pick cheapest-first victims freeing the newcomer's footprint.
-    /// With `plan_only` the candidate pool is restricted to accepted
-    /// requests from classes the current plan zeroed out (plan
-    /// enforcement); otherwise every accepted request is fair game
-    /// (preempt-cheapest fallback). Returns `None` if some saturated
-    /// edge cannot be freed from the allowed pool.
-    fn victims(&self, request: &Request, plan_only: bool) -> Option<(Vec<RequestId>, f64)> {
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut taken: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            for (i, t) in taken.iter().enumerate() {
-                if *t {
-                    if let Some((fp, _, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
-                }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            // Plan enforcement targets low-*density* squatters (a wide
-            // cheap request is the first to go); the cost-gated
-            // fallback stays cheapest-first like preempt-cheapest.
-            let mut on_edge: Vec<(usize, f64, f64)> = self
-                .accepted
+    /// Plan enforcement's swap, with its victims in `self.victims`. Each
+    /// saturated edge not freed by an earlier pick gives up its least
+    /// dense occupant (ties to the earlier arrival) among those less
+    /// dense than the newcomer from classes the plan zeroed out, so a
+    /// wide cheap request goes first. Returns whether every such edge
+    /// had one and the width freed, valued at half the plan's mean
+    /// admitted density, earns back the cost deficit.
+    fn plan_swap(&mut self, request: &Request) -> bool {
+        let LpResolve {
+            live,
+            plan,
+            price,
+            victims,
+            ..
+        } = self;
+        let density = request.cost / request.footprint.len().max(1) as f64;
+        let width = |id: u32| live.get(id).expect("occupants are live").0.len();
+        let Some(cost) = live.victims_by(&request.footprint, victims, |occupants| {
+            occupants
                 .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost, class)| {
-                        let density = *cost / fp.len().max(1) as f64;
-                        (!taken[i]
-                            && fp.contains(e)
-                            && (!plan_only
-                                || (!self.plan.contains_key(class)
-                                    && density
-                                        < request.cost / request.footprint.len().max(1) as f64)))
-                            .then_some((i, *cost, density))
-                    })
-                })
-                .collect();
-            if (on_edge.len() as i64) < needed {
-                return None;
-            }
-            on_edge.sort_by(|a, b| {
-                let (ka, kb) = if plan_only { (a.2, b.2) } else { (a.1, b.1) };
-                ka.partial_cmp(&kb).unwrap().then(a.0.cmp(&b.0))
-            });
-            for (i, cost, _) in on_edge.into_iter().take(needed as usize) {
-                taken[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
-            }
-        }
-        (!victims.is_empty()).then_some((victims, victim_cost))
+                .map(|&(c, id)| (c / width(id).max(1) as f64, c, id))
+                .filter(|&(d, c, id)| d < density && !plan.contains_key(&class_key(width(id), c)))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)))
+                .map(|(_, c, id)| (c, id))
+        }) else {
+            return false;
+        };
+        let freed = victims.iter().map(|&v| width(v)).sum::<usize>() as f64
+            - request.footprint.len() as f64;
+        cost < request.cost + 0.5 * *price * freed
     }
 
     fn resolve(&mut self) {
-        let m = self.load.num_edges();
+        let m = self.live.tracker().num_edges();
         let mut budget = vec![0.0f64; m];
         for (e, b) in budget.iter_mut().enumerate() {
             let id = acmr_graph::EdgeId(e as u32);
             // Budget against *total* capacity: the plan is enforced by
             // preemption, so currently-held slots are still plannable.
-            *b = (1.0 - self.buffer) * self.load.capacity(id) as f64;
+            *b = (1.0 - self.buffer) * self.live.tracker().capacity(id) as f64;
         }
         // BTreeMap iteration is key-ordered → variable order (and hence
         // the pivot path and any tie-breaks) is deterministic.
@@ -242,9 +215,7 @@ impl OnlineAdmission for LpResolve {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
-        let key = class_key(request);
+        let key = class_key(request.footprint.len(), request.cost);
         let s = self.window.entry(key).or_default();
         s.count += 1;
         s.cost_sum += request.cost;
@@ -259,50 +230,32 @@ impl OnlineAdmission for LpResolve {
             self.plan.get(&key),
             Some(entry) if (entry.used as f64) + 1.0 <= entry.quota + 1e-9
         );
-        let admit = if self.load.fits(&request.footprint) {
+        let admit = if self.live.tracker().fits(&request.footprint) {
             // Optimistic: whatever fits is admitted — it stays
             // evictable, so accepting is a free option.
             true
         } else {
             // The cost-gated cheapest-first swap (decision-identical
             // to preempt-cheapest) goes first; plan enforcement only
-            // rescues admits the myopic gate rejects, and only when
-            // the width it frees, valued at the plan's marginal
-            // density, earns back the immediate cost deficit.
-            let chosen = self
-                .victims(request, false)
-                .filter(|(_, cost)| *cost < request.cost)
-                .or_else(|| {
-                    if !on_plan {
-                        return None;
-                    }
-                    self.victims(request, true).filter(|(victims, cost)| {
-                        let width: usize = victims
-                            .iter()
-                            .filter_map(|v| self.accepted[v.index()].as_ref())
-                            .map(|(fp, _, _)| fp.len())
-                            .sum();
-                        let freed = width as f64 - request.footprint.len() as f64;
-                        *cost < request.cost + 0.5 * self.price * freed
-                    })
-                });
-            if let Some((victims, _)) = chosen {
-                for v in &victims {
-                    let (fp, _, _) = self.accepted[v.index()].take().expect("victim accepted");
-                    self.load.release(&fp);
+            // rescues admits the myopic gate rejects.
+            let swap = self
+                .live
+                .cheapest_victims(&request.footprint, &mut self.victims)
+                < request.cost
+                || (on_plan && self.plan_swap(request));
+            if swap {
+                for &v in &self.victims {
+                    self.live.remove(v);
                 }
-                preempted = victims;
-                true
-            } else {
-                false
+                preempted = self.victims.iter().map(|&v| RequestId(v)).collect();
             }
+            swap
         };
         if admit {
             if on_plan {
                 self.plan.get_mut(&key).expect("on-plan entry").used += 1;
             }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost, key));
+            self.live.insert(id.0, &request.footprint, request.cost);
         }
         if self.seen.is_multiple_of(self.period) {
             self.resolve();

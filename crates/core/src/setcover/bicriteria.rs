@@ -235,7 +235,7 @@ impl BicriteriaCover {
                         } else {
                             1.0
                         };
-                    ma.partial_cmp(&mb).unwrap()
+                    ma.total_cmp(&mb)
                 });
             let Some(s) = best else {
                 break; // S_j exhausted: cover_j = deg(j) ≥ k, done.

@@ -199,12 +199,7 @@ impl<A: OnlineAdmission> OnlineSetCover for ReductionCover<A> {
                 .filter(|s| !self.bought[s.index()])
                 .copied()
                 .collect();
-            candidates.sort_by(|a, b| {
-                self.system
-                    .cost(*a)
-                    .partial_cmp(&self.system.cost(*b))
-                    .unwrap()
-            });
+            candidates.sort_by(|a, b| self.system.cost(*a).total_cmp(&self.system.cost(*b)));
             for s in candidates {
                 if covered >= k {
                     break;

@@ -17,6 +17,9 @@
 //!   validation.
 //! * [`load::LoadTracker`] — exact per-edge load accounting used by the
 //!   harness to *audit* that online algorithms never violate capacities.
+//! * [`live::LiveSet`] — the live requests of a run over their own
+//!   tracker, with each edge's occupancy ordered by cost: the victim
+//!   index every preempting algorithm searches.
 //! * [`generators`] — the standard graph families used by the
 //!   experiment suite (line, ring, star, balanced tree, grid, complete,
 //!   Erdős–Rényi `G(n,p)`).
@@ -33,6 +36,7 @@ pub mod edgeset;
 pub mod generators;
 pub mod graph;
 pub mod ids;
+pub mod live;
 pub mod load;
 pub mod path;
 pub mod routing;
@@ -40,5 +44,6 @@ pub mod routing;
 pub use edgeset::EdgeSet;
 pub use graph::{CapGraph, EdgeInfo};
 pub use ids::{EdgeId, NodeId};
+pub use live::LiveSet;
 pub use load::LoadTracker;
 pub use path::Path;

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full pipelines from workload
 //! generation through algorithms to audited competitive ratios.
 
-use acmr::baselines::{GreedyNonPreemptive, PreemptCheapest};
+use acmr::baselines::{Buyback, GreedyNonPreemptive};
 use acmr::core::setcover::{BicriteriaCover, ReductionCover};
 use acmr::core::{RandConfig, RandomizedAdmission};
 use acmr::harness::{
@@ -112,7 +112,7 @@ fn nested_adversarial_ranking() {
         run_admission(&mut alg, &inst).rejected_cost
     };
     let preempt = {
-        let mut alg = PreemptCheapest::new(&inst.capacities);
+        let mut alg = Buyback::preempt_cheapest(&inst.capacities);
         run_admission(&mut alg, &inst).rejected_cost
     };
     assert!(opt.value > 0.0);
