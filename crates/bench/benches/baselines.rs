@@ -1,10 +1,10 @@
 //! Bench: baseline admission algorithms vs the paper's (the speed side
-//! of E7 — the quality side is `exp_e7`).
+//! of E7 — the quality side is the E7 table of `exp_all`).
 //!
 //! Every algorithm is addressed through the default registry and driven
-//! through a `Session`, so this bench measures exactly the code path
-//! the CLI and the harness use — and adding an algorithm to the
-//! registry automatically adds it here.
+//! through a `Session` one `push` per arrival, so this bench measures
+//! the per-arrival decision path the serve machine uses — and adding an
+//! algorithm to the registry automatically adds it here.
 
 use acmr_core::{AlgorithmSpec, Session};
 use acmr_harness::default_registry;
@@ -31,7 +31,10 @@ fn bench_baselines(criterion: &mut Criterion) {
             b.iter(|| {
                 let mut session = Session::from_registry(&registry, &alg_spec, &inst.capacities, 1)
                     .expect("registry build");
-                session.run_trace(inst).expect("audited run").rejected_cost
+                for r in &inst.requests {
+                    session.push(r).expect("audited run");
+                }
+                session.stats().rejected_cost
             })
         });
     }

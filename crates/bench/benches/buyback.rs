@@ -29,8 +29,9 @@ struct FactorRow {
     net_objective: Vec<f64>,
     /// Mean buyback charges per algorithm, same order.
     buyback_paid: Vec<f64>,
-    /// Mean value-competitive ratio vs the exact singleton OPT.
-    value_ratio: Vec<f64>,
+    /// Mean value-competitive ratio vs the exact singleton OPT
+    /// (`null` when no run kept any value).
+    value_ratio: Vec<Option<f64>>,
 }
 
 /// Decision throughput of one spec on the timing trace.
@@ -74,7 +75,11 @@ fn buyback_grid() {
             guarantee: c.guarantee,
             net_objective: c.net.iter().map(|s| s.mean).collect(),
             buyback_paid: c.paid.iter().map(|s| s.mean).collect(),
-            value_ratio: c.value_ratios.iter().map(|s| s.mean).collect(),
+            value_ratio: c
+                .value_ratios
+                .iter()
+                .map(|s| s.as_ref().map(|s| s.mean))
+                .collect(),
         })
         .collect();
 

@@ -23,7 +23,7 @@
 //! machine (see `docs/OPERATIONS.md`).
 
 use acmr_harness::{
-    cross_jobs, default_registry, run_report, BoundBudget, ClusterDriver, ShardedDriver,
+    cross_jobs, default_registry, run_report, BoundBudget, ClusterDriver, ShardedDriver, SourceRef,
 };
 use acmr_serve::{serve, ServeConfig, ServerHandle, WorkerPool};
 use acmr_workloads::{dyadic_admission_instance, nested_intervals, two_phase_squeeze};
@@ -136,7 +136,8 @@ fn cluster_speedups() {
             .iter()
             .map(|job| {
                 let inst = &traces.iter().find(|(n, _)| *n == job.trace).unwrap().1;
-                run_report(&registry, &job.spec, inst, job.seed, budget).unwrap()
+                let source = SourceRef::Mem(inst);
+                run_report(&registry, &job.spec, source, job.seed, 1, Some(budget)).unwrap()
             })
             .collect();
         seq.push(t.elapsed());

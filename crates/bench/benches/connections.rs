@@ -31,7 +31,7 @@
 
 use acmr_core::Request;
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_harness::{default_registry, run_registered};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use acmr_serve::{serve, serve_trace_v2, ServeConfig, ServerHandle};
 use acmr_workloads::trace::write_request_line;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -375,7 +375,8 @@ fn connections() {
     for r in &requests {
         inst.push(r.clone());
     }
-    let reference = run_registered(&registry, SPEC, &inst, 0).expect("in-memory reference");
+    let reference = run_report(&registry, SPEC, SourceRef::Mem(&inst), 0, 1, None)
+        .expect("in-memory reference");
 
     let handle = bind_server();
     let addr = handle.local_addr();

@@ -13,7 +13,7 @@
 use acmr_harness::experiments::e18_policies::{
     algorithm_specs, instance_for, is_new_policy, run, stochastic_mean_rejection, Family,
 };
-use acmr_harness::{default_registry, run_registered};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::time::Instant;
@@ -95,7 +95,8 @@ fn policies_grid() {
         .filter(|s| is_new_policy(s) || s.as_str() == "preempt-cheapest")
         .map(|spec| {
             let start = Instant::now();
-            let report = run_registered(&registry, spec, &inst, 7).expect("registry run");
+            let report = run_report(&registry, spec, SourceRef::Mem(&inst), 7, 1, None)
+                .expect("registry run");
             let run_ms = start.elapsed().as_secs_f64() * 1e3;
             assert!(report.offered_cost > 0.0, "timing trace must offer load");
             PolicyTiming {

@@ -26,7 +26,7 @@
 use acmr_core::Request;
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::{
-    cross_jobs, default_registry, run_registered, BoundBudget, ClusterDriver, ShardedDriver,
+    cross_jobs, default_registry, run_report, BoundBudget, ClusterDriver, ShardedDriver, SourceRef,
 };
 use acmr_serve::{
     serve, serve_trace, serve_trace_v2, ProtoVersion, ServeConfig, ServerHandle, WorkerPool,
@@ -147,7 +147,8 @@ fn protocol2() {
     for r in &requests {
         inst.push(r.clone());
     }
-    let reference = run_registered(&registry, SPEC, &inst, 0).expect("in-memory reference");
+    let reference = run_report(&registry, SPEC, SourceRef::Mem(&inst), 0, 1, None)
+        .expect("in-memory reference");
 
     let handle = serve(
         default_registry(),

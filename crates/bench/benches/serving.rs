@@ -12,13 +12,13 @@
 //!    5 000-arrival sample.
 //!
 //! The throughput arm doubles as a large differential check: the
-//! served report must equal the in-memory `run_registered` report for
+//! served report must equal the in-memory `run_report` report for
 //! the same trace and seed. Results land in `BENCH_serving.json` for
 //! CI to upload.
 
 use acmr_core::Request;
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_harness::{default_registry, run_registered};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use acmr_serve::{serve, ServeClient, ServeConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -73,7 +73,8 @@ struct ServingSummary {
 fn serving_loopback() {
     let (caps, requests) = generate_requests();
     let registry = default_registry();
-    let reference = run_registered(&registry, SPEC, &to_instance(&caps, &requests), 0)
+    let inst = to_instance(&caps, &requests);
+    let reference = run_report(&registry, SPEC, SourceRef::Mem(&inst), 0, 1, None)
         .expect("in-memory reference run");
 
     let handle = serve(

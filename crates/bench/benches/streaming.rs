@@ -7,11 +7,13 @@
 //! `TraceWriter` — it never exists in memory — then ingested three
 //! ways with the same algorithm:
 //!
-//! 1. **streamed** (`run_stream_registered`, per-push off the chunked
+//! 1. **streamed** (one `Session::push` per arrival off the chunked
 //!    `TraceReader`),
-//! 2. **streamed batched** (chunks of 256 through `push_batch`),
+//! 2. **streamed batched** (`run_report` over the file, chunks of 256
+//!    through `push_batch_into`),
 //! 3. **in-memory** (read the whole file, materialize the
-//!    `AdmissionInstance`, `run_trace`) — the pre-PR-3 baseline.
+//!    `AdmissionInstance`, `run_report` over it) — the pre-streaming
+//!    baseline.
 //!
 //! Besides wall-clock throughput, the bench records the process's
 //! **peak RSS** (`VmHWM`) after the streamed passes and again after
@@ -22,7 +24,8 @@
 //! `BENCH_streaming.json` for CI to upload.
 
 use acmr_bench::e13::{self, BATCH, EDGES, REQUESTS, SPEC};
-use acmr_harness::{default_registry, run_stream_registered};
+use acmr_core::{AlgorithmSpec, Session};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use acmr_workloads::trace::{read_trace, TraceReader};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
@@ -58,26 +61,22 @@ fn streaming_ingestion() {
 
     // Arm 1: streamed, per-push.
     let t = Instant::now();
-    let streamed = run_stream_registered(
-        &registry,
-        SPEC,
-        TraceReader::open(&path).expect("open trace"),
-        0,
-        None,
-    )
-    .expect("streamed run");
+    let reader = TraceReader::open(&path).expect("open trace");
+    let spec = AlgorithmSpec::parse(SPEC).expect("spec parses");
+    let mut session =
+        Session::from_registry(&registry, &spec, reader.capacities(), 0).expect("registry build");
+    for request in reader {
+        session
+            .push(&request.expect("trace parses"))
+            .expect("streamed push");
+    }
+    let streamed = session.report();
     let streamed_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Arm 2: streamed, batched.
     let t = Instant::now();
-    let streamed_batched = run_stream_registered(
-        &registry,
-        SPEC,
-        TraceReader::open(&path).expect("open trace"),
-        0,
-        Some(BATCH),
-    )
-    .expect("streamed batched run");
+    let streamed_batched = run_report(&registry, SPEC, SourceRef::Path(&path), 0, BATCH, None)
+        .expect("streamed batched run");
     let streamed_batched_ms = t.elapsed().as_secs_f64() * 1e3;
     let peak_rss_after_streamed_kb = e13::peak_rss_kb().unwrap_or(0);
 
@@ -85,7 +84,8 @@ fn streaming_ingestion() {
     let t = Instant::now();
     let text = std::fs::read_to_string(&path).expect("slurp trace");
     let inst = read_trace(&text).expect("parse trace");
-    let in_memory = acmr_harness::run_registered(&registry, SPEC, &inst, 0).expect("in-memory run");
+    let in_memory =
+        run_report(&registry, SPEC, SourceRef::Mem(&inst), 0, 1, None).expect("in-memory run");
     let in_memory_ms = t.elapsed().as_secs_f64() * 1e3;
     let peak_rss_after_in_memory_kb = e13::peak_rss_kb().unwrap_or(0);
     drop((text, inst));

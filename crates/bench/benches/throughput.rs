@@ -7,7 +7,9 @@
 
 use acmr_core::setcover::{BicriteriaCover, OnlineSetCover, ReductionCover};
 use acmr_core::{AlgorithmSpec, RandConfig, Session};
-use acmr_harness::{cross_jobs, default_registry, run_report, BoundBudget, ShardedDriver};
+use acmr_harness::{
+    cross_jobs, default_registry, run_report, BoundBudget, ShardedDriver, SourceRef,
+};
 use acmr_workloads::{
     random_arrivals, random_path_workload, random_set_system, ArrivalPattern, CostModel,
     PathWorkloadSpec, SetSystemSpec, Topology,
@@ -38,7 +40,10 @@ fn bench_throughput(criterion: &mut Criterion) {
                     let mut session =
                         Session::from_registry(&registry, &alg_spec, &inst.capacities, 3)
                             .expect("registry build");
-                    session.run_trace(inst).expect("audited run").accepted_count
+                    for r in &inst.requests {
+                        session.push(r).expect("audited run");
+                    }
+                    session.stats().currently_accepted
                 })
             });
         }
@@ -102,7 +107,7 @@ struct SpeedupSummary {
     /// job after another — the pre-driver sequential path.
     sequential_per_push_ms: f64,
     /// `ShardedDriver`: per-trace OPT computed once and shared, jobs
-    /// fanned over threads, arrivals through `push_batch`.
+    /// fanned over threads, arrivals through `push_batch_into`.
     sharded_batched_ms: f64,
     sweep_speedup: f64,
     /// Engine only (no OPT): one algorithm over the trace, per-push
@@ -124,7 +129,7 @@ fn median_ms(samples: &mut [Duration]) -> f64 {
 /// bench is also a differential check); the driver wins on work shape:
 /// the offline-optimum bound of the shared trace is computed **once**
 /// instead of once per job, jobs shard across worker threads, and
-/// arrivals flow through `push_batch`. The bound budget is the
+/// arrivals flow through `push_batch_into`. The bound budget is the
 /// greedy-over-H tier so one arm stays bench-sized (the default LP
 /// budget takes ~15 s per pass on this trace — same shape, larger
 /// margin).
@@ -159,7 +164,10 @@ fn throughput_speedups() {
         let t = Instant::now();
         last_seq_reports = jobs
             .iter()
-            .map(|job| run_report(&registry, &job.spec, &inst, job.seed, budget).unwrap())
+            .map(|job| {
+                let source = SourceRef::Mem(&inst);
+                run_report(&registry, &job.spec, source, job.seed, 1, Some(budget)).unwrap()
+            })
             .collect();
         seq.push(t.elapsed());
 

@@ -12,7 +12,7 @@
 //! 3. **mmap** — `BinTraceMap` + its zero-copy `BinMapReader` cursor.
 //!
 //! Before any timing, all three arms drive a full greedy session via
-//! `run_stream_registered` and the three `RunReport`s are asserted
+//! `Session::run_stream_batched` and the three `RunReport`s are asserted
 //! byte-identical (serialized JSON included) — the bench refuses to
 //! time arms that could disagree. The timed section then measures
 //! pure replay (decode every request, no algorithm) per arm, best of
@@ -21,8 +21,8 @@
 //! upload next to `BENCH_streaming.json`.
 
 use acmr_bench::e13::{self, EDGES, REQUESTS, SPEC};
-use acmr_core::RequestSource;
-use acmr_harness::{default_registry, run_stream_registered};
+use acmr_core::{AlgorithmSpec, Registry, RequestSource, RunReport, Session};
+use acmr_harness::default_registry;
 use acmr_workloads::trace::TraceReader;
 use acmr_workloads::{BinMapReader, BinTraceMap, BinTraceReader, BinTraceWriter};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -113,6 +113,16 @@ struct Trace2Summary {
     peak_rss_kb: u64,
 }
 
+/// One arm of the differential gate: a full greedy session off `reader`.
+fn session_report(registry: &Registry, reader: impl RequestSource) -> RunReport {
+    let spec = AlgorithmSpec::parse(SPEC).expect("spec parses");
+    let caps = reader.capacities().to_vec();
+    Session::from_registry(registry, &spec, &caps, 0)
+        .expect("registry build")
+        .run_stream_batched(reader, 1)
+        .expect("session")
+}
+
 fn trace2_replay() {
     let registry = default_registry();
     let pid = std::process::id();
@@ -123,30 +133,18 @@ fn trace2_replay() {
 
     // Differential gate, before any timing: full greedy sessions off
     // all three arms must produce the byte-identical report.
-    let via_text = run_stream_registered(
+    let via_text = session_report(
         &registry,
-        SPEC,
         TraceReader::open(&text_path).expect("open text trace"),
-        0,
-        None,
-    )
-    .expect("text session");
-    let via_bin = run_stream_registered(
+    );
+    let via_bin = session_report(
         &registry,
-        SPEC,
         BinTraceReader::open(&bin_path).expect("open binary trace"),
-        0,
-        None,
-    )
-    .expect("binary session");
-    let via_map = run_stream_registered(
+    );
+    let via_map = session_report(
         &registry,
-        SPEC,
         BinMapReader::open(&bin_path).expect("map binary trace"),
-        0,
-        None,
-    )
-    .expect("mmap session");
+    );
     assert_eq!(via_bin, via_text, "binary report diverged from text");
     assert_eq!(via_map, via_text, "mmap report diverged from text");
     assert_eq!(

@@ -1,14 +1,14 @@
 //! # acmr-bench
 //!
-//! Criterion benchmarks and the `exp_*` experiment binaries that
-//! regenerate the paper-validation tables (CSV via `ACMR_RESULTS_DIR`,
+//! Criterion benchmarks and the `exp_all` experiment binary that
+//! regenerates the paper-validation tables (CSV via `ACMR_RESULTS_DIR`,
 //! machine-readable summaries via [`emit_bench_json`]).
 //!
-//! Binaries (all support `--quick` for a reduced grid):
+//! `exp_all` prints every table (E1–E9, E11, E12) under its own name;
+//! `--quick` shrinks the grids:
 //!
 //! ```text
-//! cargo run -p acmr-bench --release --bin exp_e1   # … through exp_e9
-//! cargo run -p acmr-bench --release --bin exp_all  # everything
+//! cargo run -p acmr-bench --release --bin exp_all -- --quick
 //! ```
 //!
 //! Benches (`cargo bench -p acmr-bench`): `fractional`, `randomized`,
@@ -18,8 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Shared CLI plumbing for the `exp_*` binaries: returns `true` when
-/// the full grid was requested (no `--quick` flag).
+/// Shared CLI plumbing for `exp_all` and the grid benches: returns
+/// `true` when the full grid was requested (no `--quick` flag).
 pub fn full_grid_requested() -> bool {
     !std::env::args().any(|a| a == "--quick")
 }

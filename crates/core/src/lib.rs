@@ -43,9 +43,10 @@
 //! * [`session::Session`] — owns the algorithm, the
 //!   [`acmr_graph::LoadTracker`] audit, and incremental statistics;
 //!   `push(request)` yields one audited [`session::ArrivalEvent`] per
-//!   arrival, `push_batch` feeds a slice of arrivals with identical
+//!   arrival, `push_batch_into` feeds a slice of arrivals with identical
 //!   per-arrival semantics but amortized bookkeeping, and
-//!   `run_trace` / `run_trace_batched` subsume the old batch runners.
+//!   `run_stream_batched` drives a whole request stream — the one
+//!   whole-source driver every runner builds on.
 //! * [`report::RunReport`] — the serde-backed result schema shared by
 //!   the CLI (`acmr run --format json`), the experiment harness, and
 //!   the benches.

@@ -3,42 +3,47 @@
 //!
 //! The seed tree drove algorithms through a batch-only free function
 //! (`harness::run_admission`) that needed the whole
-//! [`AdmissionInstance`] up front and panicked on contract violations.
-//! A [`Session`] instead owns the algorithm, the
-//! [`acmr_graph::LoadTracker`] audit, and running statistics, and
-//! exposes [`Session::push`]: feed one arrival, get one audited
-//! [`ArrivalEvent`] back. That is the shape batched arrivals, async
-//! sharding, and live serving all build on — and the batch runners are
-//! now thin wrappers over it.
+//! [`AdmissionInstance`](crate::AdmissionInstance) up front and
+//! panicked on contract violations. A [`Session`] instead owns the
+//! algorithm, the [`acmr_graph::LoadTracker`] audit, and running
+//! statistics, and exposes three drivers over one arrival body:
+//!
+//! * [`Session::push`] — feed one arrival, get one audited
+//!   [`ArrivalEvent`] back (the serve machine's single-frame path);
+//! * [`Session::push_batch_into`] — feed a slice of arrivals into a
+//!   caller-owned event buffer (the serve machine's batch path, and
+//!   the harness's in-memory runs);
+//! * [`Session::run_stream_batched`] — drive a whole fallible request
+//!   stream and summarize (every whole-source run).
+//!
+//! The algorithms are online — each arrival is decided once, in order —
+//! so the drivers differ only in amortization, never in decisions.
 //!
 //! ## Batched arrivals
 //!
-//! [`Session::push_batch`] feeds a slice of arrivals at once. Its
-//! semantics are pinned to the streaming path — the event stream it
-//! returns is **identical, arrival for arrival**, to what the same
-//! requests would produce through [`Session::push`] (a property the
-//! harness's differential suite asserts for every registered
-//! algorithm) — while the batch shape lets the session amortize what
-//! per-push calls cannot: footprints are validated in one upfront pass
-//! before the algorithm sees anything, per-arrival bookkeeping vectors
-//! are grown once per batch, the load-audit coherence sweep runs once
-//! per batch instead of once per arrival, and
-//! [`Session::push_batch_into`] reuses a caller-owned event buffer so
-//! steady-state batch processing performs no per-event allocations in
-//! this layer.
+//! [`Session::push_batch_into`]'s semantics are pinned to the
+//! per-arrival path — the event stream it writes is **identical,
+//! arrival for arrival**, to what the same requests would produce
+//! through [`Session::push`] (a property the harness's differential
+//! suite asserts for every registered algorithm) — while the batch
+//! shape lets the session amortize what per-push calls cannot:
+//! footprints are validated in one upfront pass before the algorithm
+//! sees anything, per-arrival bookkeeping vectors are grown once per
+//! batch, the load-audit coherence sweep runs once per batch instead of
+//! once per arrival, and the reused event buffer means steady-state
+//! batch processing performs no per-event allocations in this layer.
 //!
 //! ## Streaming ingestion
 //!
-//! [`Session::run_stream`] / [`Session::run_stream_batched`] drive the
-//! session off a fallible request iterator — the shape a chunked trace
-//! parser (`acmr_workloads::trace::TraceReader`) yields — so a run
-//! never materializes its instance: this layer buffers at most one
-//! request (respectively one batch) of the stream. What remains is the
-//! referee's own audit state — footprints of *currently accepted*
-//! requests plus a few bytes of accept/reject bookkeeping per arrival
-//! — which is why `acmr run --stream`'s peak RSS is a small fraction
-//! of the materialized instance's (the streaming bench records both),
-//! not `O(1)`.
+//! [`Session::run_stream_batched`] drives the session off a fallible
+//! request iterator — the shape a chunked trace parser
+//! (`acmr_workloads::trace::TraceReader`) yields — so a run never
+//! materializes its instance: this layer buffers at most one batch of
+//! the stream. What remains is the referee's own audit state —
+//! footprints of *currently accepted* requests plus a few bytes of
+//! accept/reject bookkeeping per arrival — which is why `acmr run
+//! --stream`'s peak RSS is a small fraction of the materialized
+//! instance's (the streaming bench records both), not `O(1)`.
 //!
 //! Contract violations (capacity overflow, phantom preemption,
 //! accept-after-reject) surface as
@@ -47,7 +52,7 @@
 //! and every further push fails fast.
 
 use crate::error::AcmrError;
-use crate::instance::{AdmissionInstance, Request, RequestId};
+use crate::instance::{Request, RequestId};
 use crate::online::OnlineAdmission;
 use crate::registry::{AlgorithmSpec, BuildCtx, Registry};
 use crate::report::RunReport;
@@ -259,7 +264,7 @@ impl<A: OnlineAdmission> Session<A> {
     fn push_validated(&mut self, request: &Request) -> Result<ArrivalEvent, AcmrError> {
         // Dense u32 ids: refuse the 2^32-th arrival instead of silently
         // wrapping and aliasing old slots — reachable in principle now
-        // that `run_stream` advertises unbounded input.
+        // that `run_stream_batched` advertises unbounded input.
         let Ok(raw_id) = u32::try_from(self.accepted.len()) else {
             return Err(AcmrError::InvalidRequest {
                 reason: format!(
@@ -327,22 +332,21 @@ impl<A: OnlineAdmission> Session<A> {
     }
 
     /// Feed a slice of arrivals at once; equivalent to pushing each
-    /// request through [`Session::push`] in order, and returns the same
-    /// events the per-push calls would have.
+    /// request through [`Session::push`] in order, and writes the same
+    /// events the per-push calls would have returned into `events`, so a
+    /// steady-state batch loop allocates no event storage per batch.
     ///
-    /// The batch shape buys three amortizations over the per-push loop:
-    /// the whole batch is range-validated **upfront** (an invalid
-    /// footprint anywhere rejects the batch with
-    /// [`AcmrError::InvalidRequest`] before *any* arrival is shown to
-    /// the algorithm — no partial application on bad input), the
-    /// per-arrival bookkeeping vectors are reserved once, and the
-    /// load-audit coherence sweep runs once per batch.
+    /// `events` is cleared first. The batch shape buys three
+    /// amortizations over the per-push loop: the whole batch is
+    /// range-validated **upfront** (an invalid footprint anywhere
+    /// rejects the batch with [`AcmrError::InvalidRequest`] before *any*
+    /// arrival is shown to the algorithm — no partial application on bad
+    /// input), the per-arrival bookkeeping vectors are reserved once, and
+    /// the load-audit coherence sweep runs once per batch.
     ///
-    /// Contract violations keep streaming semantics: arrivals before
-    /// the violation are applied and counted, the violation poisons the
-    /// session, and the error is returned (use
-    /// [`Session::push_batch_into`] to also keep the events preceding
-    /// the violation).
+    /// Contract violations keep per-arrival semantics: arrivals before
+    /// the violation are applied, counted, and left in `events`; the
+    /// violation poisons the session and the error is returned.
     ///
     /// ```
     /// use acmr_core::{register_core, AlgorithmSpec, Registry, Request, Session};
@@ -356,24 +360,12 @@ impl<A: OnlineAdmission> Session<A> {
     /// let batch: Vec<Request> = (0..3)
     ///     .map(|_| Request::unit(EdgeSet::singleton(EdgeId(0))))
     ///     .collect();
-    /// let events = session.push_batch(&batch)?;  // same events `push` yields
+    /// let mut events = Vec::new();
+    /// session.push_batch_into(&batch, &mut events)?; // same events `push` yields
     /// assert_eq!(events.len(), 3);
     /// assert_eq!(session.stats().arrivals, 3);
     /// # Ok::<(), acmr_core::AcmrError>(())
     /// ```
-    pub fn push_batch(&mut self, batch: &[Request]) -> Result<Vec<ArrivalEvent>, AcmrError> {
-        let mut events = Vec::new();
-        self.push_batch_into(batch, &mut events)?;
-        Ok(events)
-    }
-
-    /// [`Session::push_batch`] writing into a caller-owned buffer so a
-    /// steady-state batch loop allocates no event storage per batch.
-    ///
-    /// `events` is cleared first; on success it holds one event per
-    /// request in `batch`, and on a mid-batch contract violation it
-    /// holds the events of the arrivals that were applied before the
-    /// violation (the session is poisoned either way).
     pub fn push_batch_into(
         &mut self,
         batch: &[Request],
@@ -410,74 +402,27 @@ impl<A: OnlineAdmission> Session<A> {
         Ok(())
     }
 
-    fn check_fresh_for(&self, inst: &AdmissionInstance) -> Result<(), AcmrError> {
-        self.check_fresh("run_trace")?;
-        let same_capacities = inst.capacities.len() == self.audit.num_edges()
-            && inst
-                .capacities
-                .iter()
-                .enumerate()
-                .all(|(i, &c)| self.audit.capacity(acmr_graph::EdgeId(i as u32)) == c);
-        if !same_capacities {
-            return Err(AcmrError::InvalidRequest {
-                reason: "instance capacities do not match the session's".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Drive a whole instance through [`Session::push`] and summarize.
-    ///
-    /// Requires a **fresh** session (no arrivals pushed yet) whose
-    /// capacities match the instance's exactly; its arrival order is
-    /// replayed verbatim. This is the convenience the batch runners
-    /// and the CLI use.
-    pub fn run_trace(&mut self, inst: &AdmissionInstance) -> Result<RunReport, AcmrError> {
-        self.check_fresh_for(inst)?;
-        for request in &inst.requests {
-            self.push(request)?;
-        }
-        Ok(self.report())
-    }
-
-    /// [`Session::run_trace`] through the batch path: the arrival
-    /// sequence is cut into chunks of `batch` requests and fed through
-    /// [`Session::push_batch_into`] with one reused event buffer.
-    /// Produces the identical [`RunReport`] (the decision stream is the
-    /// same); `batch` must be at least 1.
-    pub fn run_trace_batched(
-        &mut self,
-        inst: &AdmissionInstance,
-        batch: usize,
-    ) -> Result<RunReport, AcmrError> {
-        if batch == 0 {
-            return Err(AcmrError::InvalidRequest {
-                reason: "batch size must be at least 1".to_string(),
-            });
-        }
-        self.check_fresh_for(inst)?;
-        let mut events = Vec::new();
-        for chunk in inst.requests.chunks(batch) {
-            self.push_batch_into(chunk, &mut events)?;
-        }
-        Ok(self.report())
-    }
-
     /// Drive an arrival stream of unknown (unbounded) length through
-    /// [`Session::push`] and summarize — the streaming twin of
-    /// [`Session::run_trace`]: this layer buffers only the in-flight
-    /// request, never the instance. Memory is therefore dominated by
-    /// the referee's audit state (live footprints + per-arrival
-    /// bookkeeping bytes), a small fraction of a materialized
-    /// instance but still linear in very long streams.
+    /// the batch path and summarize: arrivals are buffered into chunks
+    /// of `batch` requests and fed through [`Session::push_batch_into`]
+    /// with one reused request buffer and one reused event buffer. This
+    /// layer buffers `O(batch)` of the stream, never the instance, and
+    /// the decision stream is identical for every batch size (the
+    /// differential suite pins it for every registered algorithm).
+    /// Memory is therefore dominated by the referee's audit state (live
+    /// footprints + per-arrival bookkeeping bytes), a small fraction of
+    /// a materialized instance but still linear in very long streams.
     ///
     /// `arrivals` yields `Result<Request, AcmrError>` so a streaming
     /// parser (e.g. `acmr_workloads::trace::TraceReader`, which
     /// implements exactly this iterator shape) can surface I/O and
-    /// parse errors mid-stream; the first error aborts the run and is
-    /// returned as-is. Requires a fresh session whose capacities match
-    /// the stream's universe (the caller builds the session from the
-    /// stream's header — the session cannot see it).
+    /// parse errors mid-stream. The first error aborts the run and is
+    /// returned as-is, before the partially filled chunk is shown to
+    /// the algorithm — arrivals already fed in complete chunks stay
+    /// applied. Requires a fresh session whose capacities match the
+    /// stream's universe (the caller builds the session from the
+    /// stream's header — the session cannot see it); `batch` must be
+    /// at least 1.
     ///
     /// ```
     /// use acmr_core::{register_core, AlgorithmSpec, Registry, Request, Session};
@@ -491,34 +436,11 @@ impl<A: OnlineAdmission> Session<A> {
     /// // Any fallible iterator of requests works — here an in-memory
     /// // stand-in for a chunked trace reader.
     /// let stream = (0..100).map(|_| Ok(Request::unit(EdgeSet::singleton(EdgeId(0)))));
-    /// let report = session.run_stream(stream)?;
+    /// let report = session.run_stream_batched(stream, 16)?;
     /// assert_eq!(report.requests, 100);
     /// assert!(report.rejected_count >= 99); // capacity 1: at most one held
     /// # Ok::<(), acmr_core::AcmrError>(())
     /// ```
-    pub fn run_stream<I>(&mut self, arrivals: I) -> Result<RunReport, AcmrError>
-    where
-        I: IntoIterator<Item = Result<Request, AcmrError>>,
-    {
-        self.check_fresh("run_stream")?;
-        for request in arrivals {
-            self.push(&request?)?;
-        }
-        Ok(self.report())
-    }
-
-    /// [`Session::run_stream`] through the batch path: arrivals are
-    /// buffered into chunks of `batch` requests and fed through
-    /// [`Session::push_batch_into`] with one reused request buffer and
-    /// one reused event buffer — this layer buffers `O(batch)` of the
-    /// stream, and the decision stream is identical (the differential
-    /// suite pins streamed ≡ batched for every registered algorithm).
-    /// `batch` must be at least 1.
-    ///
-    /// A source error (I/O, parse) aborts before the partially filled
-    /// chunk is shown to the algorithm — arrivals already fed in
-    /// complete chunks stay applied, exactly as if the stream had been
-    /// pushed arrival by arrival up to the last complete chunk.
     pub fn run_stream_batched<I>(
         &mut self,
         arrivals: I,
@@ -773,51 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn run_trace_matches_incremental_pushes() {
-        let mut inst = AdmissionInstance::from_capacities(vec![1, 1]);
-        inst.push(Request::new(fp(&[0]), 1.0));
-        inst.push(Request::new(fp(&[0, 1]), 5.0));
-        inst.push(Request::new(fp(&[1]), 2.0));
-
-        let mut reg = Registry::new();
-        register_core(&mut reg);
-        let spec = AlgorithmSpec::parse("aag-weighted?seed=11").unwrap();
-        let report = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-            .unwrap()
-            .run_trace(&inst)
-            .unwrap();
-
-        let mut session = Session::from_registry(&reg, &spec, &inst.capacities, 0).unwrap();
-        for r in &inst.requests {
-            session.push(r).unwrap();
-        }
-        assert_eq!(session.report(), report);
-        assert_eq!(report.requests, 3);
-    }
-
-    #[test]
-    fn run_trace_validates_capacity_match() {
-        let mut reg = Registry::new();
-        register_core(&mut reg);
-        let spec = AlgorithmSpec::bare("aag-weighted");
-        let caps = vec![1u32];
-        let mut session = Session::from_registry(&reg, &spec, &caps, 0).unwrap();
-        let other = AdmissionInstance::from_capacities(vec![1, 1]);
-        assert!(matches!(
-            session.run_trace(&other),
-            Err(AcmrError::InvalidRequest { .. })
-        ));
-        // Same length, different values: also rejected — the audit
-        // would otherwise silently use the session's capacities.
-        let mut session = Session::from_registry(&reg, &spec, &[2], 0).unwrap();
-        let other = AdmissionInstance::from_capacities(vec![1]);
-        assert!(matches!(
-            session.run_trace(&other),
-            Err(AcmrError::InvalidRequest { .. })
-        ));
-    }
-
-    #[test]
     fn push_batch_matches_streaming_pushes() {
         let mut reg = Registry::new();
         register_core(&mut reg);
@@ -854,16 +731,18 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_returns_owned_events() {
+    fn push_batch_into_clears_the_event_buffer() {
         let caps = vec![4u32];
         let mut session = Session::new(AcceptAll, &caps);
         let batch = vec![Request::unit(fp(&[0])), Request::unit(fp(&[0]))];
-        let events = session.push_batch(&batch).unwrap();
+        let mut events = Vec::new();
+        session.push_batch_into(&batch, &mut events).unwrap();
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.accepted));
         assert_eq!(session.stats().arrivals, 2);
-        // Empty batch: no-op, no events.
-        assert!(session.push_batch(&[]).unwrap().is_empty());
+        // Empty batch: no-op, and the previous batch's events are gone.
+        session.push_batch_into(&[], &mut events).unwrap();
+        assert!(events.is_empty());
         assert_eq!(session.stats().arrivals, 2);
     }
 
@@ -874,12 +753,14 @@ mod tests {
         // Second request is out of range: the whole batch is rejected
         // and the first request was never shown to the algorithm.
         let batch = vec![Request::unit(fp(&[0])), Request::unit(fp(&[9]))];
-        let err = session.push_batch(&batch).unwrap_err();
+        let mut events = Vec::new();
+        let err = session.push_batch_into(&batch, &mut events).unwrap_err();
         assert!(matches!(err, AcmrError::InvalidRequest { .. }));
         assert!(!session.is_poisoned());
         assert_eq!(session.stats().arrivals, 0);
         // The session is still usable.
-        assert_eq!(session.push_batch(&batch[..1]).unwrap().len(), 1);
+        session.push_batch_into(&batch[..1], &mut events).unwrap();
+        assert_eq!(events.len(), 1);
     }
 
     #[test]
@@ -895,71 +776,42 @@ mod tests {
         assert!(events[0].accepted);
         assert_eq!(session.stats().arrivals, 1);
         assert!(session.is_poisoned());
-        assert_eq!(session.push_batch(&batch), Err(AcmrError::SessionPoisoned));
+        assert_eq!(
+            session.push_batch_into(&batch, &mut events),
+            Err(AcmrError::SessionPoisoned)
+        );
     }
 
     #[test]
-    fn run_trace_batched_matches_run_trace() {
-        let mut inst = AdmissionInstance::from_capacities(vec![1, 1]);
-        inst.push(Request::new(fp(&[0]), 1.0));
-        inst.push(Request::new(fp(&[0, 1]), 5.0));
-        inst.push(Request::new(fp(&[1]), 2.0));
-        inst.push(Request::new(fp(&[0]), 3.0));
-
-        let mut reg = Registry::new();
-        register_core(&mut reg);
-        let spec = AlgorithmSpec::parse("aag-weighted?seed=3").unwrap();
-        let reference = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-            .unwrap()
-            .run_trace(&inst)
-            .unwrap();
-        for batch in [1usize, 2, 3, 64] {
-            let report = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-                .unwrap()
-                .run_trace_batched(&inst, batch)
-                .unwrap();
-            assert_eq!(report, reference, "batch {batch}");
-        }
-        // Batch 0 is a usage error, reported before any state changes.
-        let err = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-            .unwrap()
-            .run_trace_batched(&inst, 0)
-            .unwrap_err();
-        assert!(err.to_string().contains("batch size"), "{err}");
-    }
-
-    #[test]
-    fn run_stream_matches_run_trace() {
-        let mut inst = AdmissionInstance::from_capacities(vec![1, 1]);
-        inst.push(Request::new(fp(&[0]), 1.0));
-        inst.push(Request::new(fp(&[0, 1]), 5.0));
-        inst.push(Request::new(fp(&[1]), 2.0));
-        inst.push(Request::new(fp(&[0]), 3.0));
-
+    fn run_stream_batched_matches_incremental_pushes() {
+        let requests = vec![
+            Request::new(fp(&[0]), 1.0),
+            Request::new(fp(&[0, 1]), 5.0),
+            Request::new(fp(&[1]), 2.0),
+            Request::new(fp(&[0]), 3.0),
+        ];
+        let caps = vec![1u32, 1];
         let mut reg = Registry::new();
         register_core(&mut reg);
         let spec = AlgorithmSpec::parse("aag-weighted?seed=6").unwrap();
-        let reference = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-            .unwrap()
-            .run_trace(&inst)
-            .unwrap();
-
-        let streamed = Session::from_registry(&reg, &spec, &inst.capacities, 0)
-            .unwrap()
-            .run_stream(inst.requests.iter().cloned().map(Ok))
-            .unwrap();
-        assert_eq!(streamed, reference);
+        let mut pushed = Session::from_registry(&reg, &spec, &caps, 0).unwrap();
+        for r in &requests {
+            pushed.push(r).unwrap();
+        }
+        let reference = pushed.report();
+        assert_eq!(reference.requests, 4);
 
         for batch in [1usize, 2, 3, 64] {
-            let batched = Session::from_registry(&reg, &spec, &inst.capacities, 0)
+            let batched = Session::from_registry(&reg, &spec, &caps, 0)
                 .unwrap()
-                .run_stream_batched(inst.requests.iter().cloned().map(Ok), batch)
+                .run_stream_batched(requests.iter().cloned().map(Ok), batch)
                 .unwrap();
             assert_eq!(batched, reference, "batch {batch}");
         }
-        let err = Session::from_registry(&reg, &spec, &inst.capacities, 0)
+        // Batch 0 is a usage error, reported before any state changes.
+        let err = Session::from_registry(&reg, &spec, &caps, 0)
             .unwrap()
-            .run_stream_batched(inst.requests.iter().cloned().map(Ok), 0)
+            .run_stream_batched(requests.iter().cloned().map(Ok), 0)
             .unwrap_err();
         assert!(err.to_string().contains("batch size"), "{err}");
     }
@@ -980,13 +832,13 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut session = Session::new(AcceptAll, &caps);
-        let err = session.run_stream(stream(2)).unwrap_err();
+        let err = session.run_stream_batched(stream(2), 1).unwrap_err();
         assert_eq!(err, boom());
         assert_eq!(session.stats().arrivals, 2, "prefix stays applied");
         assert!(!session.is_poisoned(), "source error is not a violation");
 
-        // Batched: the error arrives mid-chunk; complete chunks stay
-        // applied, the partial chunk is never shown to the algorithm.
+        // The error arrives mid-chunk: complete chunks stay applied,
+        // the partial chunk is never shown to the algorithm.
         let mut session = Session::new(AcceptAll, &caps);
         let err = session.run_stream_batched(stream(3), 2).unwrap_err();
         assert_eq!(err, boom());
@@ -998,29 +850,10 @@ mod tests {
         let caps = vec![1u32];
         let mut session = Session::new(AcceptAll, &caps);
         session.push(&Request::unit(fp(&[0]))).unwrap();
-        let err = session.run_stream(std::iter::empty()).unwrap_err();
-        assert!(err.to_string().contains("fresh session"), "{err}");
+        // A second replay would silently merge two streams; rejected.
         let err = session
             .run_stream_batched(std::iter::empty(), 8)
             .unwrap_err();
         assert!(err.to_string().contains("fresh session"), "{err}");
-    }
-
-    #[test]
-    fn run_trace_requires_a_fresh_session() {
-        let mut reg = Registry::new();
-        register_core(&mut reg);
-        let spec = AlgorithmSpec::bare("aag-weighted");
-        let mut inst = AdmissionInstance::from_capacities(vec![2]);
-        inst.push(Request::unit(fp(&[0])));
-        let mut session = Session::from_registry(&reg, &spec, &inst.capacities, 0).unwrap();
-        session.run_trace(&inst).unwrap();
-        // A second replay would silently merge two streams; rejected.
-        let err = session.run_trace(&inst).unwrap_err();
-        assert!(err.to_string().contains("fresh session"), "{err}");
-        // Likewise after any manual push.
-        let mut session = Session::from_registry(&reg, &spec, &inst.capacities, 0).unwrap();
-        session.push(&Request::unit(fp(&[0]))).unwrap();
-        assert!(session.run_trace(&inst).is_err());
     }
 }

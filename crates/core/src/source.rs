@@ -1,10 +1,11 @@
 //! The reader seam between trace storage and the streaming engine.
 //!
-//! [`Session::run_stream`](crate::Session::run_stream) accepts any
-//! fallible iterator of requests, but the harness's two-pass runners
-//! need a little more than arrivals: the capacity table (to build the
-//! session) and the declared request count (to size buffers and detect
-//! truncation). [`RequestSource`] names exactly that contract, so the
+//! [`Session::run_stream_batched`](crate::Session::run_stream_batched)
+//! accepts any fallible iterator of requests, but the harness's
+//! two-pass runner needs a little more than arrivals: the capacity
+//! table (to build the session) and the declared request count (to
+//! size buffers and detect truncation). [`RequestSource`] names
+//! exactly that contract, so the
 //! harness can be generic over *how a trace is stored* — plain-text
 //! lines, binary records streamed off any `io::Read`, or a zero-copy
 //! memory mapping — while every storage format keeps one behavior:
@@ -22,10 +23,10 @@ use crate::instance::Request;
 /// A streaming source of admission requests with header metadata.
 ///
 /// The iterator contract matches what
-/// [`Session::run_stream`](crate::Session::run_stream) expects: one
-/// `Ok(request)` per arrival, a typed `Err` on malformed input or I/O
-/// failure (after which the source is poisoned and repeats the error),
-/// and `None` only at a *clean* end of trace.
+/// [`Session::run_stream_batched`](crate::Session::run_stream_batched)
+/// expects: one `Ok(request)` per arrival, a typed `Err` on malformed
+/// input or I/O failure (after which the source is poisoned and
+/// repeats the error), and `None` only at a *clean* end of trace.
 pub trait RequestSource: Iterator<Item = Result<Request, AcmrError>> {
     /// Edge capacities from the trace header — what a session over
     /// this source must be built with.

@@ -15,7 +15,8 @@ use crate::experiments::seed_for;
 use crate::opt::{admission_opt, BoundBudget};
 use crate::parallel::{default_threads, parallel_map};
 use crate::registry::default_registry;
-use crate::runner::run_registered;
+use crate::runner::run_report;
+use crate::shard::SourceRef;
 use crate::stats::Summary;
 use crate::table::Table;
 use acmr_core::AdmissionInstance;
@@ -177,9 +178,11 @@ pub fn run(quick: bool) -> Vec<Cell> {
             let inst = instance_for(family, m, cap, duration, seed);
             let opt = admission_opt(&inst, BoundBudget::default());
             bound = kind_label(opt.kind);
+            let source = SourceRef::Mem(&inst);
             for (k, spec) in specs_ref.iter().enumerate() {
-                let report = run_registered(registry, spec, &inst, seed ^ 0xE18 ^ (k as u64) << 16)
-                    .expect("registry run");
+                let alg_seed = seed ^ 0xE18 ^ (k as u64) << 16;
+                let report =
+                    run_report(registry, spec, source, alg_seed, 1, None).expect("registry run");
                 if report.offered_cost > 0.0 {
                     rej[k].push(report.rejected_cost / report.offered_cost);
                 }

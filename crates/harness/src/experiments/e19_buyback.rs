@@ -92,7 +92,8 @@ pub fn run_billed(
     let parsed = AlgorithmSpec::parse(spec)?;
     let mut session = Session::from_registry(&registry, &parsed, &inst.capacities, base_seed)?
         .with_buyback_factor(factor)?;
-    session.run_trace(inst)
+    session.push_batch_into(&inst.requests, &mut Vec::new())?;
+    Ok(session.report())
 }
 
 /// One grid row: every algorithm billed at one cancellation factor.
@@ -109,8 +110,8 @@ pub struct Cell {
     pub paid: Vec<Summary>,
     /// Value-competitive ratio `(offered − OPT_rej) / (offered − net)`
     /// vs the exact singleton OPT, same order (only finite, positive
-    /// denominators are summarized).
-    pub value_ratios: Vec<Summary>,
+    /// denominators are summarized; `None` when no run kept any value).
+    pub value_ratios: Vec<Option<Summary>>,
 }
 
 /// The hostile instance behind one `(factor-row, rep)` point: reps
@@ -149,7 +150,7 @@ pub fn run(quick: bool) -> Vec<Cell> {
             guarantee: acmr_baselines::Buyback::guarantee(factor),
             net: net.iter().map(|v| Summary::of(v)).collect(),
             paid: paid.iter().map(|v| Summary::of(v)).collect(),
-            value_ratios: ratios.iter().map(|v| Summary::of(v)).collect(),
+            value_ratios: ratios.iter().map(|v| Summary::from_values(v)).collect(),
         }
     })
 }
@@ -235,8 +236,9 @@ mod tests {
                 .iter()
                 .position(|s| s.starts_with("buyback?"))
                 .expect("buyback column");
-            let ratios = &cell.value_ratios[bb];
-            assert!(ratios.n > 0, "no finite value ratios at {}", cell.factor);
+            let ratios = cell.value_ratios[bb]
+                .as_ref()
+                .unwrap_or_else(|| panic!("no finite value ratios at {}", cell.factor));
             assert!(
                 ratios.max <= cell.guarantee + 1e-9,
                 "factor {}: value ratio {} above guarantee {}",

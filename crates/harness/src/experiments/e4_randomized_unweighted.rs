@@ -10,7 +10,8 @@ use crate::experiments::seed_for;
 use crate::opt::{admission_opt, BoundBudget};
 use crate::parallel::{default_threads, parallel_map};
 use crate::registry::default_registry;
-use crate::runner::run_registered;
+use crate::runner::run_report;
+use crate::shard::SourceRef;
 use crate::stats::Summary;
 use crate::table::Table;
 use acmr_workloads::{random_path_workload, CostModel, PathWorkloadSpec, Topology};
@@ -78,7 +79,9 @@ pub fn run(quick: bool) -> Vec<Cell> {
             };
             let mut rng = StdRng::seed_from_u64(seed);
             let (_, inst) = random_path_workload(&spec, &mut rng);
-            let report = run_registered(registry, "aag-unweighted", &inst, seed ^ 0xBEEF_CAFE)
+            let source = SourceRef::Mem(&inst);
+            let alg_seed = seed ^ 0xBEEF_CAFE;
+            let report = run_report(registry, "aag-unweighted", source, alg_seed, 1, None)
                 .expect("registry run");
             let opt = admission_opt(&inst, BoundBudget::default());
             bound = kind_label(opt.kind);

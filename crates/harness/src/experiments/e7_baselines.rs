@@ -12,7 +12,8 @@ use crate::experiments::seed_for;
 use crate::opt::{admission_opt, BoundBudget};
 use crate::parallel::{default_threads, parallel_map};
 use crate::registry::default_registry;
-use crate::runner::run_registered;
+use crate::runner::run_report;
+use crate::shard::SourceRef;
 use crate::stats::Summary;
 use crate::table::Table;
 use acmr_core::{AdmissionInstance, DEFAULT_ALGORITHM};
@@ -109,10 +110,11 @@ pub fn run(quick: bool) -> Vec<Cell> {
             let opt = admission_opt(&inst, BoundBudget::default());
             bound = kind_label(opt.kind);
 
+            let source = SourceRef::Mem(&inst);
             for (k, spec) in ALGS.iter().enumerate() {
+                let alg_seed = seed ^ 0xF00D ^ (k as u64) << 16;
                 let report =
-                    run_registered(registry, spec, &inst, seed ^ 0xF00D ^ (k as u64) << 16)
-                        .expect("registry run");
+                    run_report(registry, spec, source, alg_seed, 1, None).expect("registry run");
                 let r = opt.ratio(report.rejected_cost);
                 if r.is_finite() {
                     per_alg[k].push(r);

@@ -9,7 +9,8 @@ use crate::experiments::seed_for;
 use crate::opt::{admission_opt, BoundBudget};
 use crate::parallel::{default_threads, parallel_map};
 use crate::registry::default_registry;
-use crate::runner::run_registered;
+use crate::runner::run_report;
+use crate::shard::SourceRef;
 use crate::stats::Summary;
 use crate::table::Table;
 use acmr_core::{RandConfig, DEFAULT_ALGORITHM};
@@ -99,8 +100,9 @@ pub fn run(quick: bool) -> Vec<Cell> {
                 Knob::Prune if mult > 0.5 => DEFAULT_ALGORITHM.to_string(),
                 Knob::Prune => format!("{DEFAULT_ALGORITHM}?no-prune"),
             };
-            let report =
-                run_registered(registry, &alg_spec, &inst, seed ^ 0xAB1E).expect("registry run");
+            let source = SourceRef::Mem(&inst);
+            let report = run_report(registry, &alg_spec, source, seed ^ 0xAB1E, 1, None)
+                .expect("registry run");
             let opt = admission_opt(&inst, BoundBudget::default());
             bound = kind_label(opt.kind);
             let r = opt.ratio(report.rejected_cost);

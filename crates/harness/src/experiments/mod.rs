@@ -4,8 +4,8 @@
 //! Each experiment here measures the quantity one theorem bounds,
 //! sweeps the parameter the bound depends on, and emits a table whose
 //! *shape* must match the theory. Every experiment has two sizes:
-//! `quick` (seconds; used by tests and CI) and full (the `exp_*`
-//! binaries in `acmr-bench`).
+//! `quick` (seconds; used by tests and CI) and full (`exp_all` in
+//! `acmr-bench`).
 //!
 //! | Exp | Validates | Module |
 //! |-----|-----------|--------|

@@ -8,13 +8,13 @@
 //! Entry points, roughly in order of ambition (see
 //! `docs/ARCHITECTURE.md` for the full data-flow picture):
 //!
-//! * [`run_report`] / [`run_report_batched`] — one `(registry spec,
-//!   instance)` pair to a complete [`acmr_core::RunReport`] with
-//!   offline-optimum context.
-//! * [`run_report_from_path`] / [`run_report_spooled`] — the same
-//!   report from a **streamed** trace (file or one-shot stdin) that is
-//!   never materialized in memory; the two-pass OPT bound lives in
-//!   [`stream`].
+//! * [`run_admission`] — the panicking referee for hand-built
+//!   algorithms: one instance to an [`AdmissionRun`].
+//! * [`run_report`] — one `(registry spec, trace)` pair to a complete
+//!   [`acmr_core::RunReport`], optionally with offline-optimum context.
+//!   The trace is a [`SourceRef`]: an instance in memory, or a trace
+//!   file **streamed** without ever being materialized (the two-pass
+//!   OPT bound lives in [`stream`]).
 //! * [`ShardedDriver`] — many `(spec, trace)` jobs fanned over scoped
 //!   worker threads into one [`SweepReport`], traces in memory
 //!   ([`TraceSource::InMemory`]) or on disk ([`TraceSource::Path`]).
@@ -59,15 +59,12 @@ pub use opt::{
 pub use parallel::parallel_map;
 pub use registry::default_registry;
 pub use runner::{
-    opt_summary, run_admission, run_registered, run_registered_batched, run_report,
-    run_report_batched, run_set_cover, AdmissionRun, SetCoverRun,
+    opt_summary, run_admission, run_report, run_set_cover, AdmissionRun, SetCoverRun,
 };
 pub use shard::{
-    cross_jobs, JobReport, ShardedDriver, SweepJob, SweepReport, SweepTotals, TraceSource,
+    cross_jobs, JobReport, ShardedDriver, SourceRef, SweepJob, SweepReport, SweepTotals,
+    TraceSource,
 };
 pub use stats::Summary;
-pub use stream::{
-    admission_opt_from_path, run_report_from_path, run_report_spooled, run_report_streamed,
-    run_stream_registered, scan_trace, streamed_admission_opt, StreamScan,
-};
+pub use stream::{admission_opt_from_path, scan_trace, streamed_admission_opt, StreamScan};
 pub use table::Table;

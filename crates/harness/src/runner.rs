@@ -1,18 +1,21 @@
 //! Audited drivers for online algorithms.
 //!
 //! The admission-control path is built on [`acmr_core::Session`] — the
-//! streaming driver owns the audit and the statistics. The batch
-//! helpers here add what only this crate can: the panic-on-violation
-//! referee behavior experiments rely on ([`run_admission`]) and
-//! offline-optimum context attached to [`RunReport`]s
-//! ([`run_report`] / [`run_registered`]).
+//! streaming driver owns the audit and the statistics. The helpers here
+//! add what only this crate can: the panic-on-violation referee
+//! behavior experiments rely on ([`run_admission`]) and the one report
+//! path from `(registry spec, trace)` to a [`RunReport`] with optional
+//! offline-optimum context ([`run_report`]).
 
 use crate::opt::{admission_opt, BoundBudget, OptBound};
+use crate::shard::SourceRef;
+use crate::stream::{streamed_admission_opt, StreamScan};
 use acmr_core::setcover::{OnlineSetCover, SetSystem};
 use acmr_core::{
-    AcmrError, AdmissionInstance, AlgorithmSpec, OnlineAdmission, OptSummary, Registry, RunReport,
-    Session,
+    AcmrError, AdmissionInstance, AlgorithmSpec, OnlineAdmission, OptSummary, Registry,
+    RequestSource as _, RunReport, Session,
 };
+use acmr_workloads::open_trace;
 
 /// Result of replaying an admission-control algorithm over an instance.
 #[derive(Clone, Debug)]
@@ -53,52 +56,66 @@ pub fn run_admission<A: OnlineAdmission>(alg: &mut A, inst: &AdmissionInstance) 
     }
 }
 
-/// Run a registry-addressed algorithm over an instance, returning its
-/// [`RunReport`] (without offline-optimum context).
+/// Run a registry-addressed algorithm over one trace and summarize it
+/// as a [`RunReport`] — the one report path behind `acmr run`,
+/// [`crate::ShardedDriver`] and the experiment tables.
 ///
-/// `base_seed` feeds randomized algorithms unless the spec string
-/// carries its own `seed=`; the seed actually used is echoed in the
-/// report.
-pub fn run_registered(
+/// * `base_seed` feeds randomized algorithms unless the spec string
+///   carries its own `seed=`; the seed actually used is echoed in the
+///   report.
+/// * Arrivals reach the session in chunks of `batch` (at least 1). The
+///   algorithms are online, so the report is identical for every batch
+///   size; batching only amortizes the session's bookkeeping.
+/// * With a `budget`, the report carries offline-optimum context. A
+///   [`SourceRef::Mem`] instance is bounded by [`admission_opt`]. A
+///   [`SourceRef::Path`] trace is bounded by the two-pass scheme of
+///   [`crate::stream`]: a [`StreamScan`] observes the run's pass over
+///   the file, and [`streamed_admission_opt`] reads it a second time.
+///   Both give the same bound, so the reports are byte-identical.
+pub fn run_report(
     registry: &Registry,
     spec: &str,
-    inst: &AdmissionInstance,
-    base_seed: u64,
-) -> Result<RunReport, AcmrError> {
-    let spec = AlgorithmSpec::parse(spec)?;
-    let mut session = Session::from_registry(registry, &spec, &inst.capacities, base_seed)?;
-    session.run_trace(inst)
-}
-
-/// [`run_registered`] through the session batch layer: arrivals are fed
-/// in chunks of `batch` via `Session::push_batch`, producing the
-/// identical report (the decision stream is pinned to the streaming
-/// path). `batch` must be at least 1.
-pub fn run_registered_batched(
-    registry: &Registry,
-    spec: &str,
-    inst: &AdmissionInstance,
+    source: SourceRef<'_>,
     base_seed: u64,
     batch: usize,
+    budget: Option<BoundBudget>,
 ) -> Result<RunReport, AcmrError> {
     let spec = AlgorithmSpec::parse(spec)?;
-    let mut session = Session::from_registry(registry, &spec, &inst.capacities, base_seed)?;
-    session.run_trace_batched(inst, batch)
-}
-
-/// [`run_report`] through the session batch layer — what `acmr run
-/// --batch N` dispatches to.
-pub fn run_report_batched(
-    registry: &Registry,
-    spec: &str,
-    inst: &AdmissionInstance,
-    base_seed: u64,
-    budget: BoundBudget,
-    batch: usize,
-) -> Result<RunReport, AcmrError> {
-    let mut report = run_registered_batched(registry, spec, inst, base_seed, batch)?;
-    let bound = admission_opt(inst, budget);
-    report.opt = Some(opt_summary(&bound, report.rejected_cost));
+    let (mut report, bound) = match source {
+        SourceRef::Mem(inst) => {
+            if batch == 0 {
+                return Err(AcmrError::InvalidRequest {
+                    reason: "batch size must be at least 1".to_string(),
+                });
+            }
+            let mut session = Session::from_registry(registry, &spec, &inst.capacities, base_seed)?;
+            let mut events = Vec::new();
+            for chunk in inst.requests.chunks(batch) {
+                session.push_batch_into(chunk, &mut events)?;
+            }
+            (session.report(), budget.map(|b| admission_opt(inst, b)))
+        }
+        SourceRef::Path(path) => {
+            let reader = open_trace(path)?;
+            let capacities = reader.capacities().to_vec();
+            let mut session = Session::from_registry(registry, &spec, &capacities, base_seed)?;
+            let mut scan = budget.map(|_| StreamScan::new(capacities.len()));
+            let observed = reader.inspect(|item| {
+                if let (Some(scan), Ok(r)) = (scan.as_mut(), item) {
+                    scan.observe(r);
+                }
+            });
+            let report = session.run_stream_batched(observed, batch)?;
+            let bound = match (budget, &scan) {
+                (Some(b), Some(scan)) => Some(streamed_admission_opt(open_trace(path)?, scan, b)?),
+                _ => None,
+            };
+            (report, bound)
+        }
+    };
+    if let Some(bound) = &bound {
+        report.opt = Some(opt_summary(bound, report.rejected_cost));
+    }
     Ok(report)
 }
 
@@ -111,22 +128,6 @@ pub fn opt_summary(bound: &OptBound, rejected_cost: f64) -> OptSummary {
         kind: bound.kind.label().to_string(),
         ratio: ratio.is_finite().then_some(ratio),
     }
-}
-
-/// [`run_registered`] plus offline-optimum context: the one-call path
-/// from `(registry, spec, instance)` to a complete [`RunReport`] —
-/// what the CLI's `acmr run` and the experiment tables consume.
-pub fn run_report(
-    registry: &Registry,
-    spec: &str,
-    inst: &AdmissionInstance,
-    base_seed: u64,
-    budget: BoundBudget,
-) -> Result<RunReport, AcmrError> {
-    let mut report = run_registered(registry, spec, inst, base_seed)?;
-    let bound = admission_opt(inst, budget);
-    report.opt = Some(opt_summary(&bound, report.rejected_cost));
-    Ok(report)
 }
 
 /// Result of replaying an online set-cover algorithm.
@@ -242,16 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn run_registered_echoes_seed_and_matches_run_admission() {
+    fn run_report_echoes_seed_and_matches_run_admission() {
         let reg = crate::registry::default_registry();
         let mut inst = AdmissionInstance::from_capacities(vec![1, 1]);
         inst.push(Request::new(fp(&[0]), 2.0));
         inst.push(Request::new(fp(&[0, 1]), 3.0));
         inst.push(Request::new(fp(&[1]), 4.0));
 
-        let report = run_registered(&reg, "greedy", &inst, 0).unwrap();
+        let report = run_report(&reg, "greedy", SourceRef::Mem(&inst), 0, 1, None).unwrap();
         assert_eq!(report.algorithm, "greedy");
         assert_eq!(report.seed, Some(0));
+        assert!(report.opt.is_none(), "no budget, no bound");
         let mut alg = GreedyNonPreemptive::new(&inst.capacities);
         let run = run_admission(&mut alg, &inst);
         assert_eq!(report.rejected_cost, run.rejected_cost);
@@ -260,25 +262,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_runners_match_streaming_runners() {
+    fn run_report_is_identical_for_every_batch_size() {
         let reg = crate::registry::default_registry();
         let mut inst = AdmissionInstance::from_capacities(vec![2, 2]);
         for i in 0..10u32 {
             let fp = if i % 2 == 0 { fp(&[0]) } else { fp(&[0, 1]) };
             inst.push(Request::new(fp, 1.0 + (i % 3) as f64));
         }
+        let budget = Some(BoundBudget::default());
         for spec in ["greedy", "aag-weighted?seed=5", "random-preempt"] {
-            let streaming = run_registered(&reg, spec, &inst, 2).unwrap();
-            for batch in [1usize, 3, 64] {
-                let batched = run_registered_batched(&reg, spec, &inst, 2, batch).unwrap();
-                assert_eq!(batched, streaming, "{spec} batch {batch}");
+            let per_arrival = run_report(&reg, spec, SourceRef::Mem(&inst), 2, 1, None).unwrap();
+            for batch in [3usize, 64] {
+                let batched =
+                    run_report(&reg, spec, SourceRef::Mem(&inst), 2, batch, None).unwrap();
+                assert_eq!(batched, per_arrival, "{spec} batch {batch}");
             }
-            let with_opt = run_report(&reg, spec, &inst, 2, BoundBudget::default()).unwrap();
-            let batched =
-                run_report_batched(&reg, spec, &inst, 2, BoundBudget::default(), 4).unwrap();
+            let with_opt = run_report(&reg, spec, SourceRef::Mem(&inst), 2, 1, budget).unwrap();
+            let batched = run_report(&reg, spec, SourceRef::Mem(&inst), 2, 4, budget).unwrap();
             assert_eq!(batched, with_opt, "{spec} with opt");
         }
-        let err = run_registered_batched(&reg, "greedy", &inst, 0, 0).unwrap_err();
+        let err = run_report(&reg, "greedy", SourceRef::Mem(&inst), 0, 0, None).unwrap_err();
         assert!(err.to_string().contains("batch size"), "{err}");
     }
 
@@ -288,7 +291,8 @@ mod tests {
         let mut inst = AdmissionInstance::from_capacities(vec![1]);
         inst.push(Request::new(fp(&[0]), 2.0));
         inst.push(Request::new(fp(&[0]), 3.0));
-        let report = run_report(&reg, "greedy", &inst, 0, BoundBudget::default()).unwrap();
+        let budget = Some(BoundBudget::default());
+        let report = run_report(&reg, "greedy", SourceRef::Mem(&inst), 0, 1, budget).unwrap();
         let opt = report.opt.as_ref().expect("opt attached");
         assert_eq!(opt.kind, "exact");
         assert!((opt.value - 2.0).abs() < 1e-9);
@@ -300,9 +304,10 @@ mod tests {
     fn run_report_rejects_unknown_algorithms_with_typed_error() {
         let reg = crate::registry::default_registry();
         let inst = AdmissionInstance::from_capacities(vec![1]);
-        let err = run_report(&reg, "nope", &inst, 0, BoundBudget::default()).unwrap_err();
+        let source = SourceRef::Mem(&inst);
+        let err = run_report(&reg, "nope", source, 0, 1, Some(BoundBudget::default())).unwrap_err();
         assert!(matches!(err, AcmrError::UnknownAlgorithm { .. }));
-        let err = run_registered(&reg, "bad spec!", &inst, 0).unwrap_err();
+        let err = run_report(&reg, "bad spec!", source, 0, 1, None).unwrap_err();
         assert!(matches!(err, AcmrError::SpecParse { .. }));
     }
 

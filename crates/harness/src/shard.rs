@@ -2,28 +2,25 @@
 //! `(algorithm spec, trace)` jobs to an aggregated, serde-backed
 //! [`SweepReport`].
 //!
-//! This is the scaling entry point the ROADMAP asks for on top of the
-//! streaming [`Session`]: jobs fan out over `std::thread::scope`d
+//! This is the scaling entry point on top of the one report path,
+//! [`crate::run_report`]: jobs fan out over `std::thread::scope`d
 //! workers (via [`crate::parallel_map`], so results are deterministic
 //! and input-ordered regardless of thread count), every job drives its
 //! algorithm through the batch layer
-//! ([`Session::push_batch_into`] with one reused event buffer per
-//! worker job), and — the big amortization — the offline-optimum bound
-//! of each **distinct trace is computed once** and shared by every job
-//! that runs on it, instead of once per `(spec, trace)` pair as the
-//! sequential [`crate::run_report`] path does. On sweeps of many
-//! algorithms/seeds over few traces the bound dominates, so this is a
-//! large honest speedup even on one core; on multicore machines thread
-//! sharding stacks on top.
+//! ([`acmr_core::Session::push_batch_into`] with one reused event
+//! buffer per worker job), and — the big amortization — the
+//! offline-optimum bound of each **distinct trace is computed once**
+//! and shared by every job that runs on it, instead of once per
+//! `(spec, trace)` pair as a sequence of [`crate::run_report`] calls
+//! with a budget would. On sweeps of many algorithms/seeds over few
+//! traces the bound dominates, so this is a large honest speedup even
+//! on one core; on multicore machines thread sharding stacks on top.
 
 use crate::opt::{admission_opt, BoundBudget, OptBound};
 use crate::parallel::{default_threads, parallel_map};
-use crate::runner::opt_summary;
+use crate::runner::{opt_summary, run_report};
 use crate::stream::admission_opt_from_path;
-use acmr_core::{
-    AcmrError, AdmissionInstance, AlgorithmSpec, Registry, RequestSource, RunReport, Session,
-};
-use acmr_workloads::open_trace;
+use acmr_core::{AcmrError, AdmissionInstance, AlgorithmSpec, Registry, RunReport};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -52,12 +49,26 @@ impl From<PathBuf> for TraceSource {
     }
 }
 
-/// Borrowed view shared by the in-memory and path-backed run paths
-/// (and by [`crate::cluster::ClusterDriver`], which resolves jobs and
-/// computes bounds through the exact same phases).
-pub(crate) enum SourceRef<'a> {
+/// Borrowed view of one trace: a materialized instance, or a trace
+/// file of either format to be **streamed** (the instance is never held
+/// in memory). [`crate::run_report`] takes one; the sweep drivers
+/// resolve their traces to this shape too.
+#[derive(Clone, Copy, Debug)]
+pub enum SourceRef<'a> {
+    /// A materialized instance.
     Mem(&'a AdmissionInstance),
+    /// A trace file in either format of `docs/TRACE_FORMAT.md` (the
+    /// leading magic is sniffed, see [`acmr_workloads::open_trace`]).
     Path(&'a Path),
+}
+
+impl<'a> From<&'a TraceSource> for SourceRef<'a> {
+    fn from(source: &'a TraceSource) -> Self {
+        match source {
+            TraceSource::InMemory(inst) => SourceRef::Mem(inst),
+            TraceSource::Path(path) => SourceRef::Path(path),
+        }
+    }
 }
 
 /// Resolve every job against the trace table and parse its spec, so a
@@ -220,8 +231,8 @@ pub struct SweepReport {
 }
 
 /// Fans a set of `(spec, trace)` jobs across scoped worker threads,
-/// driving each through [`Session::push_batch_into`] and aggregating
-/// the [`RunReport`]s into one [`SweepReport`].
+/// driving each through [`crate::run_report`] and aggregating the
+/// [`RunReport`]s into one [`SweepReport`].
 ///
 /// ```
 /// use acmr_harness::{default_registry, ShardedDriver, SweepJob};
@@ -318,10 +329,10 @@ impl ShardedDriver {
     /// [`ShardedDriver::run`] over [`TraceSource`]s: jobs referencing a
     /// [`TraceSource::Path`] trace **stream** it from disk — each job
     /// drives its session straight off the format-sniffed reader
-    /// ([`open_trace`]: chunked text, or zero-copy mmap replay for
-    /// binary v2 traces), and
-    /// the trace's offline-optimum bound (still computed once per
-    /// distinct trace) uses the two-pass streamed scheme — so a sweep
+    /// ([`acmr_workloads::open_trace`]: chunked text, or zero-copy mmap
+    /// replay for binary v2 traces), and the trace's offline-optimum
+    /// bound (still computed once per distinct trace) uses the two-pass
+    /// streamed scheme — so a sweep
     /// can fan out over trace files that never fit in memory. Reports
     /// are identical to running the same trace in memory.
     pub fn run_sources(
@@ -331,13 +342,7 @@ impl ShardedDriver {
         jobs: &[SweepJob],
     ) -> Result<SweepReport, AcmrError> {
         let names: Vec<&str> = traces.iter().map(|(n, _)| n.as_str()).collect();
-        let sources: Vec<SourceRef<'_>> = traces
-            .iter()
-            .map(|(_, s)| match s {
-                TraceSource::InMemory(inst) => SourceRef::Mem(inst),
-                TraceSource::Path(path) => SourceRef::Path(path),
-            })
-            .collect();
+        let sources: Vec<SourceRef<'_>> = traces.iter().map(|(_, s)| s.into()).collect();
         self.run_refs(registry, &names, &sources, jobs)
     }
 
@@ -355,30 +360,15 @@ impl ShardedDriver {
         // Phase 1: shared offline-optimum bounds.
         let bounds = compute_shared_bounds(sources, &resolved, self.budget, self.threads)?;
 
-        // Phase 2: the jobs themselves, sharded, each through the
-        // session batch layer — from a slice for in-memory traces, or
-        // chunk-buffered off a chunked trace reader for path traces.
-        let batch = self.batch;
+        // Phase 2: the jobs themselves, sharded, each through the one
+        // report path — from a slice for in-memory traces, or
+        // chunk-buffered off a format-sniffed reader for path traces —
+        // with the trace's shared bound attached afterwards.
         let results: Vec<Result<RunReport, AcmrError>> =
-            parallel_map(resolved, self.threads, |(trace_idx, spec, job)| {
-                let mut report = match &sources[*trace_idx] {
-                    SourceRef::Mem(inst) => {
-                        let mut session =
-                            Session::from_registry(registry, spec, &inst.capacities, job.seed)?;
-                        let mut events = Vec::new();
-                        for chunk in inst.requests.chunks(batch) {
-                            session.push_batch_into(chunk, &mut events)?;
-                        }
-                        session.report()
-                    }
-                    SourceRef::Path(path) => {
-                        let reader = open_trace(path)?;
-                        let capacities = RequestSource::capacities(&reader).to_vec();
-                        let mut session =
-                            Session::from_registry(registry, spec, &capacities, job.seed)?;
-                        session.run_stream_batched(reader, batch)?
-                    }
-                };
+            parallel_map(resolved, self.threads, |(trace_idx, _, job)| {
+                let source = sources[*trace_idx];
+                let mut report =
+                    run_report(registry, &job.spec, source, job.seed, self.batch, None)?;
                 if let Some(bound) = &bounds[*trace_idx] {
                     report.opt = Some(opt_summary(bound, report.rejected_cost));
                 }
@@ -431,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_sequential_run_registered() {
+    fn sweep_matches_sequential_run_report() {
         let registry = default_registry();
         let traces = traces();
         let jobs = cross_jobs(&["hot4", "hot8"], &["greedy", "aag-unweighted"], &[0, 7]);
@@ -444,7 +434,8 @@ mod tests {
         assert_eq!(sweep.totals.jobs, 8);
         for (job, jr) in jobs.iter().zip(&sweep.jobs) {
             let inst = &traces.iter().find(|(n, _)| *n == job.trace).unwrap().1;
-            let seq = crate::runner::run_registered(&registry, &job.spec, inst, job.seed).unwrap();
+            let source = SourceRef::Mem(inst);
+            let seq = run_report(&registry, &job.spec, source, job.seed, 1, None).unwrap();
             assert_eq!(jr.report, seq, "job {job:?}");
             assert_eq!(jr.trace, job.trace);
         }
@@ -486,14 +477,9 @@ mod tests {
             .run(&registry, &traces, &jobs)
             .unwrap();
         for (job, jr) in jobs.iter().zip(&sweep.jobs) {
-            let seq = crate::runner::run_report(
-                &registry,
-                &job.spec,
-                &traces[0].1,
-                job.seed,
-                BoundBudget::default(),
-            )
-            .unwrap();
+            let source = SourceRef::Mem(&traces[0].1);
+            let budget = Some(BoundBudget::default());
+            let seq = run_report(&registry, &job.spec, source, job.seed, 1, budget).unwrap();
             assert_eq!(jr.report, seq);
             assert!(jr.report.opt.is_some());
         }

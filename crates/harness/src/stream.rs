@@ -1,15 +1,15 @@
-//! Streamed trace runners: complete [`RunReport`]s for instances that
-//! are never materialized in memory.
+//! The two-pass offline-optimum bound for traces that are never
+//! materialized in memory.
 //!
-//! The streaming `Session` (`acmr_core::Session::run_stream`) needs no
+//! A streamed run (`acmr_core::Session::run_stream_batched`) needs no
 //! help from this crate — but a *complete* report also carries the
 //! offline-optimum bound, and the covering program behind that bound is
 //! an instance-level object. This module closes the gap with a
 //! **two-pass** scheme:
 //!
-//! 1. **Pass 1** drives the algorithm (per-push or batched) while a
-//!    [`StreamScan`] observes each arrival in `O(m)` memory: per-edge
-//!    arrival counts, the cheapest cost, and the request count.
+//! 1. **Pass 1** drives the algorithm while a [`StreamScan`] observes
+//!    each arrival in `O(m)` memory: per-edge arrival counts, the
+//!    cheapest cost, and the request count.
 //! 2. **Pass 2** re-streams the trace and materializes only what the
 //!    covering program actually needs: every request's cost (`O(n)`
 //!    floats) plus membership lists **restricted to the edges pass 1
@@ -19,24 +19,19 @@
 //!
 //! The program pass 2 builds is *identical* (same items, same rows,
 //! same order) to what [`crate::admission_covering_problem`] builds
-//! from the materialized instance, so [`run_report_streamed`] produces
-//! bounds — and therefore reports — byte-identical to the in-memory
-//! [`crate::run_report`] path. The differential and CLI suites pin
-//! this.
+//! from the materialized instance, so [`crate::run_report`] over a
+//! [`crate::SourceRef::Path`] produces bounds — and therefore reports —
+//! byte-identical to the in-memory [`crate::SourceRef::Mem`] path. The
+//! differential and CLI suites pin this.
 //!
-//! For non-seekable input (chunked stdin) [`run_report_spooled`] tees
-//! pass 1's bytes into a temp file and replays pass 2 from the spill,
-//! keeping memory — though not disk — bounded.
+//! A one-shot source (`acmr run --stream -` on stdin) is first copied
+//! to a spill file by the CLI, so both passes read a file.
 
 use crate::opt::{BoundBudget, OptBound};
-use crate::runner::opt_summary;
-use acmr_core::{AcmrError, AlgorithmSpec, Registry, Request, RequestSource, RunReport, Session};
+use acmr_core::{AcmrError, Request, RequestSource};
 use acmr_lp::CoveringProblem;
 use acmr_workloads::open_trace;
-use acmr_workloads::trace::TraceReader;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 /// Pass-1 observation of an arrival stream: everything the two-pass
 /// OPT bound needs to know before deciding which footprints pass 2
@@ -195,174 +190,17 @@ pub fn admission_opt_from_path(
     streamed_admission_opt(open_trace(path)?, &scan, budget)
 }
 
-/// Drive `session` from `reader` (per-push, or batched in chunks of
-/// `batch`) while `scan` observes every arrival — pass 1 of a
-/// streamed run.
-fn run_observed<A: acmr_core::OnlineAdmission, S: RequestSource>(
-    session: &mut Session<A>,
-    reader: S,
-    scan: &mut StreamScan,
-    batch: Option<usize>,
-) -> Result<RunReport, AcmrError> {
-    let observed = reader.inspect(|item| {
-        if let Ok(r) = item {
-            scan.observe(r);
-        }
-    });
-    match batch {
-        None => session.run_stream(observed),
-        Some(b) => session.run_stream_batched(observed, b),
-    }
-}
-
-/// Run a registry-addressed algorithm over a streamed trace, without
-/// offline-optimum context — the streaming analogue of
-/// [`crate::run_registered`] / [`crate::run_registered_batched`]
-/// (`batch: None` is the per-push path). Memory is bounded: the
-/// instance behind `reader` is never materialized.
-pub fn run_stream_registered<S: RequestSource>(
-    registry: &Registry,
-    spec: &str,
-    reader: S,
-    base_seed: u64,
-    batch: Option<usize>,
-) -> Result<RunReport, AcmrError> {
-    let spec = AlgorithmSpec::parse(spec)?;
-    let capacities = reader.capacities().to_vec();
-    let mut session = Session::from_registry(registry, &spec, &capacities, base_seed)?;
-    let mut scan = StreamScan::new(capacities.len());
-    run_observed(&mut session, reader, &mut scan, batch)
-}
-
-/// The complete streamed path: two passes over a re-openable trace
-/// source, producing a [`RunReport`] **byte-identical** to what the
-/// in-memory [`crate::run_report`] / [`crate::run_report_batched`]
-/// path produces for the same trace — what `acmr run --stream <file>`
-/// dispatches to.
-///
-/// `open` is called twice (pass 1: run + scan; pass 2: OPT bound); for
-/// a one-shot source like stdin use [`run_report_spooled`].
-pub fn run_report_streamed<S, F>(
-    registry: &Registry,
-    spec: &str,
-    mut open: F,
-    base_seed: u64,
-    budget: BoundBudget,
-    batch: Option<usize>,
-) -> Result<RunReport, AcmrError>
-where
-    S: RequestSource,
-    F: FnMut() -> Result<S, AcmrError>,
-{
-    let reader = open()?;
-    let parsed = AlgorithmSpec::parse(spec)?;
-    let capacities = reader.capacities().to_vec();
-    let mut session = Session::from_registry(registry, &parsed, &capacities, base_seed)?;
-    let mut scan = StreamScan::new(capacities.len());
-    let mut report = run_observed(&mut session, reader, &mut scan, batch)?;
-    let bound = streamed_admission_opt(open()?, &scan, budget)?;
-    report.opt = Some(opt_summary(&bound, report.rejected_cost));
-    Ok(report)
-}
-
-/// [`run_report_streamed`] for a trace file path of either format:
-/// the leading magic picks chunked text streaming or zero-copy binary
-/// replay off a memory map ([`open_trace`]). Reports are byte-identical
-/// across formats for converted traces — the `binfmt_differential`
-/// suite pins this.
-pub fn run_report_from_path(
-    registry: &Registry,
-    spec: &str,
-    path: impl AsRef<Path>,
-    base_seed: u64,
-    budget: BoundBudget,
-    batch: Option<usize>,
-) -> Result<RunReport, AcmrError> {
-    let path = path.as_ref();
-    run_report_streamed(
-        registry,
-        spec,
-        || open_trace(path),
-        base_seed,
-        budget,
-        batch,
-    )
-}
-
-/// Deletes the spill file when the spooled run ends, success or error.
-struct SpoolGuard {
-    path: PathBuf,
-}
-
-impl Drop for SpoolGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Copies every byte read from `inner` into the spill file, so pass 2
-/// can replay a one-shot stream.
-struct TeeReader<R: Read> {
-    inner: R,
-    spool: std::fs::File,
-}
-
-impl<R: Read> Read for TeeReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.spool.write_all(&buf[..n])?;
-        Ok(n)
-    }
-}
-
-/// [`run_report_streamed`] for a source that can only be read once
-/// (chunked stdin): pass 1 tees the bytes into a spill file under the
-/// OS temp directory, pass 2 replays the spill, and the spill is
-/// removed before returning — memory stays bounded; disk holds one
-/// copy of the trace. This is what `acmr run --stream -` dispatches
-/// to.
-pub fn run_report_spooled<R: Read>(
-    registry: &Registry,
-    spec: &str,
-    input: R,
-    base_seed: u64,
-    budget: BoundBudget,
-    batch: Option<usize>,
-) -> Result<RunReport, AcmrError> {
-    static SPOOL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "acmr-spool-{}-{}.trace",
-        std::process::id(),
-        SPOOL_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let spool = std::fs::File::create(&path).map_err(|e| AcmrError::Io {
-        message: format!("cannot create spill file {}: {e}", path.display()),
-    })?;
-    let _guard = SpoolGuard { path: path.clone() };
-
-    let reader = TraceReader::new(TeeReader {
-        inner: input,
-        spool,
-    })?;
-    let parsed = AlgorithmSpec::parse(spec)?;
-    let capacities = reader.capacities().to_vec();
-    let mut session = Session::from_registry(registry, &parsed, &capacities, base_seed)?;
-    let mut scan = StreamScan::new(capacities.len());
-    let mut report = run_observed(&mut session, reader, &mut scan, batch)?;
-    let bound = streamed_admission_opt(TraceReader::open(&path)?, &scan, budget)?;
-    report.opt = Some(opt_summary(&bound, report.rejected_cost));
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::admission_opt;
     use crate::registry::default_registry;
-    use crate::runner::{run_report, run_report_batched};
+    use crate::runner::run_report;
+    use crate::shard::SourceRef;
     use acmr_core::AdmissionInstance;
-    use acmr_workloads::trace::write_trace;
+    use acmr_workloads::trace::{write_trace, TraceReader};
     use acmr_workloads::{nested_intervals, repeated_hot_edge, two_phase_squeeze};
+    use std::path::PathBuf;
 
     fn traces() -> Vec<AdmissionInstance> {
         vec![
@@ -391,125 +229,76 @@ mod tests {
         }
     }
 
+    /// A trace file under the OS temp directory, removed on drop.
+    struct TempTrace(PathBuf);
+
+    impl TempTrace {
+        fn new(name: &str, contents: &str) -> Self {
+            let path = std::env::temp_dir().join(format!(
+                "acmr-stream-test-{}-{name}.trace",
+                std::process::id()
+            ));
+            std::fs::write(&path, contents).unwrap();
+            TempTrace(path)
+        }
+    }
+
+    impl Drop for TempTrace {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
     #[test]
-    fn streamed_report_is_identical_to_in_memory_report() {
+    fn path_report_is_identical_to_in_memory_report() {
         let registry = default_registry();
-        for inst in traces() {
-            let text = write_trace(&inst);
+        let budget = Some(BoundBudget::default());
+        for (i, inst) in traces().iter().enumerate() {
+            let file = TempTrace::new(&format!("report-{i}"), &write_trace(inst));
             for spec in ["greedy", "aag-weighted?seed=5"] {
-                let reference =
-                    run_report(&registry, spec, &inst, 2, BoundBudget::default()).unwrap();
-                let streamed = run_report_streamed(
-                    &registry,
-                    spec,
-                    || TraceReader::new(text.as_bytes()),
-                    2,
-                    BoundBudget::default(),
-                    None,
-                )
-                .unwrap();
-                assert_eq!(streamed, reference, "{spec}");
-                // And through serde: byte-identical JSON.
-                assert_eq!(
-                    serde_json::to_string_pretty(&streamed).unwrap(),
-                    serde_json::to_string_pretty(&reference).unwrap()
-                );
-                // Batched streamed path too.
-                let batched_ref =
-                    run_report_batched(&registry, spec, &inst, 2, BoundBudget::default(), 5)
-                        .unwrap();
-                let batched = run_report_streamed(
-                    &registry,
-                    spec,
-                    || TraceReader::new(text.as_bytes()),
-                    2,
-                    BoundBudget::default(),
-                    Some(5),
-                )
-                .unwrap();
-                assert_eq!(batched, batched_ref, "{spec} batched");
+                for (batch, budget) in [(1, budget), (5, budget), (3, None)] {
+                    let reference =
+                        run_report(&registry, spec, SourceRef::Mem(inst), 2, batch, budget)
+                            .unwrap();
+                    let streamed =
+                        run_report(&registry, spec, SourceRef::Path(&file.0), 2, batch, budget)
+                            .unwrap();
+                    assert_eq!(streamed, reference, "{spec} batch {batch}");
+                    // And through serde: byte-identical JSON.
+                    assert_eq!(
+                        serde_json::to_string_pretty(&streamed).unwrap(),
+                        serde_json::to_string_pretty(&reference).unwrap()
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn path_and_spooled_paths_match_in_memory() {
-        let registry = default_registry();
+    fn path_bound_matches_in_memory_bound() {
         let inst = repeated_hot_edge(4, 3, 12);
-        let text = write_trace(&inst);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("acmr-stream-test-{}.trace", std::process::id()));
-        std::fs::write(&path, &text).unwrap();
-
-        let reference = run_report(&registry, "greedy", &inst, 0, BoundBudget::default()).unwrap();
-        let from_path =
-            run_report_from_path(&registry, "greedy", &path, 0, BoundBudget::default(), None)
-                .unwrap();
-        assert_eq!(from_path, reference);
-        let bound = admission_opt_from_path(&path, BoundBudget::default()).unwrap();
+        let file = TempTrace::new("bound", &write_trace(&inst));
+        let bound = admission_opt_from_path(&file.0, BoundBudget::default()).unwrap();
         let mem_bound = admission_opt(&inst, BoundBudget::default());
         assert_eq!(bound.kind, mem_bound.kind);
         assert_eq!(bound.value.to_bits(), mem_bound.value.to_bits());
-
-        // Spooled: one-shot source, spill file cleaned up afterwards.
-        let before: usize = spool_count();
-        let spooled = run_report_spooled(
-            &registry,
-            "greedy",
-            text.as_bytes(),
-            0,
-            BoundBudget::default(),
-            Some(4),
-        )
-        .unwrap();
-        assert_eq!(spooled, reference);
-        assert_eq!(spool_count(), before, "spill file must be removed");
-
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    fn spool_count() -> usize {
-        std::fs::read_dir(std::env::temp_dir())
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .ok()
-                    .and_then(|e| e.file_name().into_string().ok())
-                    .is_some_and(|n| n.starts_with("acmr-spool-"))
-            })
-            .count()
     }
 
     #[test]
     fn malformed_stream_surfaces_typed_parse_error() {
         let registry = default_registry();
-        let bad = "ACMR-TRACE v1\nedges 1\ncaps 2\nrequests 2\n1 0\nwat 0\n";
-        let err = run_report_streamed(
-            &registry,
-            "greedy",
-            || TraceReader::new(bad.as_bytes()),
-            0,
-            BoundBudget::default(),
-            None,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, AcmrError::TraceParse { line: 6, .. }),
-            "{err}"
+        let bad = TempTrace::new(
+            "malformed",
+            "ACMR-TRACE v1\nedges 1\ncaps 2\nrequests 2\n1 0\nwat 0\n",
         );
-        let err = run_report_spooled(
-            &registry,
-            "greedy",
-            bad.as_bytes(),
-            0,
-            BoundBudget::default(),
-            None,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, AcmrError::TraceParse { line: 6, .. }),
-            "{err}"
-        );
+        for budget in [Some(BoundBudget::default()), None] {
+            let err =
+                run_report(&registry, "greedy", SourceRef::Path(&bad.0), 0, 1, budget).unwrap_err();
+            assert!(
+                matches!(err, AcmrError::TraceParse { line: 6, .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

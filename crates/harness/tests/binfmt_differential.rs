@@ -10,8 +10,8 @@
 //!   reader, or the zero-copy mapped cursor, and
 //! * the **byte-identical serialized `RunReport`** — offline-optimum
 //!   bound included, via the two-pass streamed scheme — from
-//!   `run_report_from_path` on the text file and on the binary file,
-//!   both equal to the in-memory reference.
+//!   `run_report` over `SourceRef::Path` on the text file and on the
+//!   binary file, both equal to the in-memory reference.
 //!
 //! Inputs: the committed golden corpus (`tests/golden/*.trace`, the
 //! same eight files the golden regression suite pins) plus random
@@ -22,7 +22,7 @@ use acmr_core::{
     AcmrError, AdmissionInstance, AlgorithmSpec, Registry, Request, RequestSource, Session,
 };
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_harness::{default_registry, run_report, run_report_from_path, BoundBudget};
+use acmr_harness::{default_registry, run_report, BoundBudget, SourceRef};
 use acmr_workloads::trace::{read_trace, write_trace, TraceReader};
 use acmr_workloads::{write_bin_trace, BinTraceMap, BinTraceReader};
 use proptest::prelude::*;
@@ -75,7 +75,7 @@ fn decision_stream<S: RequestSource>(
 }
 
 /// Assert the three reader arms produce identical decision streams and
-/// (via `run_report_from_path` on temp files) byte-identical reports
+/// (via `run_report` over `SourceRef::Path` temp files) byte-identical reports
 /// for every registered algorithm.
 fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
     let registry = default_registry();
@@ -114,26 +114,11 @@ fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
         // Full path-backed reports (two-pass OPT bound included):
         // byte-identical JSON across formats, equal to the in-memory
         // reference.
-        let reference =
-            run_report(&registry, spec, inst, SEED, BoundBudget::default()).expect("reference run");
-        let from_text = run_report_from_path(
-            &registry,
-            spec,
-            &text_path,
-            SEED,
-            BoundBudget::default(),
-            None,
-        )
-        .expect("text path run");
-        let from_bin = run_report_from_path(
-            &registry,
-            spec,
-            &bin_path,
-            SEED,
-            BoundBudget::default(),
-            None,
-        )
-        .expect("binary path run");
+        let budget = Some(BoundBudget::default());
+        let run = |source| run_report(&registry, spec, source, SEED, 1, budget);
+        let reference = run(SourceRef::Mem(inst)).expect("reference run");
+        let from_text = run(SourceRef::Path(&text_path)).expect("text path run");
+        let from_bin = run(SourceRef::Path(&bin_path)).expect("binary path run");
         assert_eq!(from_text, reference, "{name}/{spec}: text vs memory");
         let text_json = serde_json::to_string_pretty(&from_text).unwrap();
         let bin_json = serde_json::to_string_pretty(&from_bin).unwrap();
@@ -154,7 +139,7 @@ fn golden_corpus_agrees_across_text_binary_and_mmap() {
 #[test]
 fn binary_stream_errors_match_text_semantics_mid_session() {
     // A truncated binary trace must surface a typed error from
-    // `Session::run_stream` with the complete prefix applied — the
+    // `Session::run_stream_batched` with the complete prefix applied — the
     // same contract the text reader has.
     let mut inst = AdmissionInstance::from_capacities(vec![2, 2]);
     for _ in 0..3 {
@@ -168,7 +153,7 @@ fn binary_stream_errors_match_text_semantics_mid_session() {
     let reader = BinTraceReader::new(bin.as_slice()).expect("header intact");
     let caps = RequestSource::capacities(&reader).to_vec();
     let mut session = Session::from_registry(&registry, &spec, &caps, 0).unwrap();
-    let err = session.run_stream(reader).unwrap_err();
+    let err = session.run_stream_batched(reader, 1).unwrap_err();
     assert!(
         matches!(err, AcmrError::TraceParse { line: 3, .. }),
         "{err}"

@@ -3,8 +3,8 @@
 //! from the event stream, and the theorem envelope holds.
 //!
 //! 1. **Path parity** — for several `buyback?factor=` specs,
-//!    per-push ≡ `push_batch` ≡ streamed (`run_stream` over the trace
-//!    text) ≡ served over a live loopback socket, event for event and
+//!    per-push ≡ `push_batch_into` ≡ streamed (`run_stream_batched`
+//!    over the trace text) ≡ served over a live loopback socket, event for event and
 //!    report for report, on buyback-hostile *and* stochastic traces.
 //! 2. **Ledger property** — `buyback_paid` equals `factor ×` the
 //!    summed costs of every preempted request, reconstructed purely
@@ -19,7 +19,7 @@ use acmr_baselines::Buyback;
 use acmr_core::{AdmissionInstance, AlgorithmSpec, ArrivalEvent, RunReport, Session};
 use acmr_harness::experiments::e18_policies::{instance_for as stochastic_instance, Family};
 use acmr_harness::experiments::e19_buyback::exact_singleton_opt;
-use acmr_harness::{default_registry, run_registered};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use acmr_serve::{serve, serve_trace, ServeConfig, ServerHandle};
 use acmr_workloads::adversarial::buyback_hostile;
 use acmr_workloads::trace::{write_trace, TraceReader};
@@ -84,13 +84,14 @@ fn push_equals_push_batch_equals_streamed_for_buyback() {
             for batch in [1usize, 3, 16] {
                 let mut batched =
                     Session::from_registry(&registry, &spec, &inst.capacities, 0).unwrap();
-                let mut events = Vec::new();
+                let (mut events, mut buf) = (Vec::new(), Vec::new());
                 for chunk in inst.requests.chunks(batch) {
-                    events.extend(batched.push_batch(chunk).unwrap());
+                    batched.push_batch_into(chunk, &mut buf).unwrap();
+                    events.append(&mut buf);
                 }
                 assert_eq!(
                     events, expected_events,
-                    "{spec_str} on {family}: push_batch({batch}) diverges from push"
+                    "{spec_str} on {family}: push_batch_into({batch}) diverges from push"
                 );
                 assert_eq!(
                     batched.report(),
@@ -101,7 +102,7 @@ fn push_equals_push_batch_equals_streamed_for_buyback() {
 
             let streamed = Session::from_registry(&registry, &spec, &inst.capacities, 0)
                 .unwrap()
-                .run_stream(TraceReader::new(text.as_bytes()).unwrap())
+                .run_stream_batched(TraceReader::new(text.as_bytes()).unwrap(), 7)
                 .unwrap();
             assert_eq!(
                 streamed, expected_report,
@@ -221,11 +222,8 @@ fn buyback_stays_inside_the_theorem_envelope() {
     for (family, inst) in &hostile_traces() {
         let opt_rejected = exact_singleton_opt(inst);
         for factor in [0.0, 0.1, 0.25, 0.5, 1.0, 2.0] {
-            let spec = AlgorithmSpec::parse(&format!("buyback?factor={factor}")).unwrap();
-            let report = Session::from_registry(&registry, &spec, &inst.capacities, 0)
-                .unwrap()
-                .run_trace(inst)
-                .unwrap();
+            let spec = format!("buyback?factor={factor}");
+            let report = run_report(&registry, &spec, SourceRef::Mem(inst), 0, 1, None).unwrap();
             let kept = report.offered_cost - report.net_objective;
             assert!(
                 kept > 0.0,
@@ -241,7 +239,7 @@ fn buyback_stays_inside_the_theorem_envelope() {
     }
 }
 
-/// The referee inside `run_registered` audits every decision — a
+/// The referee inside `run_report` audits every decision — a
 /// capacity overflow or phantom preemption panics the run. Surviving
 /// the escalation corpus, which is built to force an upgrade on every
 /// wave, is the feasibility proof; the report's invariants must also
@@ -255,7 +253,8 @@ fn buyback_stays_feasible_under_referee_on_hostile_traces() {
             "{family}: hostile trace must overload"
         );
         for spec_str in BUYBACK_SPECS {
-            let report = run_registered(&registry, spec_str, inst, 11).expect("audited run");
+            let report = run_report(&registry, spec_str, SourceRef::Mem(inst), 11, 1, None)
+                .expect("audited run");
             assert!(
                 report.rejected_cost <= report.offered_cost,
                 "{spec_str} on {family}: accounting out of range"

@@ -92,15 +92,10 @@ fn assert_three_way(
     // chain closes: cluster ≡ sharded ≡ sequential.
     for (job, jr) in jobs.iter().zip(&sharded.jobs) {
         let inst = &traces.iter().find(|(n, _)| *n == job.trace).unwrap().1;
-        let mut sequential = match budget {
-            Some(budget) => acmr_harness::run_report(&registry, &job.spec, inst, job.seed, budget)
-                .expect("sequential run"),
-            None => acmr_harness::run_registered(&registry, &job.spec, inst, job.seed)
-                .expect("sequential run"),
-        };
-        if budget.is_none() {
-            sequential.opt = None;
-        }
+        let source = acmr_harness::SourceRef::Mem(inst);
+        let sequential =
+            acmr_harness::run_report(&registry, &job.spec, source, job.seed, 1, budget)
+                .expect("sequential run");
         assert_eq!(
             jr.report, sequential,
             "{context}: sharded job {job:?} diverges from sequential"

@@ -1,20 +1,22 @@
-//! Differential suite: the batch layer *and* the streamed-ingestion
-//! layer are pinned to the per-push one.
+//! Differential suite: every driver of the batch layer *and* the
+//! streamed-ingestion layer is pinned to the per-push one.
 //!
 //! For **every** algorithm in the default registry (no hard-coded
-//! list), feeding a trace through `Session::push_batch` — or parsing
-//! it back through the chunked `TraceReader` and streaming it via
-//! `Session::run_stream` / `run_stream_batched` — must produce the
-//! identical audited event stream — accept/reject decision, preemption
-//! list, and cost accounting, arrival for arrival — as per-arrival
+//! list), feeding a trace through `Session::push_batch_into` — or
+//! parsing it back through the chunked `TraceReader` and streaming it
+//! via `Session::run_stream_batched` — must produce the identical
+//! audited event stream — accept/reject decision, preemption list, and
+//! cost accounting, arrival for arrival — as per-arrival
 //! `Session::push` calls over the in-memory instance, and the final
-//! `RunReport`s must be equal (with offline-optimum context, to the
-//! byte). This is the regression harness that makes batched/sharded/
-//! streamed scaling refactors safe: any divergence between the paths
-//! fails here with the offending algorithm, topology, and batch size.
+//! `RunReport`s must be equal. The harness's `run_report` closes the
+//! chain: over `SourceRef::Mem` and over `SourceRef::Path` it must
+//! produce the same report, with offline-optimum context, to the byte.
+//! This is the regression harness that makes batched/sharded/streamed
+//! scaling refactors safe: any divergence between the paths fails here
+//! with the offending algorithm, topology, and batch size.
 
 use acmr_core::{AdmissionInstance, AlgorithmSpec, ArrivalEvent, Session};
-use acmr_harness::{default_registry, run_report, run_report_streamed, BoundBudget};
+use acmr_harness::{default_registry, run_report, BoundBudget, SourceRef};
 use acmr_workloads::trace::{write_trace, TraceReader};
 use acmr_workloads::{
     dyadic_admission_instance, nested_intervals, random_path_workload, repeated_hot_edge,
@@ -23,6 +25,8 @@ use acmr_workloads::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Drive `spec` over `inst` streaming (per-push) and batched (chunks of
 /// `batch`), asserting event-for-event and report equality.
@@ -57,29 +61,45 @@ fn assert_batch_equals_streaming(inst: &AdmissionInstance, spec_str: &str, batch
         "{spec_str}: final reports diverge at batch size {batch}"
     );
 
-    // And the two run_trace conveniences agree with both.
-    let report = Session::from_registry(&registry, &spec, &inst.capacities, 0)
-        .unwrap()
-        .run_trace(inst)
-        .unwrap();
-    let report_batched = Session::from_registry(&registry, &spec, &inst.capacities, 0)
-        .unwrap()
-        .run_trace_batched(inst, batch)
-        .unwrap();
-    assert_eq!(report, streaming.report(), "{spec_str}: run_trace diverges");
+    // And the harness's in-memory report path agrees with both.
+    let report = run_report(&registry, spec_str, SourceRef::Mem(inst), 0, batch, None).unwrap();
     assert_eq!(
-        report_batched, report,
-        "{spec_str}: run_trace_batched diverges at batch size {batch}"
+        report,
+        streaming.report(),
+        "{spec_str}: run_report diverges at batch size {batch}"
     );
 
     assert_streamed_equals_in_memory(inst, &registry, &spec, spec_str, batch, &streamed);
 }
 
+/// A trace file under the OS temp directory, unique per call and
+/// removed on drop.
+struct TempTrace(PathBuf);
+
+impl TempTrace {
+    fn new(contents: &str) -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "acmr-differential-{}-{}.trace",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, contents).unwrap();
+        TempTrace(path)
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// Serialize `inst` to the trace format, parse it back through the
 /// chunked `TraceReader`, and require the identical event stream and
 /// reports the in-memory session produced — streamed ≡ in-memory,
-/// event for event, plus the `run_stream`/`run_stream_batched`
-/// conveniences and the harness's two-pass streamed report.
+/// event for event, plus `run_stream_batched` and the harness's
+/// two-pass report over the trace file.
 fn assert_streamed_equals_in_memory(
     inst: &AdmissionInstance,
     registry: &acmr_core::Registry,
@@ -104,15 +124,7 @@ fn assert_streamed_equals_in_memory(
     );
     let reference_report = session.report();
 
-    // The run_stream conveniences agree.
-    let streamed = Session::from_registry(registry, spec, &inst.capacities, 0)
-        .unwrap()
-        .run_stream(TraceReader::new(text.as_bytes()).unwrap())
-        .unwrap();
-    assert_eq!(
-        streamed, reference_report,
-        "{spec_str}: run_stream diverges"
-    );
+    // The whole-stream driver agrees.
     let streamed_batched = Session::from_registry(registry, spec, &inst.capacities, 0)
         .unwrap()
         .run_stream_batched(TraceReader::new(text.as_bytes()).unwrap(), batch)
@@ -122,17 +134,18 @@ fn assert_streamed_equals_in_memory(
         "{spec_str}: run_stream_batched diverges at batch size {batch}"
     );
 
-    // Harness level: the two-pass streamed report (OPT bound included)
-    // serializes byte-identically to the in-memory one.
-    let budget = BoundBudget::default();
-    let in_memory = run_report(registry, spec_str, inst, 0, budget).unwrap();
-    let two_pass = run_report_streamed(
+    // Harness level: the two-pass report over the trace file (OPT
+    // bound included) serializes byte-identically to the in-memory one.
+    let file = TempTrace::new(&text);
+    let budget = Some(BoundBudget::default());
+    let in_memory = run_report(registry, spec_str, SourceRef::Mem(inst), 0, 1, budget).unwrap();
+    let two_pass = run_report(
         registry,
         spec_str,
-        || TraceReader::new(text.as_bytes()),
+        SourceRef::Path(&file.0),
         0,
+        batch,
         budget,
-        None,
     )
     .unwrap();
     assert_eq!(two_pass, in_memory, "{spec_str}: streamed report diverges");
@@ -146,7 +159,7 @@ fn assert_streamed_equals_in_memory(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// push_batch ≡ push for every registered algorithm over random
+    /// push_batch_into ≡ push for every registered algorithm over random
     /// path workloads: topology × weighted × seed × batch size.
     #[test]
     fn push_batch_equals_streaming_on_random_workloads(
@@ -207,7 +220,7 @@ fn push_batch_equals_streaming_on_hostile_traces() {
 }
 
 /// Batch boundaries must not leak into algorithm state: interleaving
-/// push and push_batch on one session agrees with pure streaming.
+/// push and push_batch_into on one session agrees with pure streaming.
 #[test]
 fn mixed_push_and_push_batch_agree_with_streaming() {
     let registry = default_registry();
@@ -223,17 +236,21 @@ fn mixed_push_and_push_batch_agree_with_streaming() {
             .collect();
 
         let mut mixed = Session::from_registry(&registry, &spec, &inst.capacities, 0).unwrap();
-        let mut events = Vec::new();
+        let (mut events, mut buf) = (Vec::new(), Vec::new());
         let mut rest = inst.requests.as_slice();
         // Alternate: one single push, then a batch of up to 3.
         while !rest.is_empty() {
             events.push(mixed.push(&rest[0]).unwrap());
             rest = &rest[1..];
             let take = rest.len().min(3);
-            events.extend(mixed.push_batch(&rest[..take]).unwrap());
+            mixed.push_batch_into(&rest[..take], &mut buf).unwrap();
+            events.append(&mut buf);
             rest = &rest[take..];
         }
-        assert_eq!(events, expected, "{name}: mixed push/push_batch diverges");
+        assert_eq!(
+            events, expected,
+            "{name}: mixed push/push_batch_into diverges"
+        );
         assert_eq!(mixed.report(), streaming.report(), "{name}");
     }
 }

@@ -4,8 +4,8 @@
 //! modes hold.
 //!
 //! 1. **Path parity** — for both policies (default and tuned specs),
-//!    per-push ≡ `push_batch` ≡ streamed (`run_stream` over the trace
-//!    text) ≡ served over a live loopback socket, event for event and
+//!    per-push ≡ `push_batch_into` ≡ streamed (`run_stream_batched`
+//!    over the trace text) ≡ served over a live loopback socket, event for event and
 //!    report for report, on stochastic *and* hostile traces.
 //! 2. **Hard feasibility** — the referee audits every decision
 //!    (capacity overflow, phantom preemption) while `lp-resolve` runs
@@ -16,7 +16,7 @@
 
 use acmr_core::{AdmissionInstance, AlgorithmSpec, ArrivalEvent, RunReport, Session};
 use acmr_harness::experiments::e18_policies::{instance_for, Family};
-use acmr_harness::{default_registry, run_registered};
+use acmr_harness::{default_registry, run_report, SourceRef};
 use acmr_serve::{serve, serve_trace, ServeConfig, ServerHandle};
 use acmr_workloads::trace::{write_trace, TraceReader};
 use acmr_workloads::{
@@ -84,13 +84,14 @@ fn push_equals_push_batch_equals_streamed_for_policies() {
             for batch in [1usize, 3, 16] {
                 let mut batched =
                     Session::from_registry(&registry, &spec, &inst.capacities, 0).unwrap();
-                let mut events = Vec::new();
+                let (mut events, mut buf) = (Vec::new(), Vec::new());
                 for chunk in inst.requests.chunks(batch) {
-                    events.extend(batched.push_batch(chunk).unwrap());
+                    batched.push_batch_into(chunk, &mut buf).unwrap();
+                    events.append(&mut buf);
                 }
                 assert_eq!(
                     events, expected_events,
-                    "{spec_str} on {family}: push_batch({batch}) diverges from push"
+                    "{spec_str} on {family}: push_batch_into({batch}) diverges from push"
                 );
                 assert_eq!(
                     batched.report(),
@@ -101,7 +102,7 @@ fn push_equals_push_batch_equals_streamed_for_policies() {
 
             let streamed = Session::from_registry(&registry, &spec, &inst.capacities, 0)
                 .unwrap()
-                .run_stream(TraceReader::new(text.as_bytes()).unwrap())
+                .run_stream_batched(TraceReader::new(text.as_bytes()).unwrap(), 7)
                 .unwrap();
             assert_eq!(
                 streamed, expected_report,
@@ -151,7 +152,7 @@ fn served_equals_in_memory_for_policies() {
     }
 }
 
-/// The referee inside `run_registered` audits every decision: a
+/// The referee inside `run_report` audits every decision: a
 /// capacity overflow or phantom preemption from the plan-enforcing
 /// preemptor panics the run. Surviving the hostile corpus — built to
 /// force preemption churn — is the feasibility proof.
@@ -164,7 +165,8 @@ fn lp_resolve_stays_feasible_under_referee_on_hostile_traces() {
             "{family}: hostile trace must overload"
         );
         for spec_str in ["lp-resolve", "lp-resolve?period=2&buffer=0.0"] {
-            let report = run_registered(&registry, spec_str, inst, 11).expect("audited run");
+            let report = run_report(&registry, spec_str, SourceRef::Mem(inst), 11, 1, None)
+                .expect("audited run");
             assert!(
                 report.rejected_cost <= report.offered_cost,
                 "{spec_str} on {family}: accounting out of range"

@@ -2,7 +2,7 @@
 //! competitive-ratio bounds `acmr-core`'s `theorem_bounds.rs` asserts
 //! against hand-driven algorithm loops are asserted here against
 //! `ShardedDriver` output — rejections measured from audited
-//! `RunReport`s produced via `Session::push_batch`, OPT context
+//! `RunReport`s produced via `Session::push_batch_into`, OPT context
 //! attached by the driver's shared per-trace bounds. A batch-layer bug
 //! that preserved event equality but broke cost accounting, or a
 //! driver bug that attached the wrong trace's bound, fails here.

@@ -248,11 +248,10 @@ impl ServeClient {
     }
 
     /// Send a `BATCH n` frame and wait for its `n` decisions — the
-    /// remote twin of [`acmr_core::Session::push_batch`]. On a
-    /// mid-batch error the events the server delivered before the
-    /// `ERR` are dropped with the buffer; use
-    /// [`ServeClient::push_batch_into`] to keep them (mirroring the
-    /// core `push_batch` / `push_batch_into` pair). `batch` must not
+    /// remote twin of [`acmr_core::Session::push_batch_into`], returning
+    /// an owned buffer. On a mid-batch error the events the server
+    /// delivered before the `ERR` are dropped with the buffer; use
+    /// [`ServeClient::push_batch_into`] to keep them. `batch` must not
     /// exceed [`crate::protocol::MAX_BATCH`] — callers that chunk an
     /// unbounded stream should clamp to it, as [`serve_trace`] does.
     pub fn push_batch(&mut self, batch: &[Request]) -> Result<Vec<ArrivalEvent>, AcmrError> {
@@ -634,8 +633,8 @@ fn decode_reply<'a>(line: &'a str, expected: &str) -> Result<&'a str, AcmrError>
 }
 
 /// Replay a whole arrival stream through a serving endpoint — the
-/// remote twin of [`acmr_core::Session::run_stream`], and what `acmr
-/// client --stream` dispatches to. Arrivals are taken from any
+/// remote twin of [`acmr_core::Session::run_stream_batched`], and what
+/// `acmr client --stream` dispatches to. Arrivals are taken from any
 /// fallible request iterator (e.g. a chunked
 /// `acmr_workloads::trace::TraceReader`); with `batch: Some(n)` they
 /// travel as `BATCH` frames of at most `min(n,

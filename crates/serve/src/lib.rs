@@ -38,8 +38,8 @@
 //!   and graceful shutdown that closes live sockets and joins every
 //!   shard.
 //! * [`ServeClient`] / [`serve_trace`] — the client: mirrors the
-//!   local `Session` API (`push` / `push_batch` / `finish`), so the
-//!   differential suite pins *served ≡ streamed ≡ in-memory* decision
+//!   local `Session` API (`push` / `push_batch_into` / `finish`), so
+//!   the differential suite pins *served ≡ streamed ≡ in-memory* decision
 //!   streams for every registered algorithm.
 //! * [`pool`] / [`WorkerPool`] — the cross-process substrate for
 //!   cluster sweeps: spawn (`acmr run --cluster N`) or adopt

@@ -6,7 +6,7 @@
 //! — must produce the identical audited [`ArrivalEvent`] stream and
 //! the identical final [`RunReport`] as (a) per-push
 //! [`Session::push`] over the in-memory instance and (b)
-//! [`Session::run_stream`] over the chunked `TraceReader` — i.e.
+//! [`Session::run_stream_batched`] over the chunked `TraceReader` — i.e.
 //! **served ≡ streamed ≡ in-memory**, event for event. Any divergence
 //! fails here naming the algorithm, trace, and framing.
 
@@ -87,12 +87,12 @@ fn served_equals_streamed_equals_in_memory_for_every_algorithm() {
             let spec_str = format!("{name}?seed=5");
             let (expected_events, expected_report) = reference(inst, &spec_str);
 
-            // In-memory streamed (TraceReader → run_stream): the
+            // In-memory streamed (TraceReader → run_stream_batched): the
             // middle leg of served ≡ streamed ≡ in-memory.
             let spec = AlgorithmSpec::parse(&spec_str).unwrap();
             let streamed = Session::from_registry(&registry, &spec, &inst.capacities, 0)
                 .unwrap()
-                .run_stream(TraceReader::new(text.as_bytes()).unwrap())
+                .run_stream_batched(TraceReader::new(text.as_bytes()).unwrap(), 1)
                 .unwrap();
             assert_eq!(streamed, expected_report, "{family}/{spec_str}: streamed");
 

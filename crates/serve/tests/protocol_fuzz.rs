@@ -29,6 +29,7 @@ use acmr_workloads::repeated_hot_edge;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -100,15 +101,22 @@ fn assert_server_alive(handle: &ServerHandle) {
     assert_eq!(report.requests, inst.requests.len());
 }
 
+/// Wait (up to 5 s) until every closed connection is fully released:
+/// its session deregistered *and* its connection slot freed. The
+/// server does the two in that order on close, so waiting only for the
+/// session table lets a following probe race the slot and read
+/// `ERR busy`.
 fn wait_for_drained(handle: &ServerHandle) {
+    let slots = || handle.counters().connections_active.load(Ordering::Relaxed);
     for _ in 0..500 {
-        if handle.manager().active() == 0 {
+        if handle.manager().active() == 0 && slots() == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!(
-        "session table did not drain: {:?}",
+        "server did not drain: {} connection slots held, sessions {:?}",
+        slots(),
         handle.manager().snapshot()
     );
 }

@@ -35,8 +35,8 @@
 //! corruption and truncation.
 //!
 //! Readers implement [`RequestSource`], so they plug into
-//! `Session::run_stream` and every two-pass harness runner exactly
-//! like the text [`TraceReader`] — [`open_trace`] sniffs the leading
+//! `Session::run_stream_batched` and the harness's two-pass report
+//! path exactly like the text [`TraceReader`] — [`open_trace`] sniffs the leading
 //! magic and returns whichever reader the file calls for.
 
 use crate::trace::{TraceReader, CHUNK_SIZE};

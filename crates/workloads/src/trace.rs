@@ -427,7 +427,7 @@ impl<R: Read> LineScanner<R> {
 /// count) from the first chunk(s); [`TraceReader::next_request`] then
 /// yields one [`Request`] per call without ever materializing the
 /// instance. As an [`Iterator`] of `Result<Request, AcmrError>` it
-/// plugs directly into `acmr_core::Session::run_stream`.
+/// plugs directly into `acmr_core::Session::run_stream_batched`.
 ///
 /// The reader validates everything the in-memory parser validates —
 /// header shape, capacity count and positivity, cost positivity, edge

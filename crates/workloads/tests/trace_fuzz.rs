@@ -149,22 +149,15 @@ fn eof_mid_batch_surfaces_typed_error_with_chunk_semantics() {
     );
     assert_eq!(session.stats().arrivals, 0, "partial chunk must not apply");
 
-    // Batch 1: the complete first chunk stays applied, then the error.
+    // Batch 1: the complete first chunk stays applied, then the typed
+    // error; the session is not poisoned (the source failed, not the
+    // algorithm).
     let mut session = Session::new(RejectAll, &caps);
     let err = session
         .run_stream_batched(TraceReader::new(truncated).unwrap(), 1)
         .unwrap_err();
     assert!(matches!(err, AcmrError::TraceParse { .. }), "{err}");
     assert_eq!(session.stats().arrivals, 1, "complete chunks stay applied");
-
-    // Same stream through per-push run_stream: prefix applied, typed
-    // error, session not poisoned (the source failed, not the algorithm).
-    let mut session = Session::new(RejectAll, &caps);
-    let err = session
-        .run_stream(TraceReader::new(truncated).unwrap())
-        .unwrap_err();
-    assert!(matches!(err, AcmrError::TraceParse { .. }), "{err}");
-    assert_eq!(session.stats().arrivals, 1);
     assert!(!session.is_poisoned());
 }
 

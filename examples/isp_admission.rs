@@ -59,7 +59,10 @@ fn main() {
         let parsed = AlgorithmSpec::parse(alg_spec).expect("valid spec");
         let mut session = Session::from_registry(&registry, &parsed, &instance.capacities, 0)
             .expect("registry build");
-        let run = session.run_trace(&instance).expect("audited run");
+        session
+            .push_batch_into(&instance.requests, &mut Vec::new())
+            .expect("audited run");
+        let run = session.report();
         let premium_lost = instance
             .requests
             .iter()

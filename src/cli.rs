@@ -27,8 +27,7 @@
 
 use crate::core::{AdmissionInstance, RequestSource, DEFAULT_ALGORITHM};
 use crate::harness::{
-    default_registry, run_report, run_report_batched, run_report_from_path, run_report_spooled,
-    BoundBudget, ClusterDriver, SweepJob, TraceSource,
+    default_registry, run_report, BoundBudget, ClusterDriver, SourceRef, SweepJob, TraceSource,
 };
 use crate::serve::{
     serve_trace, serve_trace_v2, ProtoVersion, ServeConfig, WorkerPool, DEFAULT_ADDR,
@@ -45,6 +44,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::Read;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// CLI failure: message for stderr, non-zero exit.
 #[derive(Debug)]
@@ -398,11 +399,11 @@ pub fn cmd_gen(args: &[String]) -> Result<String, CliError> {
     emit_gen(&flags, &inst)
 }
 
-/// `acmr stats` — summarize a trace of either format. The leading
-/// magic picks the parser (text v1 / binary v2) and is reported in the
-/// output; unknown magics are refused with a typed error pointing at
-/// `docs/TRACE_FORMAT.md`, never mis-parsed as text.
-pub fn cmd_stats(trace: &[u8]) -> Result<String, CliError> {
+/// Parse a whole trace of either format from bytes. The leading magic
+/// picks the parser (text v1 / binary v2); unknown magics are refused
+/// with a typed error pointing at `docs/TRACE_FORMAT.md`, never
+/// mis-parsed as text.
+fn parse_trace_bytes(trace: &[u8]) -> Result<(TraceFormat, AdmissionInstance), CliError> {
     let format = sniff_bytes(trace).map_err(|e| err(e.to_string()))?;
     let inst = match format {
         TraceFormat::TextV1 => {
@@ -412,6 +413,13 @@ pub fn cmd_stats(trace: &[u8]) -> Result<String, CliError> {
         }
         TraceFormat::BinaryV2 => read_bin_trace(trace).map_err(|e| err(e.to_string()))?,
     };
+    Ok((format, inst))
+}
+
+/// `acmr stats` — summarize a trace of either format; the sniffed
+/// format is reported in the output.
+pub fn cmd_stats(trace: &[u8]) -> Result<String, CliError> {
+    let (format, inst) = parse_trace_bytes(trace)?;
     let mut out = String::new();
     out.push_str(&format!(
         "format          : {}\nedges           : {}\nmax capacity    : {}\nrequests        : {}\ntotal cost      : {:.2}\nunweighted      : {}\nmax edge excess : {}\n",
@@ -561,9 +569,9 @@ pub fn cmd_convert(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// `acmr opt` — best offline bound for a trace.
-pub fn cmd_opt(trace: &str) -> Result<String, CliError> {
-    let inst = read_trace(trace).map_err(|e| err(e.to_string()))?;
+/// `acmr opt` — best offline bound for a trace of either format.
+pub fn cmd_opt(trace: &[u8]) -> Result<String, CliError> {
+    let (_, inst) = parse_trace_bytes(trace)?;
     let bound = crate::harness::admission_opt(&inst, BoundBudget::default());
     let kind: &str = bound.kind.label();
     Ok(format!("opt {kind} {:.4}\n", bound.value))
@@ -603,7 +611,9 @@ fn render_report(
     }
 }
 
-/// The optional `--batch N` chunk size (`None`: per-push streaming).
+/// The optional `--batch N` chunk size (`None` when the flag is
+/// absent: in-process runs then feed one arrival at a time, cluster
+/// runs use the driver's frame size).
 fn batch_flag(flags: &HashMap<String, String>) -> Result<Option<usize>, CliError> {
     match flags.get("batch") {
         None => Ok(None),
@@ -689,100 +699,97 @@ fn run_cluster(
     render_report(&report, flags)
 }
 
-/// `acmr run` — run a registry algorithm over an in-memory trace;
-/// returns the report in the requested `--format` (`text` or `json`).
-pub fn cmd_run(args: &[String], trace: &str) -> Result<String, CliError> {
+/// `acmr run` — run a registry algorithm over an in-memory trace of
+/// either format; returns the report in the requested `--format`
+/// (`text` or `json`).
+pub fn cmd_run(args: &[String], trace: &[u8]) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
     if flags.contains_key("stream") {
         return Err(err("--stream takes a trace file path (or `-` for stdin); \
              use `dispatch_io` / the acmr binary for streamed runs"));
     }
-    let inst = read_trace(trace).map_err(|e| err(e.to_string()))?;
-    let seed: u64 = get(&flags, "seed", 0)?;
+    let (_, inst) = parse_trace_bytes(trace)?;
+    run_source(&flags, TraceSource::InMemory(inst))
+}
+
+/// The in-process body of `acmr run`, in memory or streamed: one
+/// [`run_report`] call with the OPT bound attached, or one cluster job
+/// when `--cluster/--workers` asks for worker processes. `--batch N`
+/// feeds arrivals in chunks of N; the report is identical for every
+/// batch size (the differential suite pins that), only the processing
+/// is amortized.
+fn run_source(flags: &HashMap<String, String>, trace: TraceSource) -> Result<String, CliError> {
+    let seed: u64 = get(flags, "seed", 0)?;
     let alg_spec = flags
         .get("alg")
         .map(String::as_str)
         .unwrap_or(DEFAULT_ALGORITHM);
-    if let Some(pool) = cluster_pool(&flags)? {
-        return run_cluster(&pool, &flags, TraceSource::InMemory(inst), alg_spec, seed);
+    if let Some(pool) = cluster_pool(flags)? {
+        return run_cluster(&pool, flags, trace, alg_spec, seed);
     }
-    let registry = default_registry();
-    // --batch N routes arrivals through Session::push_batch in chunks
-    // of N; the report is identical to the streaming path (the
-    // differential suite pins that), the processing is amortized.
-    let report = match batch_flag(&flags)? {
-        None => run_report(&registry, alg_spec, &inst, seed, BoundBudget::default()),
-        Some(batch) => run_report_batched(
-            &registry,
-            alg_spec,
-            &inst,
-            seed,
-            BoundBudget::default(),
-            batch,
-        ),
+    let batch = batch_flag(flags)?.unwrap_or(1);
+    let budget = Some(BoundBudget::default());
+    let source = SourceRef::from(&trace);
+    let report = run_report(&default_registry(), alg_spec, source, seed, batch, budget)
+        .map_err(|e| err(e.to_string()))?;
+    render_report(&report, flags)
+}
+
+/// A copy of stdin on disk, removed when dropped — on every exit path
+/// of the run that reads it.
+struct Spill(PathBuf);
+
+impl Spill {
+    /// Copy `input` to a fresh file under the OS temp directory, in
+    /// chunks: memory stays bounded, disk holds one copy of the trace.
+    fn copy_from(input: &mut dyn Read) -> Result<Spill, CliError> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "acmr-spool-{}-{}.trace",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut file = std::fs::File::create(&path)
+            .map_err(|e| err(format!("cannot create spill file {}: {e}", path.display())))?;
+        let spill = Spill(path);
+        std::io::copy(input, &mut file)
+            .map_err(|e| err(format!("could not read trace from stdin: {e}")))?;
+        Ok(spill)
     }
-    .map_err(|e| err(e.to_string()))?;
-    render_report(&report, &flags)
+}
+
+impl Drop for Spill {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 /// `acmr run --stream <file|->` — run a registry algorithm over a
-/// trace **streamed in chunks** (from a file, or from `stdin` when the
-/// target is `-`), never materializing the instance. The report —
-/// offline-optimum bound included, via the harness's two-pass scheme —
-/// is byte-identical to what [`cmd_run`] produces for the same trace.
+/// trace **streamed in chunks** from a file of either format, never
+/// materializing the instance. `-` first copies `stdin` to a spill file
+/// and streams that. The report — offline-optimum bound included, via
+/// the harness's two-pass scheme — is byte-identical to what
+/// [`cmd_run`] produces for the same trace.
 pub fn cmd_run_stream(
     args: &[String],
     stdin: &mut dyn Read,
     target: &str,
 ) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
-    let seed: u64 = get(&flags, "seed", 0)?;
-    let alg_spec = flags
-        .get("alg")
-        .map(String::as_str)
-        .unwrap_or(DEFAULT_ALGORITHM);
+    if target != "-" {
+        return run_source(&flags, TraceSource::Path(target.into()));
+    }
     // Refuse the unsupported combination *before* cluster_pool spawns
     // (or adopts) a whole worker fleet just to print a usage error.
-    let wants_cluster = flags.contains_key("cluster") || flags.contains_key("workers");
-    if wants_cluster && target == "-" {
+    if flags.contains_key("cluster") || flags.contains_key("workers") {
         return Err(err(
             "--cluster/--workers cannot replay `--stream -`: the OPT bound and any \
              retry need to re-read the trace. Use --stream FILE, or pipe the trace \
              on stdin without --stream",
         ));
     }
-    if let Some(pool) = cluster_pool(&flags)? {
-        return run_cluster(
-            &pool,
-            &flags,
-            TraceSource::Path(target.into()),
-            alg_spec,
-            seed,
-        );
-    }
-    let batch = batch_flag(&flags)?;
-    let registry = default_registry();
-    let report = if target == "-" {
-        run_report_spooled(
-            &registry,
-            alg_spec,
-            stdin,
-            seed,
-            BoundBudget::default(),
-            batch,
-        )
-    } else {
-        run_report_from_path(
-            &registry,
-            alg_spec,
-            target,
-            seed,
-            BoundBudget::default(),
-            batch,
-        )
-    }
-    .map_err(|e| err(e.to_string()))?;
-    render_report(&report, &flags)
+    let spill = Spill::copy_from(stdin)?;
+    run_source(&flags, TraceSource::Path(spill.0.clone()))
 }
 
 /// Parse the `acmr serve` flags into a [`ServeConfig`] — split out of
@@ -965,15 +972,9 @@ pub fn cmd_client(
 /// that need stdin touch it, and `run --stream -` reads it **chunked**
 /// instead of slurping. Returns the stdout payload.
 pub fn dispatch_io(argv: &[String], stdin: &mut dyn Read) -> Result<String, CliError> {
-    let slurp = |stdin: &mut dyn Read| -> Result<String, CliError> {
-        let mut text = String::new();
-        stdin
-            .read_to_string(&mut text)
-            .map_err(|e| err(format!("could not read trace from stdin: {e}")))?;
-        Ok(text)
-    };
-    // `stats` accepts binary traces, so its stdin is raw bytes.
-    let slurp_bytes = |stdin: &mut dyn Read| -> Result<Vec<u8>, CliError> {
+    // Traces of either format arrive on stdin, so it is read as raw
+    // bytes; the trace's magic picks the parser.
+    let slurp = |stdin: &mut dyn Read| -> Result<Vec<u8>, CliError> {
         let mut bytes = Vec::new();
         stdin
             .read_to_end(&mut bytes)
@@ -988,7 +989,7 @@ pub fn dispatch_io(argv: &[String], stdin: &mut dyn Read) -> Result<String, CliE
             if parse_flags(&argv[1..])?.contains_key("addr") {
                 cmd_stats_remote(&argv[1..])
             } else {
-                cmd_stats(&slurp_bytes(stdin)?)
+                cmd_stats(&slurp(stdin)?)
             }
         }
         Some("convert") => cmd_convert(&argv[1..]),
@@ -1139,9 +1140,13 @@ mod tests {
         assert!(trace.starts_with("ACMR-TRACE v1"));
         let stats = cmd_stats(trace.as_bytes()).unwrap();
         assert!(stats.contains("edges           : 16"));
-        let opt = cmd_opt(&trace).unwrap();
+        let opt = cmd_opt(trace.as_bytes()).unwrap();
         assert!(opt.starts_with("opt "));
-        let run = cmd_run(&argv(&["--alg", "aag-unweighted", "--seed", "1"]), &trace).unwrap();
+        let run = cmd_run(
+            &argv(&["--alg", "aag-unweighted", "--seed", "1"]),
+            trace.as_bytes(),
+        )
+        .unwrap();
         assert!(run.contains("ratio"));
         // The seed actually used is echoed, making the report
         // reproducible from its own text.
@@ -1160,7 +1165,7 @@ mod tests {
         let trace = cmd_gen(&argv(&["--m", "12", "--cap", "2", "--seed", "9"])).unwrap();
         let json = cmd_run(
             &argv(&["--alg", "greedy", "--seed", "3", "--format", "json"]),
-            &trace,
+            trace.as_bytes(),
         )
         .unwrap();
         let report: RunReport = serde_json::from_str(&json).unwrap();
@@ -1177,7 +1182,7 @@ mod tests {
         let trace = cmd_gen(&argv(&["--m", "10", "--cap", "2", "--seed", "2"])).unwrap();
         let out = cmd_run(
             &argv(&["--alg", "aag-unweighted?seed=9", "--seed", "1"]),
-            &trace,
+            trace.as_bytes(),
         )
         .unwrap();
         assert!(out.contains("seed           : 9"), "{out}");
@@ -1224,7 +1229,7 @@ mod tests {
                 // inside the Session; any violation would error here).
                 let out = cmd_run(
                     &argv(&["--alg", name, "--seed", &seed.to_string()]),
-                    &trace,
+                    trace.as_bytes(),
                 ).unwrap();
                 prop_assert!(out.contains(name), "missing name in {}", out);
             }
@@ -1289,7 +1294,7 @@ mod tests {
             let stats = cmd_stats(trace.as_bytes()).unwrap();
             assert!(stats.contains("max edge excess"), "{stats}");
             for name in default_registry().names() {
-                cmd_run(&argv(&["--alg", name, "--seed", "2"]), &trace).unwrap();
+                cmd_run(&argv(&["--alg", name, "--seed", "2"]), trace.as_bytes()).unwrap();
             }
         }
         // --m 16 defaults lower-bound to levels 4 (16 dyadic edges).
@@ -1489,7 +1494,7 @@ mod tests {
         for alg in ["greedy", "aag-weighted"] {
             let streaming = cmd_run(
                 &argv(&["--alg", alg, "--seed", "4", "--format", "json"]),
-                &trace,
+                trace.as_bytes(),
             )
             .unwrap();
             for batch in ["1", "7", "1000"] {
@@ -1497,16 +1502,16 @@ mod tests {
                     &argv(&[
                         "--alg", alg, "--seed", "4", "--format", "json", "--batch", batch,
                     ]),
-                    &trace,
+                    trace.as_bytes(),
                 )
                 .unwrap();
                 assert_eq!(batched, streaming, "{alg} batch {batch}");
             }
         }
         // Batch 0 and non-numeric batch are usage errors.
-        let e = cmd_run(&argv(&["--batch", "0"]), &trace).unwrap_err();
+        let e = cmd_run(&argv(&["--batch", "0"]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("batch size"), "{e}");
-        assert!(cmd_run(&argv(&["--batch", "lots"]), &trace).is_err());
+        assert!(cmd_run(&argv(&["--batch", "lots"]), trace.as_bytes()).is_err());
     }
 
     #[test]
@@ -1523,7 +1528,7 @@ mod tests {
             for alg in ["greedy", "aag-weighted"] {
                 let in_memory = cmd_run(
                     &argv(&["--alg", alg, "--seed", "4", "--format", format]),
-                    &trace,
+                    trace.as_bytes(),
                 )
                 .unwrap();
                 // --stream <file>: two passes over the file.
@@ -1559,6 +1564,16 @@ mod tests {
     }
 
     #[test]
+    fn stdin_spill_holds_stdin_and_is_removed_on_drop() {
+        let trace = cmd_gen(&argv(&["--m", "8", "--cap", "2"])).unwrap();
+        let spill = Spill::copy_from(&mut trace.as_bytes()).unwrap();
+        let path = spill.0.clone();
+        assert_eq!(std::fs::read(&path).unwrap(), trace.as_bytes());
+        drop(spill);
+        assert!(!path.exists(), "spill file must be removed");
+    }
+
+    #[test]
     fn streamed_run_flag_errors_are_reported() {
         // Bare --stream has no target.
         let e = dispatch(&argv(&["run", "--stream"]), "").unwrap_err();
@@ -1571,7 +1586,7 @@ mod tests {
         let e = dispatch(&argv(&["run", "--stream", "-"]), "ACMR-TRACE v9\n").unwrap_err();
         assert!(e.to_string().contains("docs/TRACE_FORMAT.md"), "{e}");
         // cmd_run proper refuses --stream (it has no byte stream).
-        assert!(cmd_run(&argv(&["--stream", "-"]), "x").is_err());
+        assert!(cmd_run(&argv(&["--stream", "-"]), b"x").is_err());
     }
 
     #[test]
@@ -1726,7 +1741,7 @@ mod tests {
         let mut expected: RunReport = serde_json::from_str(
             &cmd_run(
                 &argv(&["--alg", "greedy", "--seed", "2", "--format", "json"]),
-                &trace,
+                trace.as_bytes(),
             )
             .unwrap(),
         )
@@ -1815,7 +1830,7 @@ mod tests {
         for format in ["text", "json"] {
             let expected = cmd_run(
                 &argv(&["--alg", "aag-weighted", "--seed", "3", "--format", format]),
-                &trace,
+                trace.as_bytes(),
             )
             .unwrap();
             let clustered = cmd_run(
@@ -1829,7 +1844,7 @@ mod tests {
                     "--workers",
                     &workers,
                 ]),
-                &trace,
+                trace.as_bytes(),
             )
             .unwrap();
             assert_eq!(clustered, expected, "--format {format}");
@@ -1847,13 +1862,17 @@ mod tests {
                     "--batch",
                     "5",
                 ]),
-                &trace,
+                trace.as_bytes(),
             )
             .unwrap();
             assert_eq!(batched, expected, "--format {format} --batch 5");
         }
         // A worker-side failure surfaces as a typed error, not a panic.
-        let e = cmd_run(&argv(&["--alg", "nope", "--workers", &workers]), &trace).unwrap_err();
+        let e = cmd_run(
+            &argv(&["--alg", "nope", "--workers", &workers]),
+            trace.as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.to_string().contains("unknown-algorithm"), "{e}");
         w1.shutdown();
         w2.shutdown();
@@ -1864,18 +1883,18 @@ mod tests {
         let trace = cmd_gen(&argv(&["--m", "4", "--cap", "1"])).unwrap();
         let e = cmd_run(
             &argv(&["--cluster", "2", "--workers", "127.0.0.1:1"]),
-            &trace,
+            trace.as_bytes(),
         )
         .unwrap_err();
         assert!(e.to_string().contains("mutually exclusive"), "{e}");
-        let e = cmd_run(&argv(&["--cluster", "0"]), &trace).unwrap_err();
+        let e = cmd_run(&argv(&["--cluster", "0"]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("--cluster"), "{e}");
-        assert!(cmd_run(&argv(&["--cluster", "lots"]), &trace).is_err());
-        let e = cmd_run(&argv(&["--workers"]), &trace).unwrap_err();
+        assert!(cmd_run(&argv(&["--cluster", "lots"]), trace.as_bytes()).is_err());
+        let e = cmd_run(&argv(&["--workers"]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("--workers"), "{e}");
-        let e = cmd_run(&argv(&["--workers", ","]), &trace).unwrap_err();
+        let e = cmd_run(&argv(&["--workers", ","]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("--workers"), "{e}");
-        let e = cmd_run(&argv(&["--workers", "not an address"]), &trace).unwrap_err();
+        let e = cmd_run(&argv(&["--workers", "not an address"]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("cannot resolve"), "{e}");
         // `--stream -` cannot be replayed through a cluster (the
         // bound and retries both need to re-read the trace).
@@ -1935,12 +1954,12 @@ mod tests {
     #[test]
     fn bad_inputs_are_reported() {
         assert!(cmd_stats(b"garbage").is_err());
-        assert!(cmd_run(&argv(&["--alg", "nope"]), "x").is_err());
+        assert!(cmd_run(&argv(&["--alg", "nope"]), b"x").is_err());
         let trace = cmd_gen(&argv(&["--m", "8", "--cap", "2"])).unwrap();
-        let e = cmd_run(&argv(&["--alg", "nope"]), &trace).unwrap_err();
+        let e = cmd_run(&argv(&["--alg", "nope"]), trace.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("unknown algorithm"), "{e}");
-        assert!(cmd_run(&argv(&["--alg", "greedy?bogus=1"]), &trace).is_err());
-        assert!(cmd_run(&argv(&["--format", "yaml"]), &trace).is_err());
+        assert!(cmd_run(&argv(&["--alg", "greedy?bogus=1"]), trace.as_bytes()).is_err());
+        assert!(cmd_run(&argv(&["--format", "yaml"]), trace.as_bytes()).is_err());
         assert!(cmd_gen(&argv(&["--m", "NaN"])).is_err());
         assert!(cmd_gen(&argv(&["--topology", "torus"])).is_err());
         assert!(parse_flags(&argv(&["oops"])).is_err());

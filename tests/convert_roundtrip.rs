@@ -3,10 +3,12 @@
 //! (and binary → text → binary likewise), `acmr stats` reports the
 //! right format version for both files with otherwise identical
 //! output, and `acmr run --stream` replays the converted binary trace
-//! to the byte-identical report of the text original. CI runs this as
-//! its conversion gate.
+//! to the byte-identical report of the text original. Piped into
+//! `acmr run`, `acmr run --stream -` and `acmr opt` on stdin, both
+//! dialects print identical output. CI runs this as its conversion
+//! gate.
 
-use acmr::cli::{cmd_convert, cmd_stats, dispatch};
+use acmr::cli::{cmd_convert, cmd_stats, dispatch, dispatch_io};
 
 fn golden_trace_paths() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
@@ -107,6 +109,40 @@ fn golden_corpus_converts_losslessly_in_both_directions() {
 
         for p in [bin_path, back_path, bin2_path] {
             std::fs::remove_file(p).unwrap();
+        }
+    }
+}
+
+#[test]
+fn binary_traces_on_stdin_match_their_text_originals() {
+    // `run`, `run --stream -` and `opt` read stdin as bytes and sniff
+    // the magic, so a converted trace piped in prints exactly what its
+    // text original prints.
+    let tmp = std::env::temp_dir();
+    let pid = std::process::id();
+    let run = [
+        "run",
+        "--alg",
+        "aag-weighted",
+        "--seed",
+        "3",
+        "--format",
+        "json",
+    ];
+    let streamed = [&run[..], &["--stream", "-"]].concat();
+    for path in golden_trace_paths() {
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read(&path).unwrap();
+        let bin_path = tmp.join(format!("acmr-stdin-{pid}-{name}.bin"));
+        cmd_convert(&argv(&[path.to_str().unwrap(), bin_path.to_str().unwrap()])).unwrap();
+        let bin = std::fs::read(&bin_path).unwrap();
+        std::fs::remove_file(&bin_path).unwrap();
+        for command in [&run[..], &streamed, &["opt"]] {
+            let piped = |stdin: &[u8]| {
+                dispatch_io(&argv(command), &mut &stdin[..])
+                    .unwrap_or_else(|e| panic!("{name}: {command:?}: {e}"))
+            };
+            assert_eq!(piped(&bin), piped(&text), "{name}: {command:?}");
         }
     }
 }

@@ -261,7 +261,7 @@ fn streaming_session_agrees_with_batch_runner() {
     // event with the batch result, and the final RunReport must
     // round-trip through JSON unchanged.
     use acmr::core::{AlgorithmSpec, Session};
-    use acmr::harness::default_registry;
+    use acmr::harness::{default_registry, run_report, SourceRef};
 
     let spec = PathWorkloadSpec {
         topology: Topology::Grid { rows: 4, cols: 4 },
@@ -284,9 +284,17 @@ fn streaming_session_agrees_with_batch_runner() {
     }
     let streamed = session.report();
 
-    // Batch: same spec, same seed, one call.
-    let mut batch = Session::from_registry(&registry, &alg, &inst.capacities, 0).unwrap();
-    let batch_report = batch.run_trace(&inst).unwrap();
+    // Batch: same spec, same seed, one call, one batch.
+    let whole = inst.requests.len();
+    let batch_report = run_report(
+        &registry,
+        &alg.canonical(),
+        SourceRef::Mem(&inst),
+        0,
+        whole,
+        None,
+    )
+    .unwrap();
     assert_eq!(streamed, batch_report);
     assert_eq!(streamed.seed, Some(13));
 
@@ -338,7 +346,7 @@ fn stochastic_gen_pipeline_and_flag_validation() {
     let registry = acmr::harness::default_registry();
     for name in registry.names() {
         let run_args = vec!["--alg".to_string(), format!("{name}?seed=2")];
-        let out = cmd_run(&run_args, &trace)
+        let out = cmd_run(&run_args, trace.as_bytes())
             .unwrap_or_else(|e| panic!("{name} on stochastic trace: {e}"));
         assert!(out.contains(name), "{name}: report lacks algorithm name");
     }
@@ -400,7 +408,7 @@ fn buyback_gen_pipeline_and_float_flag_validation() {
     let mut rejected = std::collections::HashMap::new();
     for name in registry.names() {
         let run_args = vec!["--alg".to_string(), format!("{name}?seed=2")];
-        let out = cmd_run(&run_args, &trace)
+        let out = cmd_run(&run_args, trace.as_bytes())
             .unwrap_or_else(|e| panic!("{name} on buyback-hostile trace: {e}"));
         assert!(out.contains(name), "{name}: report lacks algorithm name");
         let cost: f64 = out
