@@ -42,7 +42,8 @@
 //! Beyond the worst-case baselines, [`stochastic`] holds the
 //! production-shaped policies benchmarked in E18: [`LpResolve`]
 //! (periodic fluid re-solve against buffered allocations via
-//! `acmr-lp`) and [`LcbGreedy`] (lower-confidence-bound demand guard).
+//! `acmr-lp`; the plan LP carries only the edges the window can
+//! overfill) and [`LcbGreedy`] (lower-confidence-bound demand guard).
 //! They trade the adversarial guarantee for a better rejection rate on
 //! stochastic traffic.
 //!

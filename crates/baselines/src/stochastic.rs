@@ -32,13 +32,88 @@ use acmr_lp::{solve, Cmp, Lp};
 /// to separate value densities.
 type ClassKey = (u32, i32);
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct ClassStats {
     count: u32,
     cost_sum: f64,
-    /// Edge touch counts accumulated over the class's arrivals — the
-    /// class's empirical footprint distribution.
-    edge_hits: BTreeMap<u32, u32>,
+}
+
+/// The arrivals observed since the last re-solve. A re-solve clears
+/// the per-edge lists without freeing them, so they hold at most the
+/// distinct (class, edge) pairs of one window.
+struct Window {
+    classes: BTreeMap<ClassKey, ClassStats>,
+    /// Per edge, each class's touch count over the window: the
+    /// classes' empirical footprint distributions, indexed by edge.
+    hits: Vec<Vec<(ClassKey, u32)>>,
+    /// The edges whose `hits` list is nonempty.
+    touched: Vec<u32>,
+}
+
+impl Window {
+    fn new(num_edges: usize) -> Self {
+        Window {
+            classes: BTreeMap::new(),
+            hits: vec![Vec::new(); num_edges],
+            touched: Vec::new(),
+        }
+    }
+
+    fn record(&mut self, key: ClassKey, request: &Request) {
+        let s = self.classes.entry(key).or_default();
+        s.count += 1;
+        s.cost_sum += request.cost;
+        for e in request.footprint.iter() {
+            let hits = &mut self.hits[e.index()];
+            if hits.is_empty() {
+                self.touched.push(e.0);
+            }
+            match hits.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, n)) => *n += 1,
+                None => hits.push((key, 1)),
+            }
+        }
+    }
+
+    /// The fluid plan LP over the window: one column per class in key
+    /// order, an `x_j ≤ 1` row per class, then in edge order the row
+    /// `Σ_j x_j·hits_{j,e} ≤ budget(e)` of each edge whose window total
+    /// exceeds its budget. Every other edge's row is implied by the
+    /// `x_j ≤ 1` rows: a class row it is implied by binds no later and
+    /// wins Bland's tie-break, so its slack never leaves the basis and
+    /// the simplex takes the same pivots without it.
+    fn plan_lp(&mut self, budget: impl Fn(u32) -> f64) -> Lp {
+        let keys: Vec<ClassKey> = self.classes.keys().copied().collect();
+        // Maximize admitted value → minimize its negation (x ≥ 0 is
+        // implicit; x_j ≤ 1 are explicit rows).
+        let mut lp = Lp::new(self.classes.values().map(|s| -s.cost_sum).collect());
+        for j in 0..keys.len() {
+            lp.push(vec![(j, 1.0)], Cmp::Le, 1.0);
+        }
+        self.touched.sort_unstable();
+        for &e in &self.touched {
+            let hits = &mut self.hits[e as usize];
+            let total: u64 = hits.iter().map(|&(_, n)| u64::from(n)).sum();
+            let budget = budget(e);
+            if total as f64 > budget {
+                hits.sort_unstable();
+                let coeffs = hits
+                    .iter()
+                    .map(|&(k, n)| (keys.binary_search(&k).expect("window class"), f64::from(n)))
+                    .collect();
+                lp.push(coeffs, Cmp::Le, budget);
+            }
+        }
+        lp
+    }
+
+    fn clear(&mut self) {
+        self.classes.clear();
+        for &e in &self.touched {
+            self.hits[e as usize].clear();
+        }
+        self.touched.clear();
+    }
 }
 
 struct PlanEntry {
@@ -81,7 +156,7 @@ pub struct LpResolve {
     period: u32,
     buffer: f64,
     seen: u32,
-    window: BTreeMap<ClassKey, ClassStats>,
+    window: Window,
     plan: BTreeMap<ClassKey, PlanEntry>,
     /// Mean admitted value density under the current plan — planned
     /// value per planned edge-slot. This approximates the price of an
@@ -111,7 +186,7 @@ impl LpResolve {
             period,
             buffer,
             seen: 0,
-            window: BTreeMap::new(),
+            window: Window::new(capacities.len()),
             plan: BTreeMap::new(),
             price: 0.0,
             victims: Vec::new(),
@@ -151,39 +226,13 @@ impl LpResolve {
     }
 
     fn resolve(&mut self) {
-        let m = self.live.tracker().num_edges();
-        let mut budget = vec![0.0f64; m];
-        for (e, b) in budget.iter_mut().enumerate() {
-            let id = acmr_graph::EdgeId(e as u32);
-            // Budget against *total* capacity: the plan is enforced by
-            // preemption, so currently-held slots are still plannable.
-            *b = (1.0 - self.buffer) * self.live.tracker().capacity(id) as f64;
-        }
-        // BTreeMap iteration is key-ordered → variable order (and hence
-        // the pivot path and any tie-breaks) is deterministic.
-        let classes: Vec<(ClassKey, ClassStats)> =
-            self.window.iter().map(|(k, s)| (*k, s.clone())).collect();
+        let (tracker, buffer) = (self.live.tracker(), self.buffer);
+        // Budget against *total* capacity: the plan is enforced by
+        // preemption, so currently-held slots are still plannable.
+        let lp = self
+            .window
+            .plan_lp(|e| (1.0 - buffer) * tracker.capacity(acmr_graph::EdgeId(e)) as f64);
         self.plan.clear();
-        if classes.is_empty() {
-            self.window.clear();
-            return;
-        }
-        // Maximize admitted value → minimize its negation (x ≥ 0 is
-        // implicit; x_j ≤ 1 are explicit rows).
-        let objective: Vec<f64> = classes.iter().map(|(_, s)| -s.cost_sum).collect();
-        let mut lp = Lp::new(objective);
-        for (j, _) in classes.iter().enumerate() {
-            lp.push(vec![(j, 1.0)], Cmp::Le, 1.0);
-        }
-        let mut rows: BTreeMap<u32, Vec<(usize, f64)>> = BTreeMap::new();
-        for (j, (_, stats)) in classes.iter().enumerate() {
-            for (&e, &hits) in &stats.edge_hits {
-                rows.entry(e).or_default().push((j, hits as f64));
-            }
-        }
-        for (e, coeffs) in rows {
-            lp.push(coeffs, Cmp::Le, budget[e as usize]);
-        }
         let Ok(sol) = solve(&lp) else {
             // x = 0 is always feasible, so failure here means a numeric
             // corner; keep no plan and run as preempt-cheapest.
@@ -191,7 +240,7 @@ impl LpResolve {
             return;
         };
         let (mut planned_value, mut planned_slots) = (0.0f64, 0.0f64);
-        for (j, (key, stats)) in classes.iter().enumerate() {
+        for (j, (key, stats)) in self.window.classes.iter().enumerate() {
             let x = sol.x[j].clamp(0.0, 1.0);
             let quota = x * stats.count as f64;
             if quota > 1e-9 {
@@ -216,12 +265,7 @@ impl OnlineAdmission for LpResolve {
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
         let key = class_key(request.footprint.len(), request.cost);
-        let s = self.window.entry(key).or_default();
-        s.count += 1;
-        s.cost_sum += request.cost;
-        for e in request.footprint.iter() {
-            *s.edge_hits.entry(e.0).or_default() += 1;
-        }
+        self.window.record(key, request);
         self.seen += 1;
         let mut preempted: Vec<RequestId> = Vec::new();
         // Quota lookup by bucketed class — the request's own footprint
@@ -480,6 +524,117 @@ mod tests {
             drive(&mut LcbGreedy::new(&caps, 0.05), &arrivals),
         ] {
             assert!(accepted.iter().filter(|&&a| a).count() <= 1);
+        }
+    }
+
+    /// The reference plan LP: the same columns and class rows, and a
+    /// row for every touched edge, gathered by edge from per-class
+    /// edge-hit maps.
+    fn full_plan_lp(arrivals: &[(ClassKey, Request)], budget: &[f64]) -> Lp {
+        let mut classes: BTreeMap<ClassKey, (f64, BTreeMap<u32, u32>)> = BTreeMap::new();
+        for (key, request) in arrivals {
+            let (cost_sum, hits) = classes.entry(*key).or_default();
+            *cost_sum += request.cost;
+            for e in request.footprint.iter() {
+                *hits.entry(e.0).or_default() += 1;
+            }
+        }
+        let mut lp = Lp::new(classes.values().map(|(c, _)| -c).collect());
+        for j in 0..classes.len() {
+            lp.push(vec![(j, 1.0)], Cmp::Le, 1.0);
+        }
+        let mut rows: BTreeMap<u32, Vec<(usize, f64)>> = BTreeMap::new();
+        for (j, (_, hits)) in classes.values().enumerate() {
+            for (&e, &n) in hits {
+                rows.entry(e).or_default().push((j, n as f64));
+            }
+        }
+        for (e, coeffs) in rows {
+            lp.push(coeffs, Cmp::Le, budget[e as usize]);
+        }
+        lp
+    }
+
+    /// Oracle for the implied-row filter: on random windows the plan LP
+    /// solves bit-identically to the full LP above (same point,
+    /// objective and pivot count), so every plan, quota and price is
+    /// unchanged. Buffer 0 with integer capacities puts edge totals on
+    /// their budgets; zero-capacity edges, 1–10 classes and windows in
+    /// which no edge row binds are drawn too, and the test fails
+    /// unless every one of those regimes occurred.
+    #[test]
+    fn plan_lp_oracle_matches_the_full_lp() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1a7);
+        let (mut ties, mut zero_caps, mut no_edge_rows, mut partial) = (0, 0, 0, 0);
+        for case in 0..4000 {
+            let m = rng.gen_range(1usize..=12);
+            let cap_hi = if rng.gen_bool(0.5) { 3 } else { 40 };
+            let caps: Vec<u32> = (0..m)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        0
+                    } else {
+                        rng.gen_range(1..=cap_hi)
+                    }
+                })
+                .collect();
+            let buffer = if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                rng.gen_range(0.0..0.2)
+            };
+            let budget: Vec<f64> = caps.iter().map(|&c| (1.0 - buffer) * c as f64).collect();
+            let keys: Vec<ClassKey> = (0..rng.gen_range(1..=10))
+                .map(|_| (rng.gen_range(1u32..=4), rng.gen_range(-1i32..=6)))
+                .collect();
+            let arrivals: Vec<(ClassKey, Request)> = (0..rng.gen_range(1..=64))
+                .map(|_| {
+                    let key = keys[rng.gen_range(0..keys.len())];
+                    let edges: Vec<u32> = (0..rng.gen_range(1..=m.min(4)))
+                        .map(|_| rng.gen_range(0..m as u32))
+                        .collect();
+                    let cost = f64::from(rng.gen_range(1u32..=8));
+                    (key, Request::new(fp(&edges), cost))
+                })
+                .collect();
+            let mut window = Window::new(m);
+            for (key, request) in &arrivals {
+                window.record(*key, request);
+            }
+            let lp = window.plan_lp(|e| budget[e as usize]);
+            let full = full_plan_lp(&arrivals, &budget);
+            let class_rows = window.classes.len();
+            assert_eq!(lp.num_vars, full.num_vars);
+            let full_edge_rows = &full.constraints[class_rows..];
+            let totals = full_edge_rows
+                .iter()
+                .map(|c| (c.coeffs.iter().map(|&(_, n)| n).sum::<f64>(), c.rhs));
+            ties += totals.clone().filter(|&(t, b)| t == b).count();
+            zero_caps += full_edge_rows.iter().filter(|c| c.rhs == 0.0).count();
+            let kept = lp.constraints.len() - class_rows;
+            assert_eq!(kept, totals.filter(|&(t, b)| t > b).count());
+            no_edge_rows += usize::from(kept == 0);
+            partial += usize::from(kept > 0 && kept < full_edge_rows.len());
+            let (a, b) = (solve(&lp), solve(&full));
+            let (a, b) = (a.expect("plan LP solves"), b.expect("full LP solves"));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.x), bits(&b.x), "case {case}: x differs");
+            assert_eq!(
+                a.objective.to_bits(),
+                b.objective.to_bits(),
+                "case {case}: objective differs"
+            );
+            assert_eq!(a.pivots, b.pivots, "case {case}: pivot count differs");
+        }
+        for (regime, hits) in [
+            ("edge totals equal to budgets", ties),
+            ("zero-capacity edges", zero_caps),
+            ("windows with no edge row", no_edge_rows),
+            ("windows with some rows dropped", partial),
+        ] {
+            assert!(hits > 0, "no case drew {regime}");
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   binary file, both equal to the in-memory reference.
 //!
 //! Inputs: the committed golden corpus (`tests/golden/*.trace`, the
-//! same eight files the golden regression suite pins) plus random
+//! same files the golden regression suite pins) plus random
 //! proptest-chosen instances (hostile shapes included via the corpus's
 //! adversarial members).
 

@@ -7,7 +7,7 @@
 //! registry (enumerated, never hard-coded), over:
 //!
 //! * the committed golden corpus traces (`tests/golden/*.trace`, the
-//!   same eight files the golden regression suite pins),
+//!   same files the golden regression suite pins),
 //! * hostile adversarial families, and
 //! * random proptest-chosen workloads.
 //!

@@ -4,8 +4,9 @@
 //! This is deliberately the textbook method: the covering LPs in this
 //! workspace are small (hundreds of rows/columns) and dense-tableau
 //! simplex is simple to verify, deterministic, and — with Bland's rule —
-//! guaranteed to terminate. Numerical tolerances are fixed at `1e-9`
-//! and results are validated against the constraints before return.
+//! guaranteed to terminate. Numerical tolerances are fixed at `1e-9`.
+//! Debug builds assert that the returned point satisfies every
+//! constraint (within `1e-6`); release builds return it unchecked.
 
 /// Comparison direction of a [`Constraint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

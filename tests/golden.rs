@@ -1,9 +1,10 @@
 //! Golden-trace regression corpus.
 //!
-//! Eleven committed traces (`tests/golden/<name>.trace`) spanning the
+//! Twelve committed traces (`tests/golden/<name>.trace`) spanning the
 //! random topologies, every hostile family (including the buyback
-//! cost-escalation topology), and two pinned stochastic arrival
-//! models (iid, diurnal), each with the expected
+//! cost-escalation topology), and three pinned stochastic arrival
+//! models (iid, diurnal, and an MMPP trace long enough for
+//! `lp-resolve` to re-solve its plan twice), each with the expected
 //! [`SweepReport`] of all registered algorithms pinned as
 //! `tests/golden/<name>.expected.json`. The sweep runs through the
 //! `ShardedDriver` batch path with fixed `threads`/`batch`/seed, so
@@ -62,13 +63,13 @@ fn path_workload(
 /// The corpus: one representative per regime. Keep instances small
 /// enough that the exact/LP OPT bounds stay fast — this is a tier-1
 /// test.
-fn stochastic_trace(model: TrafficModel, seed: u64) -> AdmissionInstance {
+fn stochastic_trace(model: TrafficModel, duration: u32, seed: u64) -> AdmissionInstance {
     let spec = StochasticSpec {
         topology: Topology::Line { m: 12 },
         capacity: 2,
         model,
         arrival_rate: 1.5,
-        duration: 48,
+        duration,
         costs: CostModel::Zipf {
             n_values: 64,
             s: 1.1,
@@ -117,7 +118,7 @@ fn corpus() -> Vec<(&'static str, AdmissionInstance)> {
         ("adv-squeeze", two_phase_squeeze(12, 3, 4, 3)),
         ("lower-bound-dyadic", dyadic_admission_instance(3, 2, 2)),
         ("buyback-hostile", buyback_hostile(6, 2, 4, 8.0)),
-        ("stoch-iid", stochastic_trace(TrafficModel::Iid, 5)),
+        ("stoch-iid", stochastic_trace(TrafficModel::Iid, 48, 5)),
         (
             "stoch-diurnal",
             stochastic_trace(
@@ -125,8 +126,15 @@ fn corpus() -> Vec<(&'static str, AdmissionInstance)> {
                     period: 16,
                     amplitude: 0.8,
                 },
+                48,
                 6,
             ),
+        ),
+        // Past two of `lp-resolve`'s 128-arrival periods, so its plan
+        // re-solve and plan-enforcing swaps are pinned too.
+        (
+            "stoch-mmpp",
+            stochastic_trace(TrafficModel::mmpp_default(), 168, 8),
         ),
     ]
 }
@@ -269,7 +277,7 @@ fn golden_corpus_covers_every_regime_and_algorithm() {
     // unweighted traces, at least one preemption-forcing trace, and the
     // pinned sweep exercises every registered algorithm.
     let corpus = corpus();
-    assert_eq!(corpus.len(), 11);
+    assert_eq!(corpus.len(), 12);
     assert!(corpus.iter().any(|(_, i)| i.is_unweighted()));
     assert!(corpus.iter().any(|(_, i)| !i.is_unweighted()));
     assert!(corpus.iter().all(|(_, i)| !i.requests.is_empty()));
