@@ -31,12 +31,31 @@
 //!
 //! * Consecutive augmentation rounds on one edge with no saturation
 //!   multiply each weight by a constant factor, so we **batch** them:
-//!   binary-search the smallest round count `t` that either satisfies
-//!   the covering condition or saturates some request, then apply
+//!   find the smallest round count `t` that either satisfies the
+//!   covering condition or saturates some request, then apply
 //!   `f_i ← f_i·mult_i^t` in one pass. This is bit-identical in effect
 //!   to looping the paper's step 2 and keeps adversarial instances
 //!   polynomial. The reported augmentation counter counts the paper's
 //!   rounds (i.e. `t`, not 1) so Lemma 1 can be validated.
+//! * A batch pays per **distinct multiplier**, not per alive request:
+//!   requests of equal normalized cost share `mult_i`, so a probe
+//!   `S(t) = Σ_i f_i·mult_i^t` takes one `powf` per distinct
+//!   multiplier and sums the products in `ALIVE_e` order — the same
+//!   operands in the same order as a per-request `powf`, hence the
+//!   same bits. The applied weights reuse the powers of the probe that
+//!   found `t`, and only the requests carrying nearly their group's
+//!   largest weight are candidates for the first saturation `t_cross`.
+//! * The round count is **root-guided**: each probe of `S` is a Newton
+//!   step on the logarithm of the continuous relaxation
+//!   `Σ_k F_k·e^{t·ln M_k} = n_e` (`F_k` the weight carried at
+//!   multiplier `M_k`), rounded to a whole round count, so a batch
+//!   usually settles in two probes: the answer and the count below
+//!   it. Every round multiplies each weight by at least
+//!   `1 + 1/(n_e·g)`, so `S` is strictly increasing in `t`: any search
+//!   returning the smallest `t ≤ t_cross` with `S(t) ≥ n_e` (else
+//!   `t_cross`) returns the same `t` as a binary search over
+//!   `[1, t_cross]`, and weights, costs and the §3 rounding's random
+//!   draws stay bit-identical.
 //! * On an α-doubling we keep accumulated weights (they are sunk,
 //!   monotone cost) and only reset the *phase* spend; the paper's
 //!   "forget" step is an accounting device in the proof — keeping the
@@ -59,17 +78,14 @@ pub enum Classification {
     Mid,
 }
 
-/// What happened while processing one arrival.
+/// What happened while processing one arrival. The weight increases
+/// it caused are in [`FracEngine::deltas`].
 #[derive(Clone, Debug)]
 pub struct ArrivalReport {
     /// The id assigned to the arrival (dense arrival index).
     pub id: RequestId,
     /// Its preprocessing class.
     pub class: Classification,
-    /// `(request, weight increase)` for every request whose weight grew
-    /// during this arrival, **including** the arrival itself. Feeds
-    /// step 3 of the §3 randomized rounding.
-    pub deltas: Vec<(RequestId, f64)>,
     /// Paper-rounds of weight augmentation performed for this arrival.
     pub augmentations: u64,
     /// Did `α` double while processing this arrival?
@@ -104,6 +120,8 @@ pub struct FracEngine {
     c_max: f64,
     /// Normalized cost ceiling `g` (`2mc` weighted, `1` unweighted).
     g: f64,
+    /// `max(1, ln(2gc))`, the doubling trigger's `log(gc)`.
+    log_gc: f64,
     /// Current OPT guess; `0` until the first forced rejection.
     alpha: f64,
     requests: Vec<ReqState>,
@@ -119,9 +137,159 @@ pub struct FracEngine {
     f_before: Vec<f64>,
     touched_stamp: Vec<u32>,
     stamp: u32,
+    /// The last arrival's positive weight increases, in touch order.
+    deltas: Vec<(RequestId, f64)>,
+    batch: Batch,
     /// Set by `ensure_covered` when it initializes `α`, consumed by
     /// `on_request` to trigger re-classification.
     alpha_just_set: bool,
+}
+
+/// One batch of augmentation rounds on one edge: the alive requests
+/// after the batch's first round, grouped by multiplier. Kept in the
+/// engine and cleared, not freed, so batches allocate nothing.
+#[derive(Default)]
+struct Batch {
+    /// `ALIVE_e` at the start of the batch.
+    ids: Vec<u32>,
+    /// Weight of `ids[k]` after the first round.
+    fs: Vec<f64>,
+    /// `(mult bits, k)` for every request; sorted to group them.
+    order: Vec<(u64, u32)>,
+    /// Index into `groups` of request `k`'s multiplier.
+    group: Vec<u32>,
+    groups: Vec<Group>,
+    /// `M^t` per group, of the last probe and of the best round count
+    /// found so far.
+    pows: Vec<f64>,
+    pows_hi: Vec<f64>,
+}
+
+/// The requests of a batch that share a multiplier.
+struct Group {
+    /// The multiplier `M` and `ln M`.
+    mult: f64,
+    log: f64,
+    /// The group's total weight `F` and its largest weight.
+    mass: f64,
+    top: f64,
+}
+
+/// Newton probes before the round search falls back to bisection.
+const NEWTON_PROBES: usize = 8;
+
+/// A request whose weight is below its group's largest times this
+/// saturates no sooner than that one, so `t_cross` skips it: its
+/// `ln(1/f)` exceeds the largest weight's by at least `2⁻²¹`, far above
+/// `ln`'s rounding error, and the rest of the round-count expression is
+/// monotone. Skipping leaves `t_cross` bit-exact.
+const NEAR_TOP: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+
+impl Batch {
+    /// Group the requests by multiplier and return `t_cross`, the round
+    /// count at which the first request saturates.
+    fn group(&mut self) -> u64 {
+        self.order.sort_unstable();
+        self.group.resize(self.fs.len(), 0);
+        self.groups.clear();
+        for &(bits, k) in &self.order {
+            if self.groups.last().map(|g| g.mult.to_bits()) != Some(bits) {
+                let mult = f64::from_bits(bits);
+                self.groups.push(Group {
+                    mult,
+                    log: mult.ln(),
+                    mass: 0.0,
+                    top: 0.0,
+                });
+            }
+            let f = self.fs[k as usize];
+            let g = self.groups.len() - 1;
+            self.group[k as usize] = g as u32;
+            self.groups[g].mass += f;
+            self.groups[g].top = self.groups[g].top.max(f);
+        }
+        let mut t_cross = u64::MAX;
+        for (f, &g) in self.fs.iter().zip(&self.group) {
+            let g = &self.groups[g as usize];
+            if *f >= g.top * NEAR_TOP {
+                let t = ((1.0 / f).ln() / g.log).ceil().max(1.0);
+                t_cross = t_cross.min(t as u64);
+            }
+        }
+        t_cross
+    }
+
+    /// `pows[g] = M_g^t`: one `powf` per distinct multiplier.
+    fn power(&mut self, t: u64) {
+        self.pows.clear();
+        self.pows
+            .extend(self.groups.iter().map(|g| g.mult.powf(t as f64)));
+    }
+
+    /// `S(t) = Σ_k f_k·M_k^t`, summed in `ids` order, and its slope
+    /// `S'(t) = Σ_g F_g·M_g^t·ln M_g`.
+    fn probe(&mut self, t: u64) -> (f64, f64) {
+        self.power(t);
+        let pows = &self.pows;
+        let s = self
+            .fs
+            .iter()
+            .zip(&self.group)
+            .map(|(f, &g)| f * pows[g as usize])
+            .sum();
+        let ds = pows
+            .iter()
+            .zip(&self.groups)
+            .map(|(p, g)| p * g.mass * g.log)
+            .sum();
+        (s, ds)
+    }
+
+    /// The batch's round count: the smallest `t ≤ t_cross` with
+    /// `S(t) ≥ n_e`, else `t_cross`. Requires `S(0) < n_e`.
+    ///
+    /// The answer stays in `(lo, hi]`. Each probe is a Newton step on
+    /// `ln S(t) − ln n_e` from the previous probe, rounded up and kept
+    /// inside the bracket; that function is convex and increasing, so
+    /// the steps land at or right of the root and shrink towards it,
+    /// and the last probe below the answer certifies it. Bisection
+    /// takes over after `NEWTON_PROBES` probes.
+    fn rounds(&mut self, ne: f64) -> u64 {
+        let t_cross = self.group();
+        let target = ne.ln();
+        let (mut lo, mut hi) = (0u64, t_cross);
+        let mut t = 0;
+        let mut s: f64 = self.groups.iter().map(|g| g.mass).sum();
+        let mut ds: f64 = self.groups.iter().map(|g| g.mass * g.log).sum();
+        let (mut probes, mut hi_probed) = (0, false);
+        while hi - lo > 1 {
+            t = if probes < NEWTON_PROBES {
+                let step = (s.ln() - target) * s / ds;
+                ((t as f64 - step).ceil() as u64).clamp(lo + 1, hi - 1)
+            } else {
+                lo + (hi - lo) / 2
+            };
+            probes += 1;
+            (s, ds) = self.probe(t);
+            if s >= ne {
+                hi = t;
+                hi_probed = true;
+                std::mem::swap(&mut self.pows, &mut self.pows_hi);
+            } else {
+                lo = t;
+            }
+        }
+        if !hi_probed {
+            self.power(hi);
+            std::mem::swap(&mut self.pows, &mut self.pows_hi);
+        }
+        hi
+    }
+
+    /// Request `k`'s weight after the rounds `rounds` returned.
+    fn weight(&self, k: usize) -> f64 {
+        self.fs[k] * self.pows_hi[self.group[k] as usize]
+    }
 }
 
 impl FracEngine {
@@ -138,6 +306,7 @@ impl FracEngine {
             m,
             c_max,
             g,
+            log_gc: (2.0 * g * c_max).ln().max(1.0),
             alpha: 0.0,
             requests: Vec::new(),
             edges: capacities
@@ -156,6 +325,8 @@ impl FracEngine {
             f_before: Vec::new(),
             touched_stamp: Vec::new(),
             stamp: 0,
+            deltas: Vec::new(),
+            batch: Batch::default(),
             alpha_just_set: false,
         }
     }
@@ -188,6 +359,19 @@ impl FracEngine {
     /// Current weight `f_i` of a request.
     pub fn weight(&self, id: RequestId) -> f64 {
         self.requests[id.index()].f
+    }
+
+    /// The footprint a request arrived with.
+    pub fn footprint(&self, id: RequestId) -> &EdgeSet {
+        &self.requests[id.index()].footprint
+    }
+
+    /// `(request, weight increase)` for every request whose weight grew
+    /// during the last [`FracEngine::on_request`], **including** the
+    /// arrival itself, in the order they were first touched. Feeds
+    /// step 3 of the §3 randomized rounding.
+    pub fn deltas(&self) -> &[(RequestId, f64)] {
+        &self.deltas
     }
 
     /// Number of requests seen.
@@ -361,8 +545,7 @@ impl FracEngine {
             if self.alpha <= 0.0 {
                 break;
             }
-            let threshold =
-                self.cfg.doubling_factor * self.alpha * (2.0 * self.g * self.c_max).ln().max(1.0);
+            let threshold = self.cfg.doubling_factor * self.alpha * self.log_gc;
             if self.phase_cost <= threshold {
                 break;
             }
@@ -380,23 +563,18 @@ impl FracEngine {
         }
         self.total_augmentations += aug_rounds;
 
-        let deltas: Vec<(RequestId, f64)> = self
-            .touched
-            .iter()
-            .map(|&i| {
-                (
-                    RequestId(i),
-                    self.requests[i as usize].f - self.f_before[i as usize],
-                )
-            })
-            .filter(|&(_, d)| d > 0.0)
-            .collect();
+        self.deltas.clear();
+        for &i in &self.touched {
+            let d = self.requests[i as usize].f - self.f_before[i as usize];
+            if d > 0.0 {
+                self.deltas.push((RequestId(i), d));
+            }
+        }
         ArrivalReport {
             id,
             // Report the class after any re-classification this arrival
             // triggered (e.g. the newcomer became Big when α was set).
             class: self.requests[id.index()].class,
-            deltas,
             augmentations: aug_rounds,
             doubled,
         }
@@ -470,15 +648,15 @@ impl FracEngine {
             if ne >= alive_len {
                 // Adjusted capacity ≤ 0: the covering condition can only
                 // be met by fully rejecting every alive request.
-                let ids: Vec<u32> = self.edges[e].alive.clone();
-                if ids.is_empty() {
+                if alive_len == 0 {
                     // No alive mass left to shed: the constraint is
                     // vacuously binding (cap_adj never goes negative, so
                     // this cannot occur; kept as a progress guarantee).
                     debug_assert!(self.edges[e].cap_adj >= 0);
                     return rounds;
                 }
-                for i in ids {
+                for k in 0..self.edges[e].alive.len() {
+                    let i = self.edges[e].alive[k];
                     self.touch(i);
                     self.set_weight(i, 1.0);
                 }
@@ -512,74 +690,44 @@ impl FracEngine {
                     return rounds;
                 }
             }
-
-            // Round 1 of this batch: seed zero weights, multiply once.
-            let ids: Vec<u32> = self.edges[e].alive.clone();
-            let seed = 1.0 / (self.g * self.c_max);
-            for &i in &ids {
-                self.touch(i);
-                let r = &self.requests[i as usize];
-                let base = if r.f == 0.0 { seed } else { r.f };
-                let mult = 1.0 + 1.0 / (ne_f * self.p_norm(r.cost));
-                let v = base * mult;
-                self.set_weight(i, v);
-            }
-            rounds += 1;
-
-            // Batch further rounds while nothing saturates and n_e is
-            // unchanged: find max t with no f crossing 1, then binary
-            // search the smallest t achieving coverage.
-            let mut fs: Vec<f64> = Vec::with_capacity(ids.len());
-            let mut mults: Vec<f64> = Vec::with_capacity(ids.len());
-            let mut any_saturated = false;
-            for &i in &ids {
-                let r = &self.requests[i as usize];
-                if r.f >= 1.0 {
-                    any_saturated = true;
-                }
-                fs.push(r.f);
-                mults.push(1.0 + 1.0 / (ne_f * self.p_norm(r.cost)));
-            }
-            if any_saturated {
-                continue; // ALIVE changed; recompute from scratch.
-            }
-            let sum_now: f64 = fs.iter().sum();
-            if sum_now >= ne_f {
-                continue; // covering met; outer loop will confirm & exit.
-            }
-            // Rounds until the first saturation.
-            let mut t_cross = u64::MAX;
-            for (f, m) in fs.iter().zip(&mults) {
-                let t = ((1.0 / f).ln() / m.ln()).ceil().max(1.0);
-                t_cross = t_cross.min(t as u64);
-            }
-            let sum_at = |t: u64| -> f64 {
-                fs.iter()
-                    .zip(&mults)
-                    .map(|(f, m)| f * m.powf(t as f64))
-                    .sum()
-            };
-            let t_apply = if sum_at(t_cross) < ne_f {
-                t_cross // saturate someone, then re-derive n_e
-            } else {
-                // Smallest t in [1, t_cross] with sum ≥ n_e.
-                let (mut lo, mut hi) = (1u64, t_cross);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if sum_at(mid) >= ne_f {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                lo
-            };
-            for (k, &i) in ids.iter().enumerate() {
-                let v = fs[k] * mults[k].powf(t_apply as f64);
-                self.set_weight(i, v);
-            }
-            rounds += t_apply;
+            rounds += self.augment(e, ne_f);
         }
+    }
+
+    /// One batch of rounds on edge `e` with excess `ne`: the first round
+    /// seeds zero weights and multiplies once; while nothing saturates
+    /// and `n_e` is unchanged, further rounds are batched up to the
+    /// first that covers the edge or saturates a request. Returns the
+    /// rounds performed; the caller re-derives `ALIVE_e` and `n_e`.
+    fn augment(&mut self, e: usize, ne: f64) -> u64 {
+        let mut b = std::mem::take(&mut self.batch);
+        b.ids.clear();
+        b.ids.extend_from_slice(&self.edges[e].alive);
+        b.fs.clear();
+        b.order.clear();
+        let seed = 1.0 / (self.g * self.c_max);
+        let mut saturated = false;
+        for (k, &i) in b.ids.iter().enumerate() {
+            self.touch(i);
+            let r = &self.requests[i as usize];
+            let base = if r.f == 0.0 { seed } else { r.f };
+            let mult = 1.0 + 1.0 / (ne * self.p_norm(r.cost));
+            let v = base * mult;
+            self.set_weight(i, v);
+            saturated |= v >= 1.0;
+            b.fs.push(v);
+            b.order.push((mult.to_bits(), k as u32));
+        }
+        let mut rounds = 1;
+        if !saturated && b.fs.iter().sum::<f64>() < ne {
+            let t = b.rounds(ne);
+            for (k, &i) in b.ids.iter().enumerate() {
+                self.set_weight(i, b.weight(k));
+            }
+            rounds += t;
+        }
+        self.batch = b;
+        rounds
     }
 }
 
@@ -738,12 +886,12 @@ mod tests {
     fn deltas_reported_for_touched_requests() {
         let mut eng = unit_engine(&[1]);
         eng.on_request(&fp(&[0]), 1.0);
-        let rep = eng.on_request(&fp(&[0]), 1.0);
-        assert!(!rep.deltas.is_empty());
-        let total: f64 = rep.deltas.iter().map(|&(_, d)| d).sum();
+        eng.on_request(&fp(&[0]), 1.0);
+        assert!(!eng.deltas().is_empty());
+        let total: f64 = eng.deltas().iter().map(|&(_, d)| d).sum();
         assert!(total > 0.0);
         // Every delta is positive and belongs to a known request.
-        for &(r, d) in &rep.deltas {
+        for &(r, d) in eng.deltas() {
             assert!(d > 0.0);
             assert!(r.index() < eng.num_requests());
         }
@@ -776,5 +924,185 @@ mod tests {
             .sum();
         assert!(sum >= 5.0 - 1e-9, "covering mass {sum} < n_e");
         assert!(sum <= 5.0 * 4.0, "covering mass {sum} wildly above n_e");
+    }
+
+    /// The reference for `Batch::rounds`: a `powf` per request in every
+    /// probe and a binary search over `[1, t_cross]`. Returns `t`,
+    /// whether the first saturation comes before coverage, and the
+    /// weights it applies.
+    fn binary_search_rounds(fs: &[f64], mults: &[f64], ne_f: f64) -> (u64, bool, Vec<f64>) {
+        let mut t_cross = u64::MAX;
+        for (f, m) in fs.iter().zip(mults) {
+            let t = ((1.0 / f).ln() / m.ln()).ceil().max(1.0);
+            t_cross = t_cross.min(t as u64);
+        }
+        let sum_at = |t: u64| -> f64 {
+            fs.iter()
+                .zip(mults)
+                .map(|(f, m)| f * m.powf(t as f64))
+                .sum()
+        };
+        let saturate_first = sum_at(t_cross) < ne_f;
+        let t_apply = if saturate_first {
+            t_cross
+        } else {
+            let (mut lo, mut hi) = (1u64, t_cross);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if sum_at(mid) >= ne_f {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        };
+        let weights = fs
+            .iter()
+            .zip(mults)
+            .map(|(f, m)| f * m.powf(t_apply as f64))
+            .collect();
+        (t_apply, saturate_first, weights)
+    }
+
+    /// Random batches shaped like the engine's (1–64 alive requests,
+    /// normalized costs from one value, from {1..4} or all distinct, or
+    /// unweighted; weights from the seed weight to just below 1) must
+    /// get the binary search's round count and bit-identical weights.
+    /// Fails unless t_cross = 1, saturation before coverage, t past
+    /// 10⁶ and weights on both sides of `NEAR_TOP` all occurred.
+    ///
+    /// Cascades make the Newton probes slow: normalized costs grow
+    /// geometrically and weights shrink geometrically towards the cheap
+    /// end, so each multiplier dominates the sum in turn and the probes
+    /// step through them one by one until bisection takes over.
+    #[test]
+    fn round_search_oracle_matches_binary_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut batch = Batch::default();
+        let (mut mults, mut fs) = (Vec::new(), Vec::new());
+        let mut alive_seen = [false; 65];
+        // [one cost, costs from {1..4}, all distinct, unweighted, cascade]
+        let mut cost_modes = [0u32; 5];
+        let (mut t_cross_one, mut saturate_first, mut max_t) = (0u32, 0u32, 0u64);
+        let mut covered_first = 0u32;
+        // Requests below their group's top weight: inside `NEAR_TOP`,
+        // and just outside it.
+        let (mut near_top, mut skipped_near_top) = (0u32, 0u32);
+        let mut cases = 0;
+        while cases < 4000 {
+            let mode = rng.gen_range(0..5usize);
+            let cascade = mode == 4;
+            let alive = rng.gen_range(if cascade { 56 } else { 1 }..=64usize);
+            let ne_max = if cascade {
+                1
+            } else {
+                alive.saturating_sub(1).max(1)
+            };
+            let ne = rng.gen_range(1..=ne_max) as f64;
+            // `m·c` from a unit line up to a large network, where one
+            // round moves a weight by ~1e-5 and t reaches ~1e6.
+            let c = f64::from(rng.gen_range(if cascade { 10 } else { 1 }..=10u32));
+            let m: f64 =
+                [1.0, 16.0, 512.0, 10_000.0][rng.gen_range(if cascade { 3 } else { 0 }..4usize)];
+            let g = if mode == 3 { 1.0 } else { 2.0 * m * c };
+            let alpha: f64 = rng.gen_range(0.5..4.0);
+            let one_cost = rng.gen_range(alpha / (m * c)..=2.0 * alpha);
+            let seed = 1.0 / (g * c);
+            // Fresh requests, log-uniform weights, weights in [low, 1),
+            // weights within 2⁻¹⁸ of each other, and fresh requests next
+            // to nearly saturated ones.
+            let weights = rng.gen_range(0..5u32);
+            let low = seed.powf(rng.gen_range(0.0..1.0));
+            let (ratio, top, shrink) = (
+                rng.gen_range(4.0f64..4.3),
+                rng.gen_range(0.2..0.3),
+                rng.gen_range(0.75f64..0.78),
+            );
+            mults.clear();
+            fs.clear();
+            batch.fs.clear();
+            batch.order.clear();
+            for k in 0..alive {
+                let cost: f64 = match mode {
+                    0 => one_cost,
+                    1 => rng.gen_range(1..=4u32) as f64,
+                    _ => rng.gen_range(alpha / (m * c)..=2.0 * alpha),
+                };
+                // The engine's `p_norm` and first round.
+                let p = match mode {
+                    3 => 1.0,
+                    4 => (one_cost * ratio.powi(k as i32)).clamp(1.0, g),
+                    _ => (cost * m * c / alpha).clamp(1.0, g),
+                };
+                let mult = 1.0 + 1.0 / (ne * p);
+                let base = match weights {
+                    _ if cascade => top * shrink.powi((alive - 1 - k) as i32),
+                    0 => seed,
+                    1 => seed.powf(rng.gen_range(0.0..1.0)),
+                    2 => low + (1.0 - low) * rng.gen_range(0.0..1.0),
+                    3 => low * (1.0 - rng.gen_range(0.0..1.0) / (1u64 << 18) as f64),
+                    _ if rng.gen_bool(0.1) => rng.gen_range(0.5..1.0),
+                    _ => seed,
+                };
+                let f = base * mult;
+                mults.push(mult);
+                fs.push(f);
+                batch.fs.push(f);
+                batch.order.push((mult.to_bits(), k as u32));
+            }
+            // The engine searches only batches that neither saturate
+            // nor cover the edge in their first round.
+            if fs.iter().any(|&f| f >= 1.0) || fs.iter().sum::<f64>() >= ne {
+                continue;
+            }
+            let (want_t, sat_first, want_w) = binary_search_rounds(&fs, &mults, ne);
+            let got_t = batch.rounds(ne);
+            assert_eq!(
+                got_t, want_t,
+                "case {cases}: fs {fs:?} mults {mults:?} ne {ne}"
+            );
+            for (k, w) in want_w.iter().enumerate() {
+                assert_eq!(
+                    batch.weight(k).to_bits(),
+                    w.to_bits(),
+                    "case {cases}: weight {k} (t {want_t})"
+                );
+            }
+            cases += 1;
+            alive_seen[alive] = true;
+            cost_modes[mode] += 1;
+            t_cross_one += u32::from(
+                fs.iter()
+                    .zip(&mults)
+                    .any(|(f, m)| ((1.0 / f).ln() / m.ln()).ceil() <= 1.0),
+            );
+            saturate_first += u32::from(sat_first);
+            covered_first += u32::from(!sat_first);
+            for (f, &g) in fs.iter().zip(&batch.group) {
+                let top = batch.groups[g as usize].top;
+                if *f < top && *f >= top * NEAR_TOP {
+                    near_top += 1;
+                } else if *f < top * NEAR_TOP && *f >= top * (1.0 - 4.0 * (1.0 - NEAR_TOP)) {
+                    skipped_near_top += 1;
+                }
+            }
+            max_t = max_t.max(want_t);
+        }
+        assert!(alive_seen[1..].iter().all(|&s| s), "alive counts 1..=64");
+        assert!(
+            cost_modes.iter().all(|&n| n > 0),
+            "cost modes {cost_modes:?}"
+        );
+        assert!(t_cross_one > 0, "no batch with t_cross = 1");
+        assert!(saturate_first > 0, "no batch saturating before it covers");
+        assert!(covered_first > 0, "no batch covering before it saturates");
+        assert!(max_t >= 1_000_000, "largest t {max_t}");
+        assert!(
+            near_top > 0 && skipped_near_top > 0,
+            "weights near the top: {near_top} inside, {skipped_near_top} outside"
+        );
     }
 }

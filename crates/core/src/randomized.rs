@@ -33,7 +33,7 @@ use crate::config::RandConfig;
 use crate::fractional::{Classification, FracEngine};
 use crate::instance::{Request, RequestId};
 use crate::online::{OnlineAdmission, Outcome};
-use acmr_graph::{EdgeSet, LoadTracker};
+use acmr_graph::LoadTracker;
 use rand::Rng;
 
 /// Integral status of a request inside [`RandomizedAdmission`].
@@ -49,7 +49,6 @@ pub struct RandomizedAdmission<R: Rng> {
     frac: FracEngine,
     load: LoadTracker,
     status: Vec<Status>,
-    footprints: Vec<EdgeSet>,
     /// Rejection threshold `1/(K_t·L)` (fixed per instance scale).
     threshold: f64,
     /// Probability multiplier `K_p·L`.
@@ -72,7 +71,6 @@ impl<R: Rng> RandomizedAdmission<R> {
             frac: FracEngine::new(capacities, cfg.frac),
             load: LoadTracker::from_capacities(capacities.to_vec()),
             status: Vec::new(),
-            footprints: Vec::new(),
             threshold: 1.0 / (cfg.threshold_const * scale_log),
             prob_mult: cfg.prob_const * scale_log,
             hot_edge_cutoff: 4 * (m as u64) * (c as u64) * (c as u64),
@@ -97,7 +95,7 @@ impl<R: Rng> RandomizedAdmission<R> {
     fn reject(&mut self, id: RequestId) {
         if self.status[id.index()] == Status::Accepted {
             self.status[id.index()] = Status::Rejected;
-            self.load.release(&self.footprints[id.index()]);
+            self.load.release(self.frac.footprint(id));
             self.preempted_scratch.push(id);
         }
     }
@@ -114,7 +112,6 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
         debug_assert_eq!(id.index(), self.status.len(), "arrivals must be dense");
         self.preempted_scratch.clear();
-        self.footprints.push(request.footprint.clone());
         // Tentatively rejected until step 4 decides.
         self.status.push(Status::Rejected);
 
@@ -133,7 +130,7 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
                         .map(RequestId)
                         .filter(|r| {
                             self.status[r.index()] == Status::Accepted
-                                && self.footprints[r.index()].contains(e)
+                                && self.frac.footprint(*r).contains(e)
                         })
                         .collect();
                     for v in victims {
@@ -152,7 +149,7 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
         }
 
         // Steps 2–3 run for every arrival, whatever the newcomer's
-        // class: the weight increases in `report.deltas` belong to
+        // class: the weight increases in `frac.deltas()` belong to
         // *previously accepted* requests (e.g. a Big arrival squeezes
         // the capacity and pumps incumbent weights — they must get
         // their rejection chance now, or step 4 starves).
@@ -160,7 +157,8 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
         // Step 2: reject requests whose weight crossed the threshold.
         // Only requests touched this arrival can have crossed it.
         let mut newcomer_dead = false;
-        for &(r, _) in &report.deltas {
+        for k in 0..self.frac.deltas().len() {
+            let (r, _) = self.frac.deltas()[k];
             if self.frac.weight(r) >= self.threshold {
                 if r == id {
                     newcomer_dead = true;
@@ -171,7 +169,8 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
         }
 
         // Step 3: probabilistic rejection proportional to the increase.
-        for &(r, delta) in &report.deltas {
+        for k in 0..self.frac.deltas().len() {
+            let (r, delta) = self.frac.deltas()[k];
             if r == id && newcomer_dead {
                 continue;
             }
@@ -220,7 +219,7 @@ impl<R: Rng> OnlineAdmission for RandomizedAdmission<R> {
 mod tests {
     use super::*;
     use crate::config::RandConfig;
-    use acmr_graph::EdgeId;
+    use acmr_graph::{EdgeId, EdgeSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -27,11 +27,12 @@
 //! through [`Session::push`] (a property the harness's differential
 //! suite asserts for every registered algorithm) — while the batch
 //! shape lets the session amortize what per-push calls cannot:
-//! footprints are validated in one upfront pass before the algorithm
-//! sees anything, per-arrival bookkeeping vectors are grown once per
-//! batch, the load-audit coherence sweep runs once per batch instead of
-//! once per arrival, and the reused event buffer means steady-state
-//! batch processing performs no per-event allocations in this layer.
+//! footprints and costs are validated in one upfront pass before the
+//! algorithm sees anything, per-arrival bookkeeping vectors are grown
+//! once per batch, the load-audit coherence sweep runs once per batch
+//! instead of once per arrival, and the reused event buffer means
+//! steady-state batch processing performs no per-event allocations in
+//! this layer.
 //!
 //! ## Streaming ingestion
 //!
@@ -216,8 +217,9 @@ impl<A: OnlineAdmission> Session<A> {
     /// Feed one arrival; audit and apply the algorithm's decision.
     ///
     /// Errors with [`AcmrError::InvalidRequest`] if the footprint
-    /// references an edge outside the capacity vector (the request is
-    /// not shown to the algorithm), and with
+    /// references an edge outside the capacity vector or the cost is
+    /// not positive and finite (the request is not shown to the
+    /// algorithm), and with
     /// [`AcmrError::ContractViolation`] if the algorithm breaks the
     /// online contract (the session is then poisoned).
     ///
@@ -246,9 +248,19 @@ impl<A: OnlineAdmission> Session<A> {
         Ok(event)
     }
 
-    /// Range-check a footprint against the session's edge universe
-    /// without showing the request to the algorithm.
+    /// Check the cost and range-check the footprint against the
+    /// session's edge universe without showing the request to the
+    /// algorithm: `Request`'s fields are public, so `Request::new`'s
+    /// cost check may have been skipped.
     fn validate(&self, request: &Request) -> Result<(), AcmrError> {
+        if !(request.cost > 0.0 && request.cost.is_finite()) {
+            return Err(AcmrError::InvalidRequest {
+                reason: format!(
+                    "request cost must be positive and finite, got {}",
+                    request.cost
+                ),
+            });
+        }
         let num_edges = self.audit.num_edges();
         if let Some(e) = request.footprint.iter().find(|e| e.index() >= num_edges) {
             return Err(AcmrError::InvalidRequest {
@@ -338,7 +350,7 @@ impl<A: OnlineAdmission> Session<A> {
     ///
     /// `events` is cleared first. The batch shape buys three
     /// amortizations over the per-push loop: the whole batch is
-    /// range-validated **upfront** (an invalid footprint anywhere
+    /// validated **upfront** (an invalid footprint or cost anywhere
     /// rejects the batch with [`AcmrError::InvalidRequest`] before *any*
     /// arrival is shown to the algorithm — no partial application on bad
     /// input), the per-arrival bookkeeping vectors are reserved once, and

@@ -1,7 +1,8 @@
 //! Reference-model equivalence for the §2 fractional engine.
 //!
-//! `FracEngine` batches consecutive augmentation rounds (binary search
-//! on the round count) for speed. This test implements the paper's
+//! `FracEngine` batches consecutive augmentation rounds (one jump to
+//! the smallest round count that covers the edge or saturates a
+//! request) for speed. This test implements the paper's
 //! pseudocode *literally* — one multiplicative round at a time, no
 //! batching, no reclassification shortcuts — and checks the production
 //! engine produces the same weights (within float slack) on unweighted

@@ -1,12 +1,17 @@
 //! Failure injection: the harness is the referee, so feed it
 //! deliberately broken "algorithms" and assert it catches every
 //! contract violation (capacity overflow, phantom preemption,
-//! accept-after-reject, double-bought sets, under-coverage).
+//! accept-after-reject, double-bought sets, under-coverage), and feed
+//! every registered algorithm malformed requests the session must
+//! refuse before the algorithm sees them.
 
 use acmr_core::setcover::{OnlineSetCover, SetId, SetSystem};
-use acmr_core::{AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId};
+use acmr_core::{
+    AcmrError, AdmissionInstance, AlgorithmSpec, OnlineAdmission, Outcome, Request, RequestId,
+    Session,
+};
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_harness::{run_admission, run_set_cover};
+use acmr_harness::{default_registry, run_admission, run_set_cover};
 
 fn fp(ids: &[u32]) -> EdgeSet {
     EdgeSet::new(ids.iter().map(|&i| EdgeId(i)).collect())
@@ -173,4 +178,43 @@ fn referee_accepts_correct_algorithm() {
     );
     assert_eq!(run.sets_bought, 3);
     assert!(run.worst_coverage_ratio >= 1.0);
+}
+
+#[test]
+fn bad_costs_are_refused_for_every_algorithm_without_poisoning() {
+    // `Request`'s fields are public, so these costs can skip
+    // `Request::new`; the session must refuse them before the algorithm
+    // sees them, on the push and the batch path.
+    let registry = default_registry();
+    let good = Request::new(fp(&[0, 1]), 1.0);
+    for name in registry.names() {
+        let spec = AlgorithmSpec::parse(name).unwrap();
+        for cost in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = Request {
+                footprint: fp(&[0]),
+                cost,
+            };
+            let mut session = Session::from_registry(&registry, &spec, &[1, 1], 3).unwrap();
+            session.push(&good).unwrap();
+            let err = session.push(&bad).unwrap_err();
+            assert!(
+                matches!(err, AcmrError::InvalidRequest { .. }),
+                "{name}, cost {cost}: {err}"
+            );
+            let mut events = Vec::new();
+            let err = session
+                .push_batch_into(&[good.clone(), bad], &mut events)
+                .unwrap_err();
+            assert!(
+                matches!(err, AcmrError::InvalidRequest { .. }),
+                "{name}, cost {cost} in a batch: {err}"
+            );
+            assert!(events.is_empty(), "{name}: the batch was partly applied");
+            assert!(!session.is_poisoned(), "{name}, cost {cost}");
+            session.push(&good).unwrap();
+            let report = session.report();
+            assert_eq!(report.requests, 2, "{name}, cost {cost}");
+            assert!(report.rejected_cost.is_finite(), "{name}, cost {cost}");
+        }
+    }
 }
