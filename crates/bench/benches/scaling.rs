@@ -16,13 +16,23 @@
 //! The gate: for every algorithm, the 200k rate must be at least the
 //! 25k rate divided by [`MAX_SLOWDOWN`]. An algorithm whose decision
 //! cost grows with the number of past arrivals halves its rate with
-//! every doubling and fails by a wide margin. The summary, with the
-//! host's core count, lands in `BENCH_scaling.json`; the gate is
-//! checked after it is written.
+//! every doubling and fails by a wide margin.
+//!
+//! A bound arm times the report path's OPT bound the same way:
+//! `admission_opt` at the default budget on both prefixes (each fires
+//! the greedy/H tier; the 25k prefix is bounded 8 times per sample),
+//! with its own gate: the time per arrival at 200k may be at most
+//! [`MAX_BOUND_SLOWDOWN`] times the time at 25k. The lazy greedy is
+//! `O((items + nnz) · log items)`, so its time per arrival grows only
+//! with the log and with cache misses; a rescan per pick grows with
+//! the prefix itself.
+//!
+//! The summary, with the host's core count, lands in
+//! `BENCH_scaling.json`; the gates are checked after it is written.
 
-use acmr_core::{AlgorithmSpec, ArrivalEvent, Registry, Request, Session};
+use acmr_core::{AdmissionInstance, AlgorithmSpec, ArrivalEvent, Registry, Request, Session};
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_harness::default_registry;
+use acmr_harness::{admission_opt, default_registry, BoundBudget, OptBoundKind};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +51,9 @@ const BATCH: usize = 256;
 const REPS: usize = 5;
 /// Largest tolerated `rate(25k) / rate(200k)`.
 const MAX_SLOWDOWN: f64 = 1.5;
+/// Largest tolerated growth of the OPT bound's time per arrival from
+/// the 25k to the 200k prefix.
+const MAX_BOUND_SLOWDOWN: f64 = 2.0;
 /// Trace generator seed.
 const SEED: u64 = 12;
 
@@ -66,6 +79,30 @@ struct AlgorithmScaling {
     slowdown: f64,
 }
 
+/// The OPT bound's runs on one prefix.
+#[derive(Serialize)]
+struct BoundArm {
+    arrivals: usize,
+    /// Bound computations per sample.
+    replays: usize,
+    /// Provenance label of the bound.
+    kind: &'static str,
+    value: f64,
+    /// Median sample time over the repetitions.
+    median_ms: f64,
+    /// `median_ms / (arrivals × replays)`, in nanoseconds.
+    ns_per_arrival: f64,
+}
+
+/// The bound's two arms and its slowdown between them.
+#[derive(Serialize)]
+struct BoundScaling {
+    arms: Vec<BoundArm>,
+    /// `ns_per_arrival(200k) / ns_per_arrival(25k)`; the gate requires
+    /// at most `max_bound_slowdown`.
+    slowdown: f64,
+}
+
 /// Host facts the rates depend on.
 #[derive(Serialize)]
 struct Host {
@@ -82,6 +119,8 @@ struct ScalingSummary {
     reps: usize,
     max_slowdown: f64,
     algorithms: Vec<AlgorithmScaling>,
+    max_bound_slowdown: f64,
+    bound: BoundScaling,
 }
 
 /// The seeded line trace: 200k arrivals with short contiguous
@@ -122,6 +161,65 @@ fn replay_ms(
         ms += start.elapsed().as_secs_f64() * 1e3;
     }
     ms
+}
+
+/// `admission_opt` at the default budget on each prefix, `SIZES[1] /
+/// n` times per sample, the prefixes interleaved over the repetitions.
+fn bound_scaling(caps: &[u32], trace: &[Request]) -> BoundScaling {
+    let instances: Vec<AdmissionInstance> = SIZES
+        .iter()
+        .map(|&n| {
+            let mut inst = AdmissionInstance::from_capacities(caps.to_vec());
+            for r in &trace[..n] {
+                inst.push(r.clone());
+            }
+            inst
+        })
+        .collect();
+    let mut times = [Vec::new(), Vec::new()];
+    let mut bounds = [None, None];
+    for _ in 0..REPS {
+        for (k, inst) in instances.iter().enumerate() {
+            let start = Instant::now();
+            for _ in 0..SIZES[1] / SIZES[k] {
+                let bound = admission_opt(inst, BoundBudget::default());
+                bounds[k] = Some(std::hint::black_box(bound));
+            }
+            times[k].push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let arms: Vec<BoundArm> = SIZES
+        .iter()
+        .zip(times)
+        .zip(bounds)
+        .map(|((&arrivals, t), bound)| {
+            let bound = bound.expect("at least one repetition");
+            assert_eq!(
+                bound.kind,
+                OptBoundKind::GreedyOverH,
+                "the {arrivals}-arrival prefix must be bounded at the greedy/H tier"
+            );
+            let replays = SIZES[1] / arrivals;
+            let median_ms = median(t);
+            BoundArm {
+                arrivals,
+                replays,
+                kind: bound.kind.label(),
+                value: bound.value,
+                median_ms,
+                ns_per_arrival: median_ms * 1e6 / (arrivals * replays) as f64,
+            }
+        })
+        .collect();
+    let slowdown = arms[1].ns_per_arrival / arms[0].ns_per_arrival;
+    println!(
+        "bench scaling/opt-bound ... {:.0} ns/arrival at {}k, {:.0} ns/arrival at {}k (slowdown {slowdown:.2}x)",
+        arms[0].ns_per_arrival,
+        SIZES[0] / 1000,
+        arms[1].ns_per_arrival,
+        SIZES[1] / 1000,
+    );
+    BoundScaling { arms, slowdown }
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -176,6 +274,7 @@ fn scaling_gate() {
             slowdown,
         });
     }
+    let bound = bound_scaling(&caps, &trace);
     let summary = ScalingSummary {
         bench: "scaling",
         workload: "line-512-cap8-200k",
@@ -186,14 +285,19 @@ fn scaling_gate() {
         reps: REPS,
         max_slowdown: MAX_SLOWDOWN,
         algorithms,
+        max_bound_slowdown: MAX_BOUND_SLOWDOWN,
+        bound,
     };
     acmr_bench::emit_bench_json("scaling", &summary);
-    let slow: Vec<String> = summary
+    let mut slow: Vec<String> = summary
         .algorithms
         .iter()
         .filter(|a| a.slowdown > MAX_SLOWDOWN)
         .map(|a| format!("{} ({:.2}x)", a.algorithm, a.slowdown))
         .collect();
+    if summary.bound.slowdown > MAX_BOUND_SLOWDOWN {
+        slow.push(format!("the OPT bound ({:.2}x)", summary.bound.slowdown));
+    }
     assert!(
         slow.is_empty(),
         "per-decision cost grows with trace length for: {}",

@@ -38,7 +38,7 @@ pub enum AcmrError {
         reason: String,
     },
     /// An online algorithm broke its contract mid-stream (capacity
-    /// violation, phantom preemption, accept-after-reject). The message
+    /// violation, phantom preemption, self-preemption). The message
     /// is phrased exactly like the historical harness panics so logs
     /// stay greppable.
     ContractViolation {

@@ -41,13 +41,13 @@
 //! (`acmr_workloads::trace::TraceReader`) yields — so a run never
 //! materializes its instance: this layer buffers at most one batch of
 //! the stream. What remains is the referee's own audit state —
-//! footprints of *currently accepted* requests plus a few bytes of
-//! accept/reject bookkeeping per arrival — which is why `acmr run
+//! footprints of *currently accepted* requests plus one empty
+//! `accepted` slot per past arrival — which is why `acmr run
 //! --stream`'s peak RSS is a small fraction of the materialized
 //! instance's (the streaming bench records both), not `O(1)`.
 //!
 //! Contract violations (capacity overflow, phantom preemption,
-//! accept-after-reject) surface as
+//! self-preemption) surface as
 //! [`AcmrError::ContractViolation`] with the same wording the harness
 //! panics always used; after one violation the session is *poisoned*
 //! and every further push fails fast.
@@ -110,7 +110,6 @@ pub struct Session<A: OnlineAdmission = Box<dyn OnlineAdmission>> {
     audit: LoadTracker,
     /// Per-request live state: footprint retained while accepted.
     accepted: Vec<Option<Request>>,
-    ever_rejected: Vec<bool>,
     stats: RunStats,
     poisoned: bool,
     /// Cancellation-cost factor `f`: every preemption of an admitted
@@ -154,7 +153,6 @@ impl<A: OnlineAdmission> Session<A> {
             alg,
             audit: LoadTracker::from_capacities(capacities.to_vec()),
             accepted: Vec::new(),
-            ever_rejected: Vec::new(),
             stats: RunStats::default(),
             poisoned: false,
             buyback_factor,
@@ -299,7 +297,6 @@ impl<A: OnlineAdmission> Session<A> {
                 );
             };
             self.audit.release(&victim.footprint);
-            self.ever_rejected[p.index()] = true;
             self.stats.currently_accepted -= 1;
             self.stats.rejected_count += 1;
             self.stats.rejected_cost += victim.cost;
@@ -308,13 +305,11 @@ impl<A: OnlineAdmission> Session<A> {
             rejected_cost_delta += victim.cost;
         }
 
-        // Referee phase 2: acceptance must be fresh and feasible.
+        // Referee phase 2: acceptance must be feasible. (It is always
+        // fresh: an outcome can accept only the newcomer, and phase 1
+        // refused a newcomer that preempts itself.)
         self.accepted.push(None);
-        self.ever_rejected.push(false);
         if out.accepted {
-            if self.ever_rejected[id.index()] {
-                return Err(self.violation("accepted a previously rejected request".to_string()));
-            }
             if !self.audit.fits(&request.footprint) {
                 return Err(self.violation(format!(
                     "accepting request {} violates a capacity",
@@ -325,7 +320,6 @@ impl<A: OnlineAdmission> Session<A> {
             self.accepted[id.index()] = Some(request.clone());
             self.stats.currently_accepted += 1;
         } else {
-            self.ever_rejected[id.index()] = true;
             self.stats.rejected_count += 1;
             self.stats.rejected_cost += request.cost;
             rejected_cost_delta += request.cost;
@@ -394,7 +388,6 @@ impl<A: OnlineAdmission> Session<A> {
         }
         events.reserve(batch.len());
         self.accepted.reserve(batch.len());
-        self.ever_rejected.reserve(batch.len());
         for request in batch {
             events.push(self.push_validated(request)?);
         }

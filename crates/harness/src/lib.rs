@@ -28,7 +28,7 @@
 //!
 //! * **The harness is the referee.** Every decision stream is replayed
 //!   against an external [`acmr_graph::LoadTracker`]; a capacity
-//!   violation or an accept-after-reject panics the run.
+//!   violation or a phantom preemption panics the run.
 //! * **Ratios are conservative.** Competitive ratios are reported
 //!   against the best available *lower bound* on OPT (exact B&B when it
 //!   proves optimality, LP relaxation otherwise, max-excess `Q` as a

@@ -1,7 +1,7 @@
 //! Failure injection: the harness is the referee, so feed it
 //! deliberately broken "algorithms" and assert it catches every
 //! contract violation (capacity overflow, phantom preemption,
-//! accept-after-reject, double-bought sets, under-coverage), and feed
+//! self-preemption, double-bought sets, under-coverage), and feed
 //! every registered algorithm malformed requests the session must
 //! refuse before the algorithm sees them.
 
@@ -86,6 +86,43 @@ impl OnlineAdmission for DoublePreempt {
 #[should_panic(expected = "not currently accepted")]
 fn referee_catches_double_preemption() {
     run_admission(&mut DoublePreempt, &overload_instance());
+}
+
+/// Accepts every newcomer while listing it among its own victims.
+struct SelfPreempt;
+impl OnlineAdmission for SelfPreempt {
+    fn name(&self) -> &'static str {
+        "self-preempt"
+    }
+    fn on_request(&mut self, id: RequestId, _r: &Request) -> Outcome {
+        Outcome {
+            accepted: true,
+            preempted: vec![id],
+        }
+    }
+}
+
+#[test]
+fn referee_refuses_self_preemption_and_poisons_the_session() {
+    let request = Request::unit(fp(&[0]));
+    let mut session = Session::new(SelfPreempt, &[1]);
+    let err = session.push(&request).unwrap_err();
+    assert!(
+        matches!(&err, AcmrError::ContractViolation { detail, .. }
+            if detail.contains("not currently accepted")),
+        "{err}"
+    );
+    assert!(session.is_poisoned());
+    assert!(matches!(
+        session.push(&request),
+        Err(AcmrError::SessionPoisoned)
+    ));
+    let mut events = Vec::new();
+    assert!(matches!(
+        session.push_batch_into(&[request], &mut events),
+        Err(AcmrError::SessionPoisoned)
+    ));
+    assert_eq!(session.stats().arrivals, 0);
 }
 
 fn tiny_system() -> SetSystem {

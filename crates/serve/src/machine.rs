@@ -31,6 +31,8 @@ use crate::protocol::{
 use acmr_core::{AcmrError, AlgorithmSpec, ArrivalEvent, Registry, Request, Session};
 use acmr_workloads::binfmt::decode_record;
 use acmr_workloads::trace::{parse_caps_line, parse_edges_line, parse_request_line, LineBuffer};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -380,19 +382,44 @@ impl Connection {
     }
 
     /// Run steps until the machine needs more input (or finished).
+    ///
+    /// A panic inside a step, such as an algorithm's `on_request`,
+    /// ends only this connection: it becomes the terminal typed `ERR`
+    /// like any other error, and the reactor shard driving the machine
+    /// keeps serving its other connections.
     fn pump(&mut self) {
         let before = self.out.len();
-        loop {
-            match self.step() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => {
-                    self.emit_error(&e);
-                    break;
-                }
-            }
+        let steps = panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), AcmrError> {
+            while self.step()? {}
+            Ok(())
+        }));
+        let error = match steps {
+            Ok(result) => result.err(),
+            Err(payload) => Some(self.panic_error(payload.as_ref())),
+        };
+        if let Some(e) = error {
+            self.emit_error(&e);
         }
         self.count_out(before);
+    }
+
+    /// The error a panicking step ends the connection with: a contract
+    /// violation of the live session's spec, carrying the panic
+    /// message. The panicking step already dropped the session.
+    fn panic_error(&self, payload: &(dyn Any + Send)) -> AcmrError {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let algorithm = match &self.session_meta {
+            Some((_, spec)) => spec.clone(),
+            None => "session setup".to_string(),
+        };
+        AcmrError::ContractViolation {
+            algorithm,
+            detail: format!("panicked: {message}"),
+        }
     }
 
     /// One step of progress: `Ok(true)` consumed a line or frame (or

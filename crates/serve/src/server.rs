@@ -24,9 +24,9 @@
 //! `ERR`/`REPORT` the peer has not read yet, so the reactor
 //! half-closes, keeps reading (bounded in time and bytes), then
 //! closes. Error handling is unchanged from the thread server — the
-//! machine turns every failure into one typed `ERR` reply and the
-//! *process* never dies on a bad stream; the protocol fuzz suite
-//! still pins that, byte for byte.
+//! machine turns every failure, an algorithm's panic included, into
+//! one typed `ERR` reply, and the *process* never dies on a bad
+//! stream; the protocol fuzz suite still pins that, byte for byte.
 
 use crate::machine::{Connection, MachineConfig, ServerCounters};
 use crate::protocol::ProtoVersion;
@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SendError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -512,16 +512,27 @@ fn accept_loop(
         let track = stream.try_clone().ok().map(|s| manager.track_connection(s));
         let shard = &shards[next_shard % shards.len()];
         next_shard += 1;
-        if shard
-            .tx
-            .send(NewConn {
-                stream,
-                busy,
-                track,
-            })
-            .is_ok()
-        {
-            let _ = shard.poller.notify();
+        let handoff = shard.tx.send(NewConn {
+            stream,
+            busy,
+            track,
+        });
+        match handoff {
+            Ok(()) => {
+                let _ = shard.poller.notify();
+            }
+            // The shard is gone: release what this accept took, or the
+            // gauge leaks toward `ERR busy` and the tracked clone keeps
+            // the peer waiting on an open socket.
+            Err(SendError(lost)) => {
+                if let Some(track) = lost.track {
+                    manager.untrack_connection(track);
+                }
+                if !lost.busy {
+                    counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+                }
+                let _ = lost.stream.shutdown(Shutdown::Both);
+            }
         }
     }
     // Stop: wake every shard (each also re-checks its flag at least

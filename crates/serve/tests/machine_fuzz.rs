@@ -19,7 +19,7 @@
 //!    machine cleanly finished: either the session completed, the
 //!    hangup was at a legal boundary, or one typed `ERR` closed it.
 
-use acmr_core::AdmissionInstance;
+use acmr_core::{AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
     decode_error_reply, decode_summary, write_frame, FrameBuffer, ProtoVersion, FRAME_BATCH,
@@ -32,6 +32,7 @@ use acmr_workloads::repeated_hot_edge;
 use acmr_workloads::trace::write_request_line;
 use proptest::prelude::*;
 use std::io::Write;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The wire dialect + acknowledgement mode matrix one generated
@@ -173,11 +174,13 @@ fn assert_typed_err(rest: &str, ctx: &str) {
 
 /// Walk a machine's complete output and assert every reply parses as
 /// the protocol grammar — lines until (and including) a v2-upgrading
-/// `OK`, frames after it — with every `ERR` typed. Returns whether an
-/// `ERR` was seen. Panics on anything unparseable: the machine must
-/// never emit garbage, whatever was fed in.
-fn assert_valid_output(out: &[u8], ctx: &str) -> bool {
-    let mut saw_err = false;
+/// `OK`, frames after it — with every `ERR` typed. Returns the replies
+/// in order: lines verbatim, then one entry per frame (`ERR <body>`
+/// for an error frame, the type byte otherwise). Panics on anything
+/// unparseable: the machine must never emit garbage, whatever was fed
+/// in.
+fn assert_valid_output(out: &[u8], ctx: &str) -> Vec<String> {
+    let mut replies = Vec::new();
     let mut rest = out;
     // Line dialect until the stream ends or an upgrade switches it.
     let mut upgraded = false;
@@ -189,11 +192,11 @@ fn assert_valid_output(out: &[u8], ctx: &str) -> bool {
         let line = std::str::from_utf8(&rest[..nl])
             .unwrap_or_else(|e| panic!("{ctx}: non-UTF-8 reply line: {e}"));
         rest = &rest[nl + 1..];
+        replies.push(line.to_string());
         if line == GREETING {
         } else if let Some(ok) = line.strip_prefix("OK ") {
             upgraded = ok.ends_with(" proto=v2");
         } else if let Some(err) = line.strip_prefix("ERR ") {
-            saw_err = true;
             assert_typed_err(err, ctx);
         } else if let Some(json) = line.strip_prefix("EVENT ") {
             serde_json::from_str::<acmr_core::ArrivalEvent>(json)
@@ -239,16 +242,18 @@ fn assert_valid_output(out: &[u8], ctx: &str) -> bool {
                         .unwrap_or_else(|e| panic!("{ctx}: malformed SUMMARY: {e}"));
                 }
                 FRAME_ERR => {
-                    saw_err = true;
                     let body = std::str::from_utf8(&payload)
                         .unwrap_or_else(|e| panic!("{ctx}: non-UTF-8 ERR frame: {e}"));
                     assert_typed_err(body, ctx);
+                    replies.push(format!("ERR {body}"));
+                    continue;
                 }
                 other => panic!("{ctx}: unexpected reply frame type 0x{other:02x}"),
             }
+            replies.push(format!("frame 0x{ty:02x}"));
         }
     }
-    saw_err
+    replies
 }
 
 /// Feed a whole script in one call, then EOF; return the output.
@@ -380,4 +385,53 @@ fn stats_probe_is_deterministic_for_a_fixed_feed() {
     assert_eq!(a1, b1);
     assert_eq!(a2, b2);
     assert_valid_output(&a1, "stats probe");
+}
+
+/// Rejects its first two arrivals, then panics: a bug inside an
+/// algorithm of a live session.
+struct PanicsOnThird;
+impl OnlineAdmission for PanicsOnThird {
+    fn name(&self) -> &'static str {
+        "panics-on-third"
+    }
+    fn on_request(&mut self, id: RequestId, _r: &Request) -> Outcome {
+        assert!(id.0 < 2, "injected fault at arrival {}", id.0);
+        Outcome::reject()
+    }
+}
+
+#[test]
+fn algorithm_panic_ends_the_session_with_one_typed_err() {
+    let mut registry = default_registry();
+    registry.register(
+        "panics-on-third",
+        "rejects two arrivals, then panics",
+        Box::new(|_, _| Ok(Box::new(PanicsOnThird))),
+    );
+    let registry = Arc::new(registry);
+    for mode in [Mode::V1, Mode::V2Summary, Mode::V2Events] {
+        for batch in [None, Some(5)] {
+            let ctx = format!("{mode:?}, batch {batch:?}");
+            let config = MachineConfig::default();
+            let counters = Arc::clone(&config.server);
+            let mut c = Connection::new(Arc::clone(&registry), config);
+            c.feed(&session_script(mode, "panics-on-third", batch, false));
+            assert!(c.is_done(), "{ctx}: the machine outlived the panic");
+            let replies = assert_valid_output(&c.drain_output(), &ctx);
+            let errs = replies.iter().filter(|r| r.starts_with("ERR ")).count();
+            assert_eq!(errs, 1, "{ctx}: {replies:?}");
+            let last = replies.last().unwrap();
+            assert!(
+                last.starts_with(
+                    "ERR violation panics-on-third: panicked: injected fault at arrival 2"
+                ),
+                "{ctx}: {last:?}"
+            );
+            assert_eq!(counters.sessions_opened.load(Ordering::Relaxed), 1, "{ctx}");
+            assert_eq!(counters.sessions_active.load(Ordering::Relaxed), 0, "{ctx}");
+            // A finished machine answers nothing more.
+            c.feed_eof();
+            assert!(c.drain_output().is_empty(), "{ctx}");
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! 3. a fresh, well-formed session on the same server still works —
 //!    the process survived.
 
-use acmr_core::Request;
+use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
@@ -26,6 +26,7 @@ use acmr_serve::{
 };
 use acmr_workloads::binfmt::encode_record_into;
 use acmr_workloads::repeated_hot_edge;
+use acmr_workloads::trace::write_request_line;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -919,4 +920,70 @@ fn negotiation_matrix_always_gets_a_typed_answer() {
     wait_for_drained(&v2_server);
     v1_server.shutdown();
     v2_server.shutdown();
+}
+
+/// Rejects its first two arrivals, then panics: a bug inside an
+/// algorithm of a live session.
+struct PanicsOnThird;
+impl OnlineAdmission for PanicsOnThird {
+    fn name(&self) -> &'static str {
+        "panics-on-third"
+    }
+    fn on_request(&mut self, id: RequestId, _r: &Request) -> Outcome {
+        assert!(id.0 < 2, "injected fault at arrival {}", id.0);
+        Outcome::reject()
+    }
+}
+
+#[test]
+fn algorithm_panic_costs_one_connection_and_the_server_keeps_serving() {
+    let mut registry = default_registry();
+    registry.register(
+        "panics-on-third",
+        "rejects two arrivals, then panics",
+        Box::new(|_, _| Ok(Box::new(PanicsOnThird))),
+    );
+    // One reactor shard: a panic that escaped the machine would take
+    // every later connection down with it.
+    let handle = serve(
+        registry,
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            reactor_threads: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind loopback server");
+    let inst = repeated_hot_edge(4, 3, 12);
+    let caps: Vec<String> = inst.capacities.iter().map(u32::to_string).collect();
+    let mut script = format!(
+        "OPEN panics-on-third\nedges {}\ncaps {}\n",
+        caps.len(),
+        caps.join(" ")
+    )
+    .into_bytes();
+    for r in &inst.requests {
+        write_request_line(&mut script, r).unwrap();
+    }
+    script.extend_from_slice(b"END\n");
+
+    // The panicking session: two events, one typed ERR, then EOF
+    // (`raw_exchange` returns only once the server closes, and fails
+    // after its read deadline otherwise).
+    let replies = raw_exchange(&handle, &script);
+    assert_eq!(replies.len(), 5, "{replies:?}");
+    assert!(replies[2].starts_with("EVENT ") && replies[3].starts_with("EVENT "));
+    assert!(
+        replies[4].starts_with("ERR violation panics-on-third: panicked: injected fault"),
+        "{replies:?}"
+    );
+
+    // Later connections are served: a sessionless STATS probe and a
+    // whole greedy session.
+    let stats = raw_exchange(&handle, b"STATS\n");
+    assert_eq!(stats.len(), 2, "{stats:?}");
+    assert!(stats[1].starts_with("STATS "), "{stats:?}");
+    assert_server_alive(&handle);
+    wait_for_drained(&handle);
+    handle.shutdown();
 }

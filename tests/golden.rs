@@ -1,10 +1,11 @@
 //! Golden-trace regression corpus.
 //!
-//! Twelve committed traces (`tests/golden/<name>.trace`) spanning the
+//! Thirteen committed traces (`tests/golden/<name>.trace`) spanning the
 //! random topologies, every hostile family (including the buyback
 //! cost-escalation topology), and three pinned stochastic arrival
 //! models (iid, diurnal, and an MMPP trace long enough for
-//! `lp-resolve` to re-solve its plan twice), each with the expected
+//! `lp-resolve` to re-solve its plan twice; a second iid trace is long
+//! enough that OPT is bounded at the greedy/H tier), each with the expected
 //! [`SweepReport`] of all registered algorithms pinned as
 //! `tests/golden/<name>.expected.json`. The sweep runs through the
 //! `ShardedDriver` batch path with fixed `threads`/`batch`/seed, so
@@ -135,6 +136,12 @@ fn corpus() -> Vec<(&'static str, AdmissionInstance)> {
         (
             "stoch-mmpp",
             stochastic_trace(TrafficModel::mmpp_default(), 168, 8),
+        ),
+        // 483 arrivals, past `BoundBudget::max_lp_items`, so the sweep
+        // bounds OPT at the greedy/H tier and pins it end to end.
+        (
+            "stoch-iid-long",
+            stochastic_trace(TrafficModel::Iid, 240, 9),
         ),
     ]
 }
@@ -277,7 +284,7 @@ fn golden_corpus_covers_every_regime_and_algorithm() {
     // unweighted traces, at least one preemption-forcing trace, and the
     // pinned sweep exercises every registered algorithm.
     let corpus = corpus();
-    assert_eq!(corpus.len(), 12);
+    assert_eq!(corpus.len(), 13);
     assert!(corpus.iter().any(|(_, i)| i.is_unweighted()));
     assert!(corpus.iter().any(|(_, i)| !i.is_unweighted()));
     assert!(corpus.iter().all(|(_, i)| !i.requests.is_empty()));
