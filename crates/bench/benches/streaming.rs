@@ -18,7 +18,10 @@
 //! Besides wall-clock throughput, the bench records the process's
 //! **peak RSS** (`VmHWM`) after the streamed passes and again after
 //! the in-memory pass: the streamed paths keep the high-water mark
-//! flat while materialization visibly raises it. All three arms must
+//! flat while materialization visibly raises it. The session keeps
+//! live requests only, so the streamed high-water mark must stay under
+//! 16 MiB (asserted): per-arrival state anywhere on the streamed path
+//! would cost tens of MiB over the 1M arrivals. All three arms must
 //! produce the identical report (asserted — this bench doubles as a
 //! large-scale differential check). Results land in
 //! `BENCH_streaming.json` for CI to upload.
@@ -30,6 +33,9 @@ use acmr_workloads::trace::{read_trace, TraceReader};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::time::Instant;
+
+/// Cap on the peak RSS after both streamed passes (16 MiB).
+const STREAMED_RSS_CAP_KB: u64 = 16 * 1024;
 
 /// Machine-readable summary of the E13 comparison.
 #[derive(Serialize)]
@@ -123,6 +129,11 @@ fn streaming_ingestion() {
         summary.peak_rss_after_in_memory_kb,
     );
     acmr_bench::emit_bench_json("streaming", &summary);
+    assert!(
+        summary.peak_rss_after_streamed_kb < STREAMED_RSS_CAP_KB,
+        "streamed peak RSS {} KiB is over the {STREAMED_RSS_CAP_KB} KiB cap",
+        summary.peak_rss_after_streamed_kb
+    );
 }
 
 fn bench_all(_criterion: &mut Criterion) {

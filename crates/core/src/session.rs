@@ -28,11 +28,10 @@
 //! suite asserts for every registered algorithm) — while the batch
 //! shape lets the session amortize what per-push calls cannot:
 //! footprints and costs are validated in one upfront pass before the
-//! algorithm sees anything, per-arrival bookkeeping vectors are grown
-//! once per batch, the load-audit coherence sweep runs once per batch
-//! instead of once per arrival, and the reused event buffer means
-//! steady-state batch processing performs no per-event allocations in
-//! this layer.
+//! algorithm sees anything, the load-audit coherence sweep runs once
+//! per batch instead of once per arrival, and the reused event buffer
+//! means steady-state batch processing performs no per-event
+//! allocations in this layer.
 //!
 //! ## Streaming ingestion
 //!
@@ -40,11 +39,12 @@
 //! request iterator — the shape a chunked trace parser
 //! (`acmr_workloads::trace::TraceReader`) yields — so a run never
 //! materializes its instance: this layer buffers at most one batch of
-//! the stream. What remains is the referee's own audit state —
-//! footprints of *currently accepted* requests plus one empty
-//! `accepted` slot per past arrival — which is why `acmr run
-//! --stream`'s peak RSS is a small fraction of the materialized
-//! instance's (the streaming bench records both), not `O(1)`.
+//! the stream. What remains is the referee's own audit state, which
+//! holds live requests only: the footprint and cost of each *currently
+//! accepted* request, keyed by arrival index, and the per-edge loads.
+//! Nothing is kept per past arrival, so `acmr run --stream`'s peak RSS
+//! is bounded by the trace's live set, not its length (the streaming
+//! bench records it and caps it).
 //!
 //! Contract violations (capacity overflow, phantom preemption,
 //! self-preemption) surface as
@@ -59,6 +59,7 @@ use crate::registry::{AlgorithmSpec, BuildCtx, Registry};
 use crate::report::RunReport;
 use acmr_graph::LoadTracker;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// What one arrival did to the stream — the audited, serializable
 /// superset of the algorithm-facing [`crate::Outcome`].
@@ -108,8 +109,10 @@ pub struct Session<A: OnlineAdmission = Box<dyn OnlineAdmission>> {
     /// Owns the capacity vector; edge counts and capacities are always
     /// read back from here so there is one source of truth.
     audit: LoadTracker,
-    /// Per-request live state: footprint retained while accepted.
-    accepted: Vec<Option<Request>>,
+    /// The live requests, keyed by arrival index: an entry is added on
+    /// acceptance and removed on preemption, so nothing is kept per
+    /// past arrival.
+    accepted: HashMap<u32, Request>,
     stats: RunStats,
     poisoned: bool,
     /// Cancellation-cost factor `f`: every preemption of an admitted
@@ -152,7 +155,7 @@ impl<A: OnlineAdmission> Session<A> {
         Session {
             alg,
             audit: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
+            accepted: HashMap::new(),
             stats: RunStats::default(),
             poisoned: false,
             buyback_factor,
@@ -196,7 +199,11 @@ impl<A: OnlineAdmission> Session<A> {
 
     /// Final acceptance state per arrival so far.
     pub fn accepted_mask(&self) -> Vec<bool> {
-        self.accepted.iter().map(Option::is_some).collect()
+        let mut mask = vec![false; self.stats.arrivals];
+        for &id in self.accepted.keys() {
+            mask[id as usize] = true;
+        }
+        mask
     }
 
     /// Has a contract violation poisoned this session?
@@ -273,9 +280,9 @@ impl<A: OnlineAdmission> Session<A> {
     /// not poisoned; can still fail with a contract violation.
     fn push_validated(&mut self, request: &Request) -> Result<ArrivalEvent, AcmrError> {
         // Dense u32 ids: refuse the 2^32-th arrival instead of silently
-        // wrapping and aliasing old slots — reachable in principle now
-        // that `run_stream_batched` advertises unbounded input.
-        let Ok(raw_id) = u32::try_from(self.accepted.len()) else {
+        // wrapping and aliasing earlier arrivals — reachable in principle
+        // now that `run_stream_batched` advertises unbounded input.
+        let Ok(raw_id) = u32::try_from(self.stats.arrivals) else {
             return Err(AcmrError::InvalidRequest {
                 reason: format!(
                     "session reached the RequestId limit of {} arrivals",
@@ -290,8 +297,7 @@ impl<A: OnlineAdmission> Session<A> {
         // requests.
         let mut rejected_cost_delta = 0.0;
         for p in &out.preempted {
-            let slot = self.accepted.get_mut(p.index()).and_then(Option::take);
-            let Some(victim) = slot else {
+            let Some(victim) = self.accepted.remove(&p.0) else {
                 return Err(
                     self.violation(format!("preempted request {p:?} is not currently accepted"))
                 );
@@ -308,7 +314,6 @@ impl<A: OnlineAdmission> Session<A> {
         // Referee phase 2: acceptance must be feasible. (It is always
         // fresh: an outcome can accept only the newcomer, and phase 1
         // refused a newcomer that preempts itself.)
-        self.accepted.push(None);
         if out.accepted {
             if !self.audit.fits(&request.footprint) {
                 return Err(self.violation(format!(
@@ -317,7 +322,7 @@ impl<A: OnlineAdmission> Session<A> {
                 )));
             }
             self.audit.admit(&request.footprint);
-            self.accepted[id.index()] = Some(request.clone());
+            self.accepted.insert(raw_id, request.clone());
             self.stats.currently_accepted += 1;
         } else {
             self.stats.rejected_count += 1;
@@ -347,8 +352,8 @@ impl<A: OnlineAdmission> Session<A> {
     /// validated **upfront** (an invalid footprint or cost anywhere
     /// rejects the batch with [`AcmrError::InvalidRequest`] before *any*
     /// arrival is shown to the algorithm — no partial application on bad
-    /// input), the per-arrival bookkeeping vectors are reserved once, and
-    /// the load-audit coherence sweep runs once per batch.
+    /// input), the event buffer is reserved once, and the load-audit
+    /// coherence sweep runs once per batch.
     ///
     /// Contract violations keep per-arrival semantics: arrivals before
     /// the violation are applied, counted, and left in `events`; the
@@ -387,7 +392,6 @@ impl<A: OnlineAdmission> Session<A> {
             self.validate(request)?;
         }
         events.reserve(batch.len());
-        self.accepted.reserve(batch.len());
         for request in batch {
             events.push(self.push_validated(request)?);
         }
@@ -414,9 +418,10 @@ impl<A: OnlineAdmission> Session<A> {
     /// layer buffers `O(batch)` of the stream, never the instance, and
     /// the decision stream is identical for every batch size (the
     /// differential suite pins it for every registered algorithm).
-    /// Memory is therefore dominated by the referee's audit state (live
-    /// footprints + per-arrival bookkeeping bytes), a small fraction of
-    /// a materialized instance but still linear in very long streams.
+    /// What this layer keeps beyond that is the referee's audit state:
+    /// the live requests and the per-edge loads, which grow with the
+    /// live set, not with the stream's length (the algorithm's own
+    /// state is its own).
     ///
     /// `arrivals` yields `Result<Request, AcmrError>` so a streaming
     /// parser (e.g. `acmr_workloads::trace::TraceReader`, which
@@ -664,6 +669,36 @@ mod tests {
         let report = session.report();
         assert_eq!(report.buyback_paid, 0.0);
         assert_eq!(report.net_objective, report.rejected_cost);
+    }
+
+    #[test]
+    fn referee_holds_exactly_the_live_requests() {
+        let mut reg = Registry::new();
+        register_core(&mut reg);
+        let spec = AlgorithmSpec::parse("aag-weighted?seed=11").unwrap();
+        let mut session = Session::from_registry(&reg, &spec, &[2; 8], 0).unwrap();
+        // Final acceptance state replayed from the events alone.
+        let mut replayed = Vec::new();
+        for i in 0..400u32 {
+            let footprint = match i % 3 {
+                0 => fp(&[i % 8]),
+                _ => fp(&[i % 8, (i * 5 + 3) % 8]),
+            };
+            let event = session
+                .push(&Request::new(footprint, 1.0 + f64::from(i % 7)))
+                .unwrap();
+            replayed.push(event.accepted);
+            for p in &event.preempted {
+                replayed[p.index()] = false;
+            }
+            assert_eq!(session.accepted.len(), session.stats().currently_accepted);
+        }
+        assert!(session.stats().preemptions > 0, "the run must preempt");
+        assert!(
+            session.accepted.len() <= 16,
+            "capacities bound the live set"
+        );
+        assert_eq!(session.accepted_mask(), replayed);
     }
 
     #[test]

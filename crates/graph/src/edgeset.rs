@@ -3,16 +3,36 @@
 //! The paper's concluding remark: *"All the algorithms treated a request
 //! as an arbitrary subset of edges"* — [`EdgeSet`] is that subset. It is
 //! kept sorted so that membership tests are `O(log k)` and intersection
-//! / iteration are cache-friendly linear scans over a boxed slice.
+//! / iteration are cache-friendly linear scans.
+//!
+//! Every set of at most five edges is stored inline; wider sets keep a
+//! boxed slice. Five is the most that fits beside a length byte in the
+//! 24 bytes the boxed variant takes anyway, so a set is 24 bytes either
+//! way, and building, cloning or dropping a short one never touches the
+//! allocator. Short footprints are the common case: every footprint of
+//! a line trace of 1–4 hops, and most stochastic ones. Equality,
+//! hashing, `Debug` and serde all read [`EdgeSet::as_slice`], so no
+//! caller can tell the representations apart.
 
 use crate::ids::EdgeId;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Most edges an [`EdgeSet`] stores without a heap allocation.
+const INLINE: usize = 5;
 
 /// A sorted, deduplicated, immutable set of edge ids — the footprint of
 /// one request.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct EdgeSet {
-    edges: Box<[EdgeId]>,
+#[derive(Clone)]
+pub struct EdgeSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// At most [`INLINE`] edges, in `ids[..len]`.
+    Inline { len: u8, ids: [EdgeId; INLINE] },
+    /// More than [`INLINE`] edges.
+    Heap(Box<[EdgeId]>),
 }
 
 impl EdgeSet {
@@ -20,67 +40,78 @@ impl EdgeSet {
     pub fn new(mut edges: Vec<EdgeId>) -> Self {
         edges.sort_unstable();
         edges.dedup();
-        EdgeSet {
-            edges: edges.into_boxed_slice(),
-        }
+        EdgeSet::from_sorted_iter(edges.into_iter())
     }
 
-    /// Build from a slice that is already sorted and strictly increasing.
+    /// Build from ids the caller has already checked to be strictly
+    /// increasing — e.g. straight from a validated binary trace record.
+    /// Allocates only for more than five edges.
     ///
     /// # Panics
-    /// In debug builds, if the invariant does not hold.
-    pub fn from_sorted(edges: Vec<EdgeId>) -> Self {
+    /// In debug builds, if the ids are not strictly increasing.
+    pub fn from_sorted_iter(ids: impl ExactSizeIterator<Item = EdgeId>) -> Self {
+        let set = if ids.len() <= INLINE {
+            let mut inline = [EdgeId(0); INLINE];
+            let mut len = 0u8;
+            for (slot, e) in inline.iter_mut().zip(ids) {
+                *slot = e;
+                len += 1;
+            }
+            EdgeSet(Repr::Inline { len, ids: inline })
+        } else {
+            EdgeSet(Repr::Heap(ids.collect()))
+        };
         debug_assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
+            set.as_slice().windows(2).all(|w| w[0] < w[1]),
             "must be strictly sorted"
         );
-        EdgeSet {
-            edges: edges.into_boxed_slice(),
-        }
+        set
     }
 
     /// A set with a single edge (used by phase-2 requests of the set
     /// cover reduction, §4 of the paper).
     pub fn singleton(e: EdgeId) -> Self {
-        EdgeSet {
-            edges: vec![e].into_boxed_slice(),
-        }
+        EdgeSet::from_sorted_iter(std::iter::once(e))
     }
 
     /// Number of edges in the footprint.
     #[inline]
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.as_slice().len()
     }
 
     /// True if the footprint is empty (such a request can always be
     /// accepted; generators never emit one, but the algebra permits it).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The edges, sorted ascending.
     #[inline]
     pub fn as_slice(&self) -> &[EdgeId] {
-        &self.edges
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Heap(ids) => ids,
+        }
     }
 
     /// Iterate over the edges.
     pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Membership test, `O(log len)`.
     pub fn contains(&self, e: EdgeId) -> bool {
-        self.edges.binary_search(&e).is_ok()
+        self.as_slice().binary_search(&e).is_ok()
     }
 
     /// Number of edges shared with `other` (linear merge).
     pub fn intersection_size(&self, other: &EdgeSet) -> usize {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < self.edges.len() && j < other.edges.len() {
-            match self.edges[i].cmp(&other.edges[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
@@ -95,13 +126,10 @@ impl EdgeSet {
 
     /// True if the two footprints share at least one edge.
     pub fn intersects(&self, other: &EdgeSet) -> bool {
-        self.intersection_size_early_exit(other)
-    }
-
-    fn intersection_size_early_exit(&self, other: &EdgeSet) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0usize, 0usize);
-        while i < self.edges.len() && j < other.edges.len() {
-            match self.edges[i].cmp(&other.edges[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return true,
@@ -111,11 +139,53 @@ impl EdgeSet {
     }
 }
 
+impl PartialEq for EdgeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for EdgeSet {}
+
+impl Hash for EdgeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for EdgeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EdgeSet")
+            .field("edges", &self.as_slice())
+            .finish()
+    }
+}
+
+/// `{"edges": [..]}`, the shape of a struct with one `edges` field.
+impl Serialize for EdgeSet {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("edges".to_string(), self.as_slice().to_value())])
+    }
+}
+
+/// Reads `{"edges": [..]}` in any order, with duplicates, and keeps
+/// the set canonical.
+impl Deserialize for EdgeSet {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Map(_) => Vec::from_value(v.get("edges").unwrap_or(&Value::Null))
+                .map(EdgeSet::new)
+                .map_err(|e| DeError(format!("field `edges` of EdgeSet: {}", e.0))),
+            other => Err(DeError::expected("map for struct EdgeSet", other)),
+        }
+    }
+}
+
 impl<'a> IntoIterator for &'a EdgeSet {
     type Item = EdgeId;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, EdgeId>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.edges.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 

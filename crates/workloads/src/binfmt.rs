@@ -198,7 +198,9 @@ fn parse_caps_and_count(bytes: &[u8], m: u32) -> Result<(Vec<u32>, u64), AcmrErr
 
 /// Validate one decoded record body and build the [`Request`]: finite
 /// positive cost, edge ids strictly increasing (the canonical
-/// [`EdgeSet`] order, so no re-sort is needed) and `< num_edges`.
+/// [`EdgeSet`] order, so no re-sort is needed) and `< num_edges`. The
+/// footprint is then built straight from the record bytes, with no
+/// allocation for up to five edges.
 #[inline]
 fn request_from_parts(
     cost: f64,
@@ -210,10 +212,11 @@ fn request_from_parts(
         return Err(berr(record, format!("bad cost {cost}")));
     }
     debug_assert_eq!(id_bytes.len() % 4, 0);
-    let mut edges: Vec<EdgeId> = Vec::with_capacity(id_bytes.len() / 4);
+    let ids = id_bytes
+        .chunks_exact(4)
+        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
     let mut prev = None;
-    for chunk in id_bytes.chunks_exact(4) {
-        let id = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
+    for id in ids.clone() {
         if id >= num_edges {
             return Err(berr(record, format!("edge id {id} out of range")));
         }
@@ -224,9 +227,11 @@ fn request_from_parts(
             ));
         }
         prev = Some(id);
-        edges.push(EdgeId(id));
     }
-    Ok(Request::new(EdgeSet::from_sorted(edges), cost))
+    Ok(Request::new(
+        EdgeSet::from_sorted_iter(ids.map(EdgeId)),
+        cost,
+    ))
 }
 
 /// Encode one request as an `ACMR-TRACE v2` record, appending the
