@@ -1,18 +1,18 @@
-//! Bench: **E13 / trace2** — text vs binary vs mmap replay of the
-//! 1M-request E13 trace through the `ACMR-TRACE v2` subsystem.
+//! Bench: **E13 / trace2** — text vs mmap replay of the 1M-request
+//! E13 trace through the `ACMR-TRACE v2` subsystem.
 //!
 //! The text trace is generated by the shared [`acmr_bench::e13`]
 //! generator (byte-identical to the `streaming` bench's input), then
 //! converted once — streaming, never materialized — to the binary
-//! `ACMR-TRACE v2` encoding. Three arms replay it:
+//! `ACMR-TRACE v2` encoding. Two arms replay it:
 //!
 //! 1. **text** — the chunked line-oriented `TraceReader` (the PR 3
 //!    streaming baseline),
-//! 2. **binary streamed** — `BinTraceReader` over a buffered file,
-//! 3. **mmap** — `BinTraceMap` + its zero-copy `BinMapReader` cursor.
+//! 2. **mmap** — `BinTraceMap` + its zero-copy `BinMapReader` cursor,
+//!    the one binary decoder.
 //!
-//! Before any timing, all three arms drive a full greedy session via
-//! `Session::run_stream_batched` and the three `RunReport`s are asserted
+//! Before any timing, both arms drive a full greedy session via
+//! `Session::run_stream_batched` and the two `RunReport`s are asserted
 //! byte-identical (serialized JSON included) — the bench refuses to
 //! time arms that could disagree. The timed section then measures
 //! pure replay (decode every request, no algorithm) per arm, best of
@@ -24,7 +24,7 @@ use acmr_bench::e13::{self, EDGES, REQUESTS, SPEC};
 use acmr_core::{AlgorithmSpec, Registry, RequestSource, RunReport, Session};
 use acmr_harness::default_registry;
 use acmr_workloads::trace::TraceReader;
-use acmr_workloads::{BinMapReader, BinTraceMap, BinTraceReader, BinTraceWriter};
+use acmr_workloads::{BinMapReader, BinTraceMap, BinTraceWriter};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::io::BufWriter;
@@ -86,7 +86,7 @@ fn time_replay<S: RequestSource>(mut open: impl FnMut() -> S) -> f64 {
     best
 }
 
-/// Machine-readable summary of the trace2 three-arm comparison.
+/// Machine-readable summary of the trace2 two-arm comparison.
 #[derive(Serialize)]
 struct Trace2Summary {
     workload: &'static str,
@@ -99,12 +99,10 @@ struct Trace2Summary {
     /// means the portable heap fallback was used — still correct,
     /// not zero-copy).
     mmap_backed: bool,
-    /// The three session reports were byte-identical before timing.
+    /// The two session reports were byte-identical before timing.
     reports_identical: bool,
     text_replay_ms: f64,
     text_replay_reqs_per_sec: f64,
-    bin_stream_replay_ms: f64,
-    bin_stream_replay_reqs_per_sec: f64,
     mmap_replay_ms: f64,
     mmap_replay_reqs_per_sec: f64,
     /// Replay speedup of the mmap arm over the text baseline — the
@@ -132,20 +130,15 @@ fn trace2_replay() {
     let bin_bytes = convert_to_binary(&text_path, &bin_path).expect("convert to binary");
 
     // Differential gate, before any timing: full greedy sessions off
-    // all three arms must produce the byte-identical report.
+    // both arms must produce the byte-identical report.
     let via_text = session_report(
         &registry,
         TraceReader::open(&text_path).expect("open text trace"),
-    );
-    let via_bin = session_report(
-        &registry,
-        BinTraceReader::open(&bin_path).expect("open binary trace"),
     );
     let via_map = session_report(
         &registry,
         BinMapReader::open(&bin_path).expect("map binary trace"),
     );
-    assert_eq!(via_bin, via_text, "binary report diverged from text");
     assert_eq!(via_map, via_text, "mmap report diverged from text");
     assert_eq!(
         serde_json::to_string_pretty(&via_map).unwrap(),
@@ -159,8 +152,6 @@ fn trace2_replay() {
 
     // Timed arms: pure replay (decode only), best of REPS passes.
     let text_replay_ms = time_replay(|| TraceReader::open(&text_path).expect("open text trace"));
-    let bin_stream_replay_ms =
-        time_replay(|| BinTraceReader::open(&bin_path).expect("open binary trace"));
     let mmap_replay_ms = time_replay(|| BinMapReader::open(&bin_path).expect("map binary trace"));
 
     let _ = std::fs::remove_file(&text_path);
@@ -178,20 +169,16 @@ fn trace2_replay() {
         reports_identical: true,
         text_replay_ms,
         text_replay_reqs_per_sec: REQUESTS as f64 / (text_replay_ms / 1e3),
-        bin_stream_replay_ms,
-        bin_stream_replay_reqs_per_sec: REQUESTS as f64 / (bin_stream_replay_ms / 1e3),
         mmap_replay_ms,
         mmap_replay_reqs_per_sec: REQUESTS as f64 / (mmap_replay_ms / 1e3),
         mmap_over_text_ratio: ratio,
         peak_rss_kb: e13::peak_rss_kb().unwrap_or(0),
     };
     println!(
-        "bench e13_trace2/line4096 ... text {:.0} ms ({:.2}M req/s), binary {:.0} ms \
-         ({:.2}M req/s), mmap {:.0} ms ({:.2}M req/s); mmap/text {:.1}x, mapped: {}",
+        "bench e13_trace2/line4096 ... text {:.0} ms ({:.2}M req/s), mmap {:.0} ms \
+         ({:.2}M req/s); mmap/text {:.1}x, mapped: {}",
         summary.text_replay_ms,
         summary.text_replay_reqs_per_sec / 1e6,
-        summary.bin_stream_replay_ms,
-        summary.bin_stream_replay_reqs_per_sec / 1e6,
         summary.mmap_replay_ms,
         summary.mmap_replay_reqs_per_sec / 1e6,
         ratio,

@@ -7,15 +7,15 @@
 //! size buffers and detect truncation). [`RequestSource`] names
 //! exactly that contract, so the
 //! harness can be generic over *how a trace is stored* — plain-text
-//! lines, binary records streamed off any `io::Read`, or a zero-copy
-//! memory mapping — while every storage format keeps one behavior:
-//! header metadata up front, then one `Result<Request, _>` per arrival,
-//! with typed errors and never a panic on malformed input.
+//! lines or binary records in a zero-copy memory mapping — while every
+//! storage format keeps one behavior: header metadata up front, then
+//! one `Result<Request, _>` per arrival, with typed errors and never a
+//! panic on malformed input.
 //!
 //! Implementations live in `acmr-workloads` (`TraceReader`,
-//! `BinTraceReader`, `BinMapReader`, and the format-sniffing
-//! `AnyTraceReader`); this crate only defines the seam so the engine
-//! does not depend on any particular format.
+//! `BinMapReader`, and the format-sniffing `AnyTraceReader`); this
+//! crate only defines the seam so the engine does not depend on any
+//! particular format.
 
 use crate::error::AcmrError;
 use crate::instance::Request;

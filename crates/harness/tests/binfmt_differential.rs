@@ -1,4 +1,4 @@
-//! Binary-format differential suite: **text ≡ binary ≡ mmap**.
+//! Binary-format differential suite: **text ≡ mmap**.
 //!
 //! The binary `ACMR-TRACE v2` path must be a pure storage change — for
 //! every algorithm in the default registry (enumerated, never
@@ -6,8 +6,8 @@
 //!
 //! * the identical per-arrival **decision stream** (every audited
 //!   `ArrivalEvent`, compared through its serde JSON) whether the
-//!   arrivals come from the chunked text reader, the streaming binary
-//!   reader, or the zero-copy mapped cursor, and
+//!   arrivals come from the chunked text reader or the zero-copy
+//!   mapped cursor (the one binary decoder), and
 //! * the **byte-identical serialized `RunReport`** — offline-optimum
 //!   bound included, via the two-pass streamed scheme — from
 //!   `run_report` over `SourceRef::Path` on the text file and on the
@@ -24,7 +24,7 @@ use acmr_core::{
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::{default_registry, run_report, BoundBudget, SourceRef};
 use acmr_workloads::trace::{read_trace, write_trace, TraceReader};
-use acmr_workloads::{write_bin_trace, BinTraceMap, BinTraceReader};
+use acmr_workloads::{write_bin_trace, BinTraceMap};
 use proptest::prelude::*;
 
 const SEED: u64 = 7;
@@ -74,7 +74,7 @@ fn decision_stream<S: RequestSource>(
     }
 }
 
-/// Assert the three reader arms produce identical decision streams and
+/// Assert the two reader arms produce identical decision streams and
 /// (via `run_report` over `SourceRef::Path` temp files) byte-identical reports
 /// for every registered algorithm.
 fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
@@ -89,17 +89,12 @@ fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
     std::fs::write(&bin_path, &bin).unwrap();
 
     for spec in registry.names() {
-        // Decision streams: text reader ≡ streaming binary reader ≡
-        // zero-copy mapped cursor, event for event.
+        // Decision streams: text reader ≡ zero-copy mapped cursor,
+        // event for event.
         let via_text = decision_stream(
             &registry,
             spec,
             TraceReader::new(text.as_bytes()).expect("text header"),
-        );
-        let via_bin = decision_stream(
-            &registry,
-            spec,
-            BinTraceReader::new(bin.as_slice()).expect("binary header"),
         );
         let via_map = decision_stream(
             &registry,
@@ -108,8 +103,7 @@ fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
                 .expect("binary header")
                 .into_reader(),
         );
-        assert_eq!(via_text, via_bin, "{name}/{spec}: text vs binary stream");
-        assert_eq!(via_bin, via_map, "{name}/{spec}: binary vs mmap stream");
+        assert_eq!(via_text, via_map, "{name}/{spec}: text vs mmap stream");
 
         // Full path-backed reports (two-pass OPT bound included):
         // byte-identical JSON across formats, equal to the in-memory
@@ -130,7 +124,7 @@ fn assert_formats_agree(name: &str, inst: &AdmissionInstance) {
 }
 
 #[test]
-fn golden_corpus_agrees_across_text_binary_and_mmap() {
+fn golden_corpus_agrees_across_text_and_mmap() {
     for (name, inst) in golden_traces() {
         assert_formats_agree(&name, &inst);
     }
@@ -150,7 +144,9 @@ fn binary_stream_errors_match_text_semantics_mid_session() {
     bin.truncate(len - 4); // cut into the last record
     let registry = default_registry();
     let spec = AlgorithmSpec::parse("greedy").unwrap();
-    let reader = BinTraceReader::new(bin.as_slice()).expect("header intact");
+    let reader = BinTraceMap::from_bytes(bin)
+        .expect("header intact")
+        .into_reader();
     let caps = RequestSource::capacities(&reader).to_vec();
     let mut session = Session::from_registry(&registry, &spec, &caps, 0).unwrap();
     let err = session.run_stream_batched(reader, 1).unwrap_err();
@@ -165,10 +161,10 @@ fn binary_stream_errors_match_text_semantics_mid_session() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random instances: the three arms agree for every registered
+    /// Random instances: both arms agree for every registered
     /// algorithm (same invariant as the golden corpus, off-corpus).
     #[test]
-    fn random_traces_agree_across_text_binary_and_mmap(
+    fn random_traces_agree_across_text_and_mmap(
         caps in proptest::collection::vec(1u32..5, 2..7),
         reqs in proptest::collection::vec(
             (proptest::collection::vec(0usize..7, 1..4), 1u32..50),

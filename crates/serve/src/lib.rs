@@ -15,13 +15,16 @@
 //! builds offline, so polling comes from the vendored `polling` shim
 //! — epoll on Linux — rather than an async runtime):
 //!
-//! * [`protocol`] — the wire grammar: the capped [`protocol::
-//!   FrameReader`] both ends use, the stable `ERR` code table, the
-//!   constants (`GREETING`, frame/batch caps), and the v2 binary
-//!   codec ([`protocol::BinFrameReader`], [`protocol::BatchSummary`],
-//!   the `RESET`/`OK` payloads). v1 arrival frames reuse the trace
-//!   grammar of `docs/TRACE_FORMAT.md` via
-//!   `acmr_workloads::trace::parse_request_line`; v2 arrival frames
+//! * [`protocol`] — the wire grammar: one tokenizer per dialect, each
+//!   a sans-I/O carver with a blocking pull loop for the client — lines
+//!   through `acmr_workloads::trace::LineBuffer` (driven by
+//!   [`protocol::FrameReader`]), v2 frames through
+//!   [`protocol::FrameBuffer`] (driven by [`protocol::BinFrameReader`])
+//!   — plus the stable `ERR` code table, the constants (`GREETING`,
+//!   frame/batch caps), and the v2 payload codecs
+//!   ([`protocol::BatchSummary`], the `RESET`/`OK` payloads). v1
+//!   arrival frames reuse the trace grammar of `docs/TRACE_FORMAT.md`
+//!   via `acmr_workloads::trace::parse_request_line`; v2 arrival frames
 //!   reuse `acmr_workloads::binfmt`'s record codec — so the socket
 //!   and the file formats can never drift apart, in either dialect.
 //! * [`machine`] / [`Connection`] — the sans-I/O protocol state

@@ -2,6 +2,12 @@
 //! both ends use, the error-reply encoding, and the `v2` binary frame
 //! codec.
 //!
+//! Each dialect has one tokenizer, shared by both ends: lines are
+//! carved by [`acmr_workloads::trace::LineBuffer`] and v2 frames by
+//! [`FrameBuffer`]. The server's reactor feeds them from nonblocking
+//! reads; the client's blocking [`FrameReader`] and
+//! [`BinFrameReader`] are pull loops over the same carvers.
+//!
 //! The **v1** protocol is line-based on purpose — it is the trace
 //! grammar of `docs/TRACE_FORMAT.md` lifted onto a socket (request
 //! frames *are* trace request lines, parsed by the same
@@ -50,7 +56,7 @@
 //! payload of an [`FRAME_ERR`] frame. Full spec: `docs/SERVING.md`.
 
 use acmr_core::{AcmrError, ArrivalEvent};
-use acmr_workloads::trace::LineScanner;
+use acmr_workloads::trace::{LineScanner, CHUNK_SIZE};
 use serde::{Deserialize, Serialize};
 use std::io::Read;
 
@@ -271,59 +277,65 @@ pub const FRAME_ERR: u8 = 0x84;
 /// follows `STATS ` in the v1 reply line.
 pub const FRAME_STATS_REPLY: u8 = 0x85;
 
-/// Reader for the v2 binary frame stream: `type:u8 len:u32le
-/// payload[len]`, with the payload capped at [`MAX_FRAME_BYTES`]
-/// (bounded memory against hostile peers, exactly like the line
-/// reader) and a frame counter for error messages.
+/// Blocking reader for the v2 binary frame stream: the pull loop
+/// over a [`FrameBuffer`], the way [`LineScanner`] drives the line
+/// carver. Frames come only out of [`FrameBuffer::next_frame`], so
+/// the client and the server's reactor carve the same grammar with
+/// the same code: `type:u8 len:u32le payload[len]`, payloads capped
+/// at [`MAX_FRAME_BYTES`] (bounded memory against hostile peers,
+/// exactly like the line reader).
 ///
-/// Framing violations (oversized length, truncation mid-frame) are
-/// typed [`AcmrError::TraceParse`] errors whose `line` is the 1-based
-/// index of the offending *frame* — the binary stream has no lines;
-/// I/O failures surface as [`AcmrError::Io`].
+/// Reads are chunked, so the reader may buffer bytes past the current
+/// frame: keep one reader per stream. Framing violations (oversized
+/// length, truncation mid-frame) are typed [`AcmrError::TraceParse`]
+/// errors whose `line` is the 1-based index of the offending *frame* —
+/// the binary stream has no lines; I/O failures surface as
+/// [`AcmrError::Io`].
 pub struct BinFrameReader<R: Read> {
     inner: R,
-    frames: usize,
+    frames: FrameBuffer,
+    /// Reusable read buffer of [`CHUNK_SIZE`] bytes.
+    chunk: Vec<u8>,
 }
 
 impl<R: Read> BinFrameReader<R> {
     /// Read frames from `inner`.
     pub fn new(inner: R) -> Self {
-        BinFrameReader { inner, frames: 0 }
+        BinFrameReader {
+            inner,
+            frames: FrameBuffer::new(),
+            chunk: vec![0; CHUNK_SIZE],
+        }
     }
 
     /// Frames yielded so far.
     pub fn frame_number(&self) -> usize {
-        self.frames
+        self.frames.frame_number()
     }
 
-    /// Read one frame into `payload` (cleared first), returning its
+    /// Read the next frame's payload into `payload`, returning its
     /// type byte — or `None` on a clean EOF *at a frame boundary*
     /// (the peer hung up between frames). EOF inside a frame is a
     /// typed truncation error.
     pub fn read_frame(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, AcmrError> {
-        payload.clear();
-        let mut ty = [0u8; 1];
-        if !read_full(&mut self.inner, &mut ty)? {
-            return Ok(None);
+        loop {
+            if let Some(ty) = self.frames.next_frame(payload)? {
+                return Ok(Some(ty));
+            }
+            if self.frames.is_eof() {
+                return Ok(None);
+            }
+            match self.inner.read(&mut self.chunk) {
+                Ok(0) => self.frames.set_eof(),
+                Ok(n) => self.frames.feed(&self.chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(AcmrError::Io {
+                        message: format!("frame read failed: {e}"),
+                    })
+                }
+            }
         }
-        let frame = self.frames + 1;
-        let mut len_bytes = [0u8; 4];
-        if !read_full(&mut self.inner, &mut len_bytes)? {
-            return Err(truncated(frame));
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(AcmrError::TraceParse {
-                line: frame,
-                message: format!("frame payload of {len} bytes exceeds {MAX_FRAME_BYTES}"),
-            });
-        }
-        payload.resize(len, 0);
-        if !read_full(&mut self.inner, payload)? {
-            return Err(truncated(frame));
-        }
-        self.frames = frame;
-        Ok(Some(ty[0]))
     }
 }
 
@@ -339,12 +351,12 @@ impl<R: Read> BinFrameReader<std::io::Chain<std::io::Cursor<Vec<u8>>, R>> {
 /// The pure, push-fed core of the v2 binary framing: bytes go in via
 /// [`FrameBuffer::feed`], whole frames come out of
 /// [`FrameBuffer::next_frame`] — no reader, no I/O, no blocking. This
-/// is what the sans-I/O [`crate::machine::Connection`] carves frames
-/// with; [`BinFrameReader`] is its pull-based twin for blocking
-/// streams (the client), and the two enforce the same grammar:
-/// `type:u8 len:u32le payload[len]`, payloads capped at
-/// [`MAX_FRAME_BYTES`], truncation and oversize typed by 1-based
-/// frame number.
+/// is the one v2 frame carver: the sans-I/O
+/// [`crate::machine::Connection`] feeds it from nonblocking socket
+/// reads, and [`BinFrameReader`] drives it over blocking streams (the
+/// client). Grammar: `type:u8 len:u32le payload[len]`, payloads
+/// capped at [`MAX_FRAME_BYTES`], truncation and oversize typed by
+/// 1-based frame number.
 #[derive(Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -389,9 +401,9 @@ impl FrameBuffer {
     /// returning its type byte. `Ok(None)` means *no complete frame
     /// buffered*: feed more input — unless [`FrameBuffer::is_eof`], in
     /// which case the stream ended cleanly at a frame boundary (EOF
-    /// mid-frame is the typed truncation error instead, exactly like
-    /// [`BinFrameReader`]). An oversized declared length is refused
-    /// from the 5 header bytes alone, before any payload arrives.
+    /// mid-frame is the typed truncation error instead). An oversized
+    /// declared length is refused from the 5 header bytes alone,
+    /// before any payload arrives.
     pub fn next_frame(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, AcmrError> {
         let pending = self.buf.len() - self.start;
         if pending == 0 {
@@ -499,28 +511,6 @@ fn truncated(frame: usize) -> AcmrError {
     }
 }
 
-/// `read_exact`, except a clean EOF **before the first byte** returns
-/// `Ok(false)` instead of an error (EOF after at least one byte is
-/// still distinguished: it surfaces as `Ok(false)` too, which callers
-/// turn into a typed truncation error — the buffer being partially
-/// filled is never observable).
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, AcmrError> {
-    let mut at = 0;
-    while at < buf.len() {
-        match r.read(&mut buf[at..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(AcmrError::Io {
-                    message: format!("frame read failed: {e}"),
-                })
-            }
-        }
-    }
-    Ok(true)
-}
-
 /// Write one frame: `type`, `u32le` length, payload. The caller
 /// flushes; payloads above [`MAX_FRAME_BYTES`] are refused (the
 /// receiver would reject them anyway).
@@ -626,7 +616,8 @@ pub fn encode_reset(buf: &mut Vec<u8>, spec: &str, base_seed: Option<u64>, capac
 
 /// Decode a [`FRAME_RESET`] payload. Every violation — truncation,
 /// non-UTF-8 spec, trailing bytes — is a typed error naming the
-/// malformed field.
+/// malformed field; a zero capacity is refused with the v1 handshake's
+/// own typed error ("capacities must be positive").
 pub fn decode_reset(payload: &[u8]) -> Result<ResetFrame, AcmrError> {
     let bad = |what: &str| AcmrError::TraceParse {
         line: 0,
@@ -662,6 +653,12 @@ pub fn decode_reset(payload: &[u8]) -> Result<ResetFrame, AcmrError> {
     if at != payload.len() {
         return Err(bad("trailing bytes"));
     }
+    if capacities.contains(&0) {
+        return Err(AcmrError::TraceParse {
+            line: 0,
+            message: "capacities must be positive".into(),
+        });
+    }
     Ok(ResetFrame {
         spec,
         base_seed,
@@ -692,6 +689,7 @@ pub fn decode_ok(payload: &[u8]) -> Result<(u64, String), AcmrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_reader_yields_numbered_trimmed_lines() {
@@ -847,6 +845,24 @@ mod tests {
     }
 
     #[test]
+    fn reset_frame_bytes_match_the_documented_layout() {
+        // docs/SERVING.md: u32le spec length, spec, u8 seed flag,
+        // u64le seed, u32le edge count, then one u32le per capacity.
+        let mut buf = Vec::new();
+        encode_reset(&mut buf, "g", Some(7), &[3]);
+        #[rustfmt::skip]
+        let want = [
+            1, 0, 0, 0,             // spec length
+            b'g',                   // spec
+            1,                      // seed flag
+            7, 0, 0, 0, 0, 0, 0, 0, // seed
+            1, 0, 0, 0,             // edge count
+            3, 0, 0, 0,             // capacity of edge 0
+        ];
+        assert_eq!(buf, want);
+    }
+
+    #[test]
     fn summaries_round_trip_and_summarize_events() {
         let events = vec![
             ArrivalEvent {
@@ -995,6 +1011,111 @@ mod tests {
             matches!(err, AcmrError::TraceParse { line: 2, .. }),
             "{err}"
         );
+    }
+
+    /// A stream that hands out at most a few bytes per `read` (the
+    /// sizes cycle through `sizes`) and fails every call whose slot in
+    /// `interrupts` is set with `Interrupted` once before serving it.
+    struct ShortReads<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        interrupts: &'a [bool],
+        call: usize,
+        interrupted: bool,
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.interrupts[self.call % self.interrupts.len()] && !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.interrupted = false;
+            let n = self.sizes[self.call % self.sizes.len()]
+                .min(buf.len())
+                .min(self.data.len());
+            self.call += 1;
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Each frame a source yields as `(type, payload, frame number)`,
+    /// then how it stopped: clean end (`Ok`) or its first error.
+    type Carved = (Vec<(u8, Vec<u8>, usize)>, Result<(), AcmrError>);
+
+    fn carve_whole(wire: &[u8]) -> Carved {
+        let mut fb = FrameBuffer::new();
+        fb.feed(wire);
+        fb.set_eof();
+        let mut payload = Vec::new();
+        let mut frames = Vec::new();
+        loop {
+            match fb.next_frame(&mut payload) {
+                Ok(Some(ty)) => frames.push((ty, payload.clone(), fb.frame_number())),
+                Ok(None) => return (frames, Ok(())),
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+    }
+
+    fn carve_blocking(stream: ShortReads) -> Carved {
+        let mut reader = BinFrameReader::new(stream);
+        let mut payload = Vec::new();
+        let mut frames = Vec::new();
+        loop {
+            match reader.read_frame(&mut payload) {
+                Ok(Some(ty)) => frames.push((ty, payload.clone(), reader.frame_number())),
+                Ok(None) => {
+                    // A clean end stays clean.
+                    assert_eq!(reader.read_frame(&mut payload).unwrap(), None);
+                    return (frames, Ok(()));
+                }
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The blocking reader over a stream of short and interrupted
+        /// reads carves exactly what the frame buffer carves from the
+        /// whole stream — frames, frame numbers, the clean-EOF `None`
+        /// and the typed truncation/oversize errors — for every cut
+        /// point of a random frame sequence, optionally followed by a
+        /// `u32::MAX` length header.
+        #[test]
+        fn bin_frame_reader_under_short_reads_matches_the_frame_buffer(
+            frames in proptest::collection::vec((0u8..=255, 0usize..40), 0..6),
+            oversize in 0u8..2,
+            sizes in proptest::collection::vec(1usize..9, 1..6),
+            interrupts in proptest::collection::vec(0u8..2, 1..6),
+        ) {
+            let mut wire = Vec::new();
+            for (i, (ty, len)) in frames.iter().enumerate() {
+                let payload: Vec<u8> = (0..*len).map(|b| (b + i) as u8).collect();
+                write_frame(&mut wire, *ty, &payload).unwrap();
+            }
+            if oversize == 1 {
+                wire.push(FRAME_REQ);
+                wire.extend_from_slice(&u32::MAX.to_le_bytes());
+            }
+            let interrupts: Vec<bool> = interrupts.iter().map(|&b| b == 1).collect();
+            for cut in 0..=wire.len() {
+                let stream = ShortReads {
+                    data: &wire[..cut],
+                    sizes: &sizes,
+                    interrupts: &interrupts,
+                    call: 0,
+                    interrupted: false,
+                };
+                let got = carve_blocking(stream);
+                let want = carve_whole(&wire[..cut]);
+                prop_assert_eq!(&got, &want, "cut {} of {}: {:?} vs {:?}", cut, wire.len(), got, want);
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 use acmr_core::{AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
-    decode_error_reply, decode_summary, write_frame, FrameBuffer, ProtoVersion, FRAME_BATCH,
-    FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_STATS_REPLY,
-    FRAME_SUMMARY, GREETING, SPEC_POINTER,
+    decode_error_reply, decode_summary, encode_reset, write_frame, FrameBuffer, ProtoVersion,
+    FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET,
+    FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, SPEC_POINTER,
 };
 use acmr_serve::{Connection, MachineConfig};
 use acmr_workloads::binfmt::encode_record_into;
@@ -364,6 +364,27 @@ fn v1_capped_machine_rejects_the_v2_negotiation_with_err_parse() {
         .find(|l| l.starts_with("ERR "))
         .expect("typed ERR reply");
     assert!(err.starts_with("ERR parse"), "{err:?}");
+}
+
+#[test]
+fn zero_capacities_are_refused_alike_by_open_and_reset() {
+    // A zero capacity is the same typed parse error whichever message
+    // carries it: the v1 handshake's `caps` line or a v2 RESET frame.
+    let open = b"OPEN greedy\nedges 2\ncaps 0 2\n".to_vec();
+    let mut reset = b"OPEN greedy proto=v2\nedges 2\ncaps 1 1\n".to_vec();
+    let mut payload = Vec::new();
+    encode_reset(&mut payload, "greedy", None, &[0, 2]);
+    write_frame(&mut reset, FRAME_RESET, &payload).unwrap();
+    for (name, script) in [("OPEN", open), ("RESET", reset)] {
+        let replies = assert_valid_output(&drive_whole(Mode::V2Summary, &script), name);
+        let errs = replies.iter().filter(|r| r.starts_with("ERR ")).count();
+        assert_eq!(errs, 1, "{name}: {replies:?}");
+        let last = replies.last().unwrap();
+        assert!(
+            last.starts_with("ERR parse ") && last.contains("capacities must be positive"),
+            "{name}: {last:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! `ACMR-TRACE v2` — the binary, mmap-able trace format: writer,
-//! streaming reader, zero-copy mapped reader, and format sniffing.
+//! zero-copy mapped reader, and format sniffing.
 //!
 //! The plain-text v1 format ([`crate::trace`]) is greppable and
 //! diffable, but parsing it is the measured ingestion ceiling
@@ -34,16 +34,20 @@
 //! bounds; the `binfmt_fuzz` suite pins this under byte-level
 //! corruption and truncation.
 //!
-//! Readers implement [`RequestSource`], so they plug into
+//! Every binary trace byte is decoded by [`decode_record`] inside one
+//! cursor, [`BinMapReader`], over a [`BinTraceMap`]: an `mmap(2)` of a
+//! file, a whole-file heap read where mapping fails, or an in-memory
+//! image ([`BinTraceMap::from_bytes`], which [`read_bin_trace`] uses).
+//! The cursor implements [`RequestSource`], so it plugs into
 //! `Session::run_stream_batched` and the harness's two-pass report
-//! path exactly like the text [`TraceReader`] — [`open_trace`] sniffs the leading
-//! magic and returns whichever reader the file calls for.
+//! path exactly like the text [`TraceReader`] — [`open_trace`] sniffs
+//! the leading magic and returns whichever reader the file calls for.
 
-use crate::trace::{TraceReader, CHUNK_SIZE};
+use crate::trace::TraceReader;
 use acmr_core::{AcmrError, AdmissionInstance, Request, RequestSource};
 use acmr_graph::{EdgeId, EdgeSet};
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -158,8 +162,7 @@ pub fn sniff_path(path: impl AsRef<Path>) -> Result<TraceFormat, AcmrError> {
 }
 
 /// Check magic + version and return the declared edge count `m` from
-/// the 16-byte fixed prefix — the header sub-parse shared by the
-/// streaming and mapped readers.
+/// the 16-byte fixed prefix.
 fn parse_fixed_prefix(bytes: &[u8; FIXED_PREFIX]) -> Result<u32, AcmrError> {
     if bytes[..8] != BIN_MAGIC {
         return Err(berr(
@@ -194,44 +197,6 @@ fn parse_caps_and_count(bytes: &[u8], m: u32) -> Result<(Vec<u32>, u64), AcmrErr
     }
     let declared = u64::from_le_bytes(count_bytes.try_into().expect("8 bytes"));
     Ok((capacities, declared))
-}
-
-/// Validate one decoded record body and build the [`Request`]: finite
-/// positive cost, edge ids strictly increasing (the canonical
-/// [`EdgeSet`] order, so no re-sort is needed) and `< num_edges`. The
-/// footprint is then built straight from the record bytes, with no
-/// allocation for up to five edges.
-#[inline]
-fn request_from_parts(
-    cost: f64,
-    id_bytes: &[u8],
-    record: usize,
-    num_edges: u32,
-) -> Result<Request, AcmrError> {
-    if !(cost > 0.0 && cost.is_finite()) {
-        return Err(berr(record, format!("bad cost {cost}")));
-    }
-    debug_assert_eq!(id_bytes.len() % 4, 0);
-    let ids = id_bytes
-        .chunks_exact(4)
-        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-    let mut prev = None;
-    for id in ids.clone() {
-        if id >= num_edges {
-            return Err(berr(record, format!("edge id {id} out of range")));
-        }
-        if prev.is_some_and(|p| id <= p) {
-            return Err(berr(
-                record,
-                "edge ids must be strictly increasing (sorted, deduplicated)",
-            ));
-        }
-        prev = Some(id);
-    }
-    Ok(Request::new(
-        EdgeSet::from_sorted_iter(ids.map(EdgeId)),
-        cost,
-    ))
 }
 
 /// Encode one request as an `ACMR-TRACE v2` record, appending the
@@ -272,12 +237,21 @@ pub fn encode_record_into(buf: &mut Vec<u8>, r: &Request, num_edges: u32) -> io:
 
 /// Decode the record at byte offset `at` of `bytes`, returning the
 /// request and the offset just past it — the one record decoder shared
-/// by [`BinTraceMap`] iteration, the in-memory paths, **and** the
-/// `ACMR-SERVE v2` wire (arrival frames are exactly these record
-/// bytes — the inverse of [`encode_record_into`]). Bounds are
-/// checked on every access; truncation is a typed error naming
-/// `record` (0-based; wire callers pass the arrival index).
-#[inline]
+/// by the [`BinMapReader`] cursor **and** the `ACMR-SERVE v2` wire
+/// (arrival frames are exactly these record bytes — the inverse of
+/// [`encode_record_into`]). Bounds are checked on every access;
+/// truncation is a typed error naming `record` (the cursor passes the
+/// 1-based record index, wire callers the arrival index).
+///
+/// The record must carry a finite positive cost and edge ids strictly
+/// increasing (the canonical [`EdgeSet`] order, so no re-sort is
+/// needed) and `< num_edges`. The footprint is built straight from
+/// the record bytes, with no allocation for up to five edges.
+///
+/// Kept out of line: inlined into the replay cursor's `next`, the
+/// 1M-record mapped replay measured about 15% slower (2-core x86-64
+/// host).
+#[inline(never)]
 pub fn decode_record(
     bytes: &[u8],
     at: usize,
@@ -296,7 +270,27 @@ pub fn decode_record(
     let id_bytes = bytes
         .get(at + RECORD_PREFIX..end)
         .ok_or_else(|| berr(record, "truncated record"))?;
-    Ok((request_from_parts(cost, id_bytes, record, num_edges)?, end))
+    if !(cost > 0.0 && cost.is_finite()) {
+        return Err(berr(record, format!("bad cost {cost}")));
+    }
+    let ids = id_bytes
+        .chunks_exact(4)
+        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
+    let mut prev = None;
+    for id in ids.clone() {
+        if id >= num_edges {
+            return Err(berr(record, format!("edge id {id} out of range")));
+        }
+        if prev.is_some_and(|p| id <= p) {
+            return Err(berr(
+                record,
+                "edge ids must be strictly increasing (sorted, deduplicated)",
+            ));
+        }
+        prev = Some(id);
+    }
+    let footprint = EdgeSet::from_sorted_iter(ids.map(EdgeId));
+    Ok((Request::new(footprint, cost), end))
 }
 
 /// Incremental writer for the binary `ACMR-TRACE v2` format — the
@@ -375,179 +369,6 @@ impl<W: Write> BinTraceWriter<W> {
     }
 }
 
-/// Streaming reader for binary traces over any [`io::Read`] — the
-/// binary twin of the text [`TraceReader`]: header parsed eagerly at
-/// construction, one validated [`Request`] per [`next_request`] call
-/// in bounded memory, poisoning after the first error.
-///
-/// [`next_request`]: RequestSource::next_request
-pub struct BinTraceReader<R: Read> {
-    inner: BufReader<R>,
-    capacities: Vec<u32>,
-    declared: u64,
-    yielded: u64,
-    finished: bool,
-    poison: Option<AcmrError>,
-    /// Reusable scratch for each record's edge-id bytes.
-    buf: Vec<u8>,
-}
-
-impl BinTraceReader<File> {
-    /// Open a binary trace file for streaming.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, AcmrError> {
-        let path = path.as_ref();
-        let file = File::open(path).map_err(|e| AcmrError::Io {
-            message: format!("cannot open trace {}: {e}", path.display()),
-        })?;
-        BinTraceReader::new(file)
-    }
-}
-
-impl<R: Read> BinTraceReader<R> {
-    /// Wrap any byte source and parse the v2 header.
-    pub fn new(reader: R) -> Result<Self, AcmrError> {
-        let mut inner = BufReader::with_capacity(CHUNK_SIZE, reader);
-        let mut prefix = [0u8; FIXED_PREFIX];
-        read_exact_header(&mut inner, &mut prefix)?;
-        let m = parse_fixed_prefix(&prefix)?;
-        // Read the caps table + request count with `take`, so a bogus
-        // huge `m` in a small file hits EOF instead of a huge upfront
-        // allocation.
-        let want = m as u64 * 4 + 8;
-        let mut rest = Vec::new();
-        (&mut inner)
-            .take(want)
-            .read_to_end(&mut rest)
-            .map_err(AcmrError::from)?;
-        if (rest.len() as u64) < want {
-            return Err(berr(0, "truncated header"));
-        }
-        let (capacities, declared) = parse_caps_and_count(&rest, m)?;
-        Ok(BinTraceReader {
-            inner,
-            capacities,
-            declared,
-            yielded: 0,
-            finished: false,
-            poison: None,
-            buf: Vec::new(),
-        })
-    }
-
-    /// Edge capacities from the header.
-    pub fn capacities(&self) -> &[u32] {
-        &self.capacities
-    }
-
-    /// Request count declared by the header.
-    pub fn declared_requests(&self) -> u64 {
-        self.declared
-    }
-
-    /// Requests yielded so far.
-    pub fn requests_read(&self) -> u64 {
-        self.yielded
-    }
-
-    fn pull(&mut self) -> Result<Option<Request>, AcmrError> {
-        if let Some(e) = &self.poison {
-            return Err(e.clone());
-        }
-        match self.pull_inner() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    fn pull_inner(&mut self) -> Result<Option<Request>, AcmrError> {
-        if self.finished {
-            return Ok(None);
-        }
-        let record = usize::try_from(self.yielded + 1).unwrap_or(usize::MAX);
-        if self.yielded == self.declared {
-            // Body complete: exactly EOF may remain.
-            let mut probe = [0u8; 1];
-            loop {
-                match self.inner.read(&mut probe) {
-                    Ok(0) => break,
-                    Ok(_) => return Err(berr(record, "trailing content after the last record")),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            self.finished = true;
-            return Ok(None);
-        }
-        let mut prefix = [0u8; RECORD_PREFIX];
-        read_exact_record(&mut self.inner, &mut prefix, record)?;
-        let cost = f64::from_le_bytes(prefix[..8].try_into().expect("8 bytes"));
-        let k = u16::from_le_bytes(prefix[8..10].try_into().expect("2 bytes")) as usize;
-        if k == 0 {
-            return Err(berr(record, "request has no edges"));
-        }
-        self.buf.resize(4 * k, 0);
-        let mut ids = std::mem::take(&mut self.buf);
-        let read = read_exact_record(&mut self.inner, &mut ids, record);
-        self.buf = ids;
-        read?;
-        let request = request_from_parts(cost, &self.buf, record, self.capacities.len() as u32)?;
-        self.yielded += 1;
-        Ok(Some(request))
-    }
-}
-
-/// `read_exact` during header parsing: EOF is a truncated header.
-fn read_exact_header<R: Read>(inner: &mut BufReader<R>, buf: &mut [u8]) -> Result<(), AcmrError> {
-    inner.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => berr(0, "truncated header"),
-        _ => e.into(),
-    })
-}
-
-/// `read_exact` during record reads: EOF is a truncated record.
-fn read_exact_record<R: Read>(
-    inner: &mut BufReader<R>,
-    buf: &mut [u8],
-    record: usize,
-) -> Result<(), AcmrError> {
-    inner.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => berr(record, "truncated record"),
-        _ => e.into(),
-    })
-}
-
-impl<R: Read> std::fmt::Debug for BinTraceReader<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinTraceReader")
-            .field("edges", &self.capacities.len())
-            .field("declared_requests", &self.declared)
-            .field("requests_read", &self.yielded)
-            .field("poisoned", &self.poison.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<R: Read> Iterator for BinTraceReader<R> {
-    type Item = Result<Request, AcmrError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.pull().transpose()
-    }
-}
-
-impl<R: Read> RequestSource for BinTraceReader<R> {
-    fn capacities(&self) -> &[u32] {
-        &self.capacities
-    }
-
-    fn declared_requests(&self) -> u64 {
-        self.declared
-    }
-}
-
 /// A whole binary trace held as one byte region — an `mmap(2)` of the
 /// file when the platform allows it, a heap read otherwise — with the
 /// header validated once at open. [`BinTraceMap::into_reader`] turns
@@ -597,8 +418,9 @@ impl BinTraceMap {
         Self::from_backing(backing)
     }
 
-    /// Validate an in-memory byte image of a binary trace (the fuzz
-    /// suites and tests go through this; no file needed).
+    /// Validate an in-memory byte image of a binary trace (what
+    /// [`read_bin_trace`] and the fuzz suites go through; no file
+    /// needed).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, AcmrError> {
         Self::from_backing(Backing::Heap(bytes))
     }
@@ -677,8 +499,9 @@ impl std::fmt::Debug for BinTraceMap {
 
 /// Owning replay cursor over a [`BinTraceMap`]: yields each request
 /// decoded straight from the mapped (or heap-fallback) bytes, with the
-/// same validation, poisoning, and clean-EOF contract as the streaming
-/// readers. Cheap to clone a fresh one from the shared map (`Arc`).
+/// same validation, poisoning, and clean-EOF contract as the text
+/// [`TraceReader`]. Cheap to clone a fresh one from the shared map
+/// (`Arc`).
 pub struct BinMapReader {
     map: Arc<BinTraceMap>,
     at: usize,
@@ -848,12 +671,13 @@ pub fn write_bin_trace(inst: &AdmissionInstance) -> Vec<u8> {
 }
 
 /// Parse an instance from binary v2 bytes (in-memory convenience over
-/// [`BinTraceReader`], so both paths accept exactly the same input).
+/// the [`BinMapReader`] cursor of a [`BinTraceMap::from_bytes`] copy,
+/// so every path accepts exactly the same input).
 pub fn read_bin_trace(bytes: &[u8]) -> Result<AdmissionInstance, AcmrError> {
-    let mut reader = BinTraceReader::new(bytes)?;
-    let mut inst = AdmissionInstance::from_capacities(reader.capacities().to_vec());
-    while let Some(r) = reader.pull()? {
-        inst.push(r);
+    let map = BinTraceMap::from_bytes(bytes.to_vec())?;
+    let mut inst = AdmissionInstance::from_capacities(map.capacities.clone());
+    for request in map.into_reader() {
+        inst.push(request?);
     }
     Ok(inst)
 }
@@ -894,23 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_mapped_readers_agree() {
-        let inst = sample();
-        let bytes = write_bin_trace(&inst);
-        let streamed: Vec<Request> = BinTraceReader::new(bytes.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        let mapped: Vec<Request> = BinTraceMap::from_bytes(bytes.clone())
-            .unwrap()
-            .into_reader()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(streamed, inst.requests);
-        assert_eq!(mapped, inst.requests);
-    }
-
-    #[test]
     fn mapped_file_roundtrip_uses_a_real_mapping() {
         let inst = sample();
         let path = std::env::temp_dir().join(format!("acmr-binfmt-map-{}.bin", std::process::id()));
@@ -933,12 +740,7 @@ mod tests {
         let replayed: Vec<Request> = map.into_reader().map(|r| r.unwrap()).collect();
         assert_eq!(replayed, inst.requests);
 
-        // The streaming file reader and the sniffing opener agree.
-        let streamed: Vec<Request> = BinTraceReader::open(&path)
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(streamed, inst.requests);
+        // The sniffing opener replays the same requests.
         let any = open_trace(&path).unwrap();
         assert_eq!(any.format(), TraceFormat::BinaryV2);
         let via_any: Vec<Request> = any.map(|r| r.unwrap()).collect();
@@ -1015,27 +817,11 @@ mod tests {
             ),
         ];
         for (bytes, needle) in cases {
-            for via_map in [false, true] {
-                let result: Result<usize, AcmrError> = if via_map {
-                    BinTraceMap::from_bytes(bytes.clone())
-                        .map(BinTraceMap::into_reader)
-                        .and_then(|r| {
-                            let mut n = 0;
-                            for item in r {
-                                item?;
-                                n += 1;
-                            }
-                            Ok(n)
-                        })
-                } else {
-                    read_bin_trace(&bytes).map(|i| i.requests.len())
-                };
-                let e = result.expect_err(needle);
-                assert!(
-                    e.to_string().contains(needle),
-                    "via_map={via_map}: {e} does not mention {needle:?}"
-                );
-            }
+            let e = read_bin_trace(&bytes).expect_err(needle);
+            assert!(
+                e.to_string().contains(needle),
+                "{e} does not mention {needle:?}"
+            );
         }
     }
 
@@ -1086,22 +872,10 @@ mod tests {
     }
 
     #[test]
-    fn readers_poison_after_error() {
+    fn cursor_poisons_after_error() {
         let mut bytes = write_bin_trace(&sample());
         let len = bytes.len();
         bytes.truncate(len - 2);
-        let mut reader = BinTraceReader::new(bytes.as_slice()).unwrap();
-        let mut first_err = None;
-        for item in &mut reader {
-            if let Err(e) = item {
-                first_err = Some(e);
-                break;
-            }
-        }
-        let e1 = first_err.expect("truncated trace must error");
-        let e2 = reader.pull().unwrap_err();
-        assert_eq!(e1, e2, "poisoned reader must repeat its error");
-
         let mut cursor = BinTraceMap::from_bytes(bytes).unwrap().into_reader();
         let mut first_err = None;
         for item in &mut cursor {
@@ -1112,7 +886,7 @@ mod tests {
         }
         let e1 = first_err.expect("truncated trace must error");
         let e2 = cursor.pull().unwrap_err();
-        assert_eq!(e1, e2);
+        assert_eq!(e1, e2, "poisoned cursor must repeat its error");
     }
 
     #[test]

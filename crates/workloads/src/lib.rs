@@ -36,8 +36,7 @@ pub use admission::{random_path_workload, PathWorkloadSpec, Topology};
 pub use adversarial::{buyback_hostile, nested_intervals, repeated_hot_edge, two_phase_squeeze};
 pub use binfmt::{
     decode_record, encode_record_into, open_trace, read_bin_trace, sniff_bytes, sniff_path,
-    write_bin_trace, AnyTraceReader, BinMapReader, BinTraceMap, BinTraceReader, BinTraceWriter,
-    TraceFormat,
+    write_bin_trace, AnyTraceReader, BinMapReader, BinTraceMap, BinTraceWriter, TraceFormat,
 };
 pub use cost::CostModel;
 pub use lower_bound::{adaptive_least_covered_schedule, dyadic_admission_instance, dyadic_system};

@@ -1,14 +1,15 @@
 //! Fuzz-style property tests for the binary `ACMR-TRACE v2` subsystem:
-//! arbitrary bytes never panic either reader, corrupting or truncating
+//! arbitrary bytes never panic the decoder, corrupting or truncating
 //! any byte of a valid trace yields a typed error (or a still-valid
-//! replay) and never an out-of-bounds access, the streaming and mapped
-//! readers always agree with each other, and structured round-trips
-//! are lossless and bit-exact.
+//! replay) and never an out-of-bounds access, the whole-instance parse
+//! (`read_bin_trace`) and the replay cursor (`BinTraceMap`) always
+//! agree with each other, and structured round-trips are lossless and
+//! bit-exact.
 
 use acmr_core::{AcmrError, AdmissionInstance, Request};
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_workloads::trace::{read_trace, write_trace};
-use acmr_workloads::{read_bin_trace, write_bin_trace, BinTraceMap, BinTraceReader};
+use acmr_workloads::{read_bin_trace, write_bin_trace, BinTraceMap};
 use proptest::prelude::*;
 
 /// A canonical valid binary trace the corruption tests mutate:
@@ -20,29 +21,18 @@ fn valid_bytes() -> Vec<u8> {
     write_bin_trace(&inst)
 }
 
-/// Drain the streaming reader, asserting every failure is one of the
-/// typed trace errors (panic on anything untyped). Returns the number
-/// of requests yielded.
-fn drain_streamed(bytes: &[u8]) -> Result<usize, ()> {
-    let mut reader = match BinTraceReader::new(bytes) {
-        Ok(r) => r,
-        Err(AcmrError::TraceParse { .. }) | Err(AcmrError::Io { .. }) => return Err(()),
-        Err(other) => panic!("untyped header failure: {other:?}"),
-    };
-    let mut n = 0;
-    loop {
-        match reader.next() {
-            Some(Ok(_)) => n += 1,
-            None => return Ok(n),
-            Some(Err(AcmrError::TraceParse { .. })) | Some(Err(AcmrError::Io { .. })) => {
-                return Err(())
-            }
-            Some(Err(other)) => panic!("untyped stream failure: {other:?}"),
-        }
+/// Parse the whole instance with `read_bin_trace` (the CLI's stdin
+/// path), asserting every failure is one of the typed trace errors
+/// (panic on anything untyped). Returns the number of requests parsed.
+fn drain_parsed(bytes: &[u8]) -> Result<usize, ()> {
+    match read_bin_trace(bytes) {
+        Ok(inst) => Ok(inst.requests.len()),
+        Err(AcmrError::TraceParse { .. }) | Err(AcmrError::Io { .. }) => Err(()),
+        Err(other) => panic!("untyped parse failure: {other:?}"),
     }
 }
 
-/// [`drain_streamed`] through the mapped (zero-copy cursor) path.
+/// [`drain_parsed`] through the replay cursor, one request at a time.
 fn drain_mapped(bytes: &[u8]) -> Result<usize, ()> {
     let map = match BinTraceMap::from_bytes(bytes.to_vec()) {
         Ok(m) => m,
@@ -61,18 +51,18 @@ fn drain_mapped(bytes: &[u8]) -> Result<usize, ()> {
 }
 
 #[test]
-fn baseline_valid_trace_replays_through_both_readers() {
+fn baseline_valid_trace_replays_through_parse_and_cursor() {
     let bytes = valid_bytes();
-    assert_eq!(drain_streamed(&bytes), Ok(2));
+    assert_eq!(drain_parsed(&bytes), Ok(2));
     assert_eq!(drain_mapped(&bytes), Ok(2));
 }
 
 proptest! {
-    /// Arbitrary bytes: both readers return Ok or a typed Err, never
-    /// panic, never read out of bounds.
+    /// Arbitrary bytes: parse and cursor return Ok or a typed Err,
+    /// never panic, never read out of bounds.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255u8, 0..300)) {
-        prop_assert_eq!(drain_streamed(&bytes), drain_mapped(&bytes));
+        prop_assert_eq!(drain_parsed(&bytes), drain_mapped(&bytes));
     }
 
     /// Arbitrary bytes stamped with a valid magic + version, so the
@@ -82,36 +72,36 @@ proptest! {
     fn hostile_headers_never_panic(bytes in proptest::collection::vec(0u8..=255u8, 0..300)) {
         let mut stamped = b"ACMRTRCB\x02\x00\x00\x00".to_vec();
         stamped.extend_from_slice(&bytes);
-        prop_assert_eq!(drain_streamed(&stamped), drain_mapped(&stamped));
+        prop_assert_eq!(drain_parsed(&stamped), drain_mapped(&stamped));
     }
 
     /// Corrupting any single byte of a valid trace: typed error or a
     /// still-valid replay (some corruptions are benign — e.g. a
-    /// different cost bit), and the streaming and mapped readers agree
-    /// exactly — same validity, same yielded count.
+    /// different cost bit), and parse and cursor agree exactly — same
+    /// validity, same yielded count.
     #[test]
-    fn corrupting_any_byte_keeps_both_readers_typed_and_agreeing(
+    fn corrupting_any_byte_keeps_parse_and_cursor_typed_and_agreeing(
         pos in 0usize..64, // valid_bytes() is 64 bytes; pinned below
         byte in 0u8..=255u8,
     ) {
         let mut bytes = valid_bytes();
         prop_assert_eq!(bytes.len(), 64);
         bytes[pos] = byte;
-        prop_assert_eq!(drain_streamed(&bytes), drain_mapped(&bytes));
+        prop_assert_eq!(drain_parsed(&bytes), drain_mapped(&bytes));
     }
 
     /// Truncating a valid trace at any byte: typed error or a clean
-    /// EOF, with both readers agreeing (truncation mid-header and
+    /// EOF, with parse and cursor agreeing (truncation mid-header and
     /// mid-record must both be caught; only declared-count==yielded
     /// with no trailing bytes may pass).
     #[test]
-    fn truncating_anywhere_keeps_both_readers_typed_and_agreeing(len in 0usize..64) {
+    fn truncating_anywhere_keeps_parse_and_cursor_typed_and_agreeing(len in 0usize..64) {
         let bytes = valid_bytes();
         let cut = &bytes[..len.min(bytes.len())];
-        let streamed = drain_streamed(cut);
-        prop_assert_eq!(streamed, drain_mapped(cut));
+        let parsed = drain_parsed(cut);
+        prop_assert_eq!(parsed, drain_mapped(cut));
         // A strict prefix can never replay the full declared body.
-        prop_assert!(streamed.is_err());
+        prop_assert!(parsed.is_err());
     }
 
     /// Structured round-trip: any valid instance survives
