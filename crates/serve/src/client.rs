@@ -16,25 +16,132 @@
 //! and [`ServeClient::reset`] reuses the connection for a fresh
 //! session — the persistent-session mechanism
 //! [`crate::pool::WorkerPool`] builds on.
+//!
+//! The two dialects differ only in framing, and the client keeps that
+//! difference in two places: the write half turns each step (one
+//! arrival, a batch, `END`, `STATS`) into the dialect's line or frame,
+//! and the one reply reader turns a line or a frame back into a reply
+//! of the expected kind — decoding `ERR` into the server's typed error
+//! in both dialects alike. [`ServeClient::push`], `push_batch_into`,
+//! `stats`, `end_session` and [`fetch_stats`] are each one write and
+//! one read.
 
 use crate::protocol::{
     decode_error_reply, decode_ok, decode_summary, encode_reset, write_frame, BatchSummary,
-    BinFrameReader, FrameReader, ProtoVersion, StatsReport, EVENTS_TOKEN, FRAME_BATCH, FRAME_END,
-    FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET, FRAME_STATS,
-    FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
+    BinFrameReader, FrameReader, ProtoVersion, ReplyKind, StatsReport, EVENTS_TOKEN, FRAME_BATCH,
+    FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, ArrivalEvent, Request, RunReport};
 use acmr_workloads::binfmt::encode_record_into;
 use acmr_workloads::trace::write_request_line;
-use std::io::{BufWriter, Write};
+use serde::de::DeserializeOwned;
+use std::io::{BufWriter, Chain, Cursor, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// The read half of a session: v1 line frames, or — after a
-/// `proto=v2` handshake — binary frames (chained after any bytes the
-/// line scanner had already buffered past the `OK` reply).
+/// The read half of a connection: v1 lines, or — after a `proto=v2`
+/// handshake — binary frames (chained after any bytes the line
+/// scanner had already buffered past the `OK` reply).
 enum ReadHalf {
-    V1(FrameReader<TcpStream>),
-    V2(BinFrameReader<std::io::Chain<std::io::Cursor<Vec<u8>>, TcpStream>>),
+    Lines(FrameReader<TcpStream>),
+    Frames(BinFrameReader<Chain<Cursor<Vec<u8>>, TcpStream>>),
+}
+
+/// Every reply the server sends is read here, in either dialect.
+struct Replies {
+    read: ReadHalf,
+    /// The last reply's body: the text after a v1 keyword, or a v2
+    /// frame's payload. Reused across replies.
+    body: Vec<u8>,
+}
+
+impl Replies {
+    /// Read the next reply into `self.body` and return its kind. An
+    /// `ERR` reply decodes to the server's typed error; a closed
+    /// connection or a reply outside the grammar is a client-side
+    /// `proto` error (the server vanished or spoke garbage), so the
+    /// pool's retry classification stays exact.
+    fn next(&mut self) -> Result<ReplyKind, AcmrError> {
+        let kind = match &mut self.read {
+            ReadHalf::Lines(lines) => {
+                let (_, line) = lines.next_line()?.ok_or_else(closed)?;
+                let (keyword, body) = line.split_once(' ').unwrap_or((&line, ""));
+                self.body.clear();
+                self.body.extend_from_slice(body.trim_start().as_bytes());
+                ReplyKind::from_keyword(keyword)
+                    .ok_or_else(|| proto_error(format!("unexpected reply {line:?}")))?
+            }
+            ReadHalf::Frames(frames) => {
+                let ty = match frames.read_frame(&mut self.body) {
+                    Ok(Some(ty)) => ty,
+                    Ok(None) => return Err(closed()),
+                    Err(AcmrError::TraceParse { message, .. }) => {
+                        return Err(proto_error(format!("malformed reply frame: {message}")))
+                    }
+                    Err(e) => return Err(e),
+                };
+                ReplyKind::from_frame_type(ty)
+                    .ok_or_else(|| proto_error(format!("unexpected reply frame type 0x{ty:02x}")))?
+            }
+        };
+        if kind == ReplyKind::Err {
+            return Err(decode_error_reply(&String::from_utf8_lossy(&self.body)));
+        }
+        Ok(kind)
+    }
+
+    /// Read the next reply, which must be a `want`; returns its body.
+    fn expect(&mut self, want: ReplyKind) -> Result<&[u8], AcmrError> {
+        let got = self.next()?;
+        if got != want {
+            return Err(proto_error(format!(
+                "expected a {} reply, got {}",
+                want.keyword(),
+                got.keyword()
+            )));
+        }
+        Ok(&self.body)
+    }
+
+    /// An `EVENT`, `REPORT` or `STATS` reply: a JSON body.
+    fn json<T: DeserializeOwned>(&mut self, want: ReplyKind) -> Result<T, AcmrError> {
+        let malformed =
+            |e: &dyn std::fmt::Display| proto_error(format!("malformed {}: {e}", want.keyword()));
+        let body = std::str::from_utf8(self.expect(want)?).map_err(|e| malformed(&e))?;
+        serde_json::from_str(body).map_err(|e| malformed(&e))
+    }
+
+    fn summary(&mut self) -> Result<BatchSummary, AcmrError> {
+        decode_summary(self.expect(ReplyKind::Summary)?)
+    }
+
+    /// An `OK` reply: the session id, the canonical spec (empty if a
+    /// v1 line omits it), and whether a v1 line acknowledged
+    /// `proto=v2`.
+    fn ok(&mut self) -> Result<(u64, String, bool), AcmrError> {
+        let frames = matches!(self.read, ReadHalf::Frames(_));
+        let body = self.expect(ReplyKind::Ok)?;
+        if frames {
+            let (id, spec) = decode_ok(body)?;
+            return Ok((id, spec, false));
+        }
+        let text = String::from_utf8_lossy(body);
+        let mut toks = text.split_whitespace();
+        let id = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| proto_error(format!("malformed OK reply {text:?}")))?;
+        let spec = toks.next().unwrap_or_default().to_string();
+        Ok((id, spec, toks.any(|t| t == PROTO_V2_TOKEN)))
+    }
+}
+
+/// One client step, written in the session's dialect by
+/// [`ServeClient::write`].
+enum Step<'a> {
+    Arrival(&'a Request),
+    Batch(&'a [Request]),
+    End,
+    Stats,
 }
 
 /// One live session against an `acmr serve` endpoint.
@@ -58,7 +165,7 @@ enum ReadHalf {
 /// # Ok::<(), acmr_core::AcmrError>(())
 /// ```
 pub struct ServeClient {
-    read: ReadHalf,
+    replies: Replies,
     writer: BufWriter<TcpStream>,
     session_id: u64,
     spec: String,
@@ -67,8 +174,6 @@ pub struct ServeClient {
     events: bool,
     /// v2 only: edge-universe size, needed to encode arrival records.
     num_edges: u32,
-    /// v2 only: reusable reply-payload buffer.
-    scratch: Vec<u8>,
     /// v2 only: reusable outgoing-payload buffer.
     out: Vec<u8>,
 }
@@ -138,22 +243,7 @@ impl ServeClient {
         proto: ProtoVersion,
         events: bool,
     ) -> Result<Self, AcmrError> {
-        // Frames are small and latency-bound; Nagle would trade the
-        // per-decision round trip for nothing.
-        let _ = stream.set_nodelay(true);
-        let write_half = stream.try_clone().map_err(|e| AcmrError::Io {
-            message: format!("cannot clone socket: {e}"),
-        })?;
-        let mut frames = FrameReader::new(stream);
-        let mut writer = BufWriter::new(write_half);
-
-        let (_, greeting) = reply_line(&mut frames)?;
-        if greeting != GREETING {
-            return Err(AcmrError::Remote {
-                code: "proto".into(),
-                message: format!("unexpected greeting {greeting:?} (expected {GREETING:?})"),
-            });
-        }
+        let (mut replies, mut writer) = greet(stream)?;
         write!(writer, "OPEN {spec}")?;
         if let Some(seed) = base_seed {
             write!(writer, " seed={seed}")?;
@@ -173,36 +263,31 @@ impl ServeClient {
         writeln!(writer)?;
         writer.flush()?;
 
-        let (_, ok) = reply_line(&mut frames)?;
-        let rest = decode_reply(&ok, "OK")?;
-        let mut toks = rest.split_whitespace();
-        let session_id = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| proto_error(format!("malformed OK reply {ok:?}")))?;
-        let spec = toks.next().unwrap_or(spec).to_string();
-        let upgraded = toks.any(|t| t == PROTO_V2_TOKEN);
-        let read = match proto {
-            ProtoVersion::V1 => ReadHalf::V1(frames),
-            ProtoVersion::V2 => {
-                if !upgraded {
-                    return Err(proto_error(format!(
-                        "server accepted the session but did not acknowledge {PROTO_V2_TOKEN} \
-                         (reply {ok:?})"
-                    )));
-                }
-                let (rest, stream) = frames.into_binary();
-                ReadHalf::V2(BinFrameReader::with_rest(rest, stream))
+        let (session_id, echoed, upgraded) = replies.ok()?;
+        if proto == ProtoVersion::V2 {
+            if !upgraded {
+                return Err(proto_error(format!(
+                    "server accepted the session but did not acknowledge {PROTO_V2_TOKEN} \
+                     (reply \"OK {session_id} {echoed}\")"
+                )));
             }
-        };
+            let ReadHalf::Lines(lines) = replies.read else {
+                unreachable!("the handshake reads lines");
+            };
+            let (rest, stream) = lines.into_binary();
+            replies.read = ReadHalf::Frames(BinFrameReader::with_rest(rest, stream));
+        }
         Ok(ServeClient {
-            read,
+            replies,
             writer,
             session_id,
-            spec,
+            spec: if echoed.is_empty() {
+                spec.to_string()
+            } else {
+                echoed
+            },
             events,
             num_edges: capacities.len() as u32,
-            scratch: Vec::new(),
             out: Vec::new(),
         })
     }
@@ -220,9 +305,9 @@ impl ServeClient {
 
     /// Which protocol this session negotiated.
     pub fn proto(&self) -> ProtoVersion {
-        match self.read {
-            ReadHalf::V1(_) => ProtoVersion::V1,
-            ReadHalf::V2(_) => ProtoVersion::V2,
+        match self.replies.read {
+            ReadHalf::Lines(_) => ProtoVersion::V1,
+            ReadHalf::Frames(_) => ProtoVersion::V2,
         }
     }
 
@@ -230,21 +315,8 @@ impl ServeClient {
     /// twin of [`acmr_core::Session::push`]. Single arrivals stream an
     /// `EVENT` in both protocols and both v2 acknowledgement modes.
     pub fn push(&mut self, request: &Request) -> Result<ArrivalEvent, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                write_request_line(&mut self.writer, request)?;
-                self.writer.flush()?;
-                self.read_event_line()
-            }
-            ReadHalf::V2(_) => {
-                self.out.clear();
-                encode_record_into(&mut self.out, request, self.num_edges)
-                    .map_err(invalid_request)?;
-                write_frame(&mut self.writer, FRAME_REQ, &self.out)?;
-                self.writer.flush()?;
-                self.read_event_frame()
-            }
-        }
+        self.send(Step::Arrival(request))?;
+        self.replies.json(ReplyKind::Event)
     }
 
     /// Send a `BATCH n` frame and wait for its `n` decisions — the
@@ -278,36 +350,19 @@ impl ServeClient {
         events: &mut Vec<ArrivalEvent>,
     ) -> Result<(), AcmrError> {
         events.clear();
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "BATCH {}", batch.len())?;
-                for request in batch {
-                    write_request_line(&mut self.writer, request)?;
-                }
-                self.writer.flush()?;
-                events.reserve(batch.len());
-                for _ in 0..batch.len() {
-                    events.push(self.read_event_line()?);
-                }
-                Ok(())
-            }
-            ReadHalf::V2(_) => {
-                if !self.events {
-                    return Err(proto_error(
-                        "this v2 session negotiated summary acknowledgements; \
-                         use push_batch_summary (or connect with events=on)"
-                            .into(),
-                    ));
-                }
-                self.write_batch_frame(batch)?;
-                self.writer.flush()?;
-                events.reserve(batch.len());
-                for _ in 0..batch.len() {
-                    events.push(self.read_event_frame()?);
-                }
-                Ok(())
-            }
+        if self.proto() == ProtoVersion::V2 && !self.events {
+            return Err(proto_error(
+                "this v2 session negotiated summary acknowledgements; \
+                 use push_batch_summary (or connect with events=on)"
+                    .into(),
+            ));
         }
+        self.send(Step::Batch(batch))?;
+        events.reserve(batch.len());
+        for _ in 0..batch.len() {
+            events.push(self.replies.json(ReplyKind::Event)?);
+        }
+        Ok(())
     }
 
     /// v2, summary mode: send one `BATCH` frame and wait for its
@@ -319,21 +374,16 @@ impl ServeClient {
     /// then `ERR`; this method surfaces whichever frame arrives
     /// first). Typed error on v1 sessions and on `events=on` sessions.
     pub fn push_batch_summary(&mut self, batch: &[Request]) -> Result<BatchSummary, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => Err(proto_error(
+        match (self.proto(), self.events) {
+            (ProtoVersion::V1, _) => Err(proto_error(
                 "push_batch_summary needs a proto=v2 session (v1 streams events)".into(),
             )),
-            ReadHalf::V2(_) => {
-                if self.events {
-                    return Err(proto_error(
-                        "this v2 session negotiated events=on; use push_batch_into".into(),
-                    ));
-                }
-                self.write_batch_frame(batch)?;
-                self.writer.flush()?;
-                self.expect_frame(FRAME_SUMMARY, "SUMMARY")?;
-                decode_summary(&self.scratch)
-                    .map_err(|e| proto_error(format!("malformed SUMMARY frame: {e}")))
+            (ProtoVersion::V2, true) => Err(proto_error(
+                "this v2 session negotiated events=on; use push_batch_into".into(),
+            )),
+            (ProtoVersion::V2, false) => {
+                self.send(Step::Batch(batch))?;
+                self.replies.summary()
             }
         }
     }
@@ -364,25 +414,8 @@ impl ServeClient {
     /// line, v2 the `STATS` frame) and never perturbs the session —
     /// for a sessionless probe of a remote server, see [`fetch_stats`].
     pub fn stats(&mut self) -> Result<StatsReport, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "STATS")?;
-                self.writer.flush()?;
-                let (_, line) = self.reply_line_v1()?;
-                let json = decode_reply(&line, "STATS")?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
-            }
-            ReadHalf::V2(_) => {
-                write_frame(&mut self.writer, FRAME_STATS, &[])?;
-                self.writer.flush()?;
-                self.expect_frame(FRAME_STATS_REPLY, "STATS")?;
-                let json = std::str::from_utf8(&self.scratch)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
-            }
-        }
+        self.send(Step::Stats)?;
+        self.replies.json(ReplyKind::Stats)
     }
 
     /// End the session: the server replies with the final
@@ -400,48 +433,63 @@ impl ServeClient {
     /// side after the report regardless, so v1 callers should prefer
     /// [`ServeClient::finish`]).
     pub fn end_session(&mut self) -> Result<RunReport, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "END")?;
-                self.writer.flush()?;
-                let (_, line) = self.reply_line_v1()?;
-                let json = decode_reply(&line, "REPORT")?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed REPORT: {e}")))
-            }
-            ReadHalf::V2(_) => {
-                self.write_end_frame()?;
-                self.writer.flush()?;
-                self.read_report_frame()
-            }
-        }
+        self.send(Step::End)?;
+        self.replies.json(ReplyKind::Report)
     }
 
-    // ---- v2 write half (buffered; pipelined callers flush once) ----
+    // ---- write half (buffered; pipelined callers flush once) ----
 
-    /// Queue one `BATCH` frame: `u32le` count + that many ACMR-TRACE
-    /// v2 records. Buffered — does not flush.
-    pub(crate) fn write_batch_frame(&mut self, batch: &[Request]) -> Result<(), AcmrError> {
-        if batch.len() > MAX_BATCH {
-            return Err(AcmrError::InvalidRequest {
-                reason: format!(
-                    "BATCH {} exceeds the {MAX_BATCH}-request frame cap",
-                    batch.len()
-                ),
-            });
+    /// Queue one step as the session's dialect spells it: a request
+    /// line, `BATCH <n>` and its lines, `END` or `STATS` in v1; a
+    /// `REQ`, `BATCH`, `END` or `STATS` frame in v2. Buffered — does
+    /// not flush.
+    fn write(&mut self, step: Step<'_>) -> Result<(), AcmrError> {
+        let proto = self.proto();
+        let w = &mut self.writer;
+        match (proto, step) {
+            (ProtoVersion::V1, Step::Arrival(request)) => write_request_line(w, request)?,
+            (ProtoVersion::V1, Step::Batch(batch)) => {
+                writeln!(w, "BATCH {}", batch.len())?;
+                for request in batch {
+                    write_request_line(w, request)?;
+                }
+            }
+            (ProtoVersion::V1, Step::End) => writeln!(w, "END")?,
+            (ProtoVersion::V1, Step::Stats) => writeln!(w, "STATS")?,
+            (ProtoVersion::V2, Step::Arrival(request)) => {
+                self.out.clear();
+                encode_record_into(&mut self.out, request, self.num_edges)
+                    .map_err(invalid_request)?;
+                write_frame(w, FRAME_REQ, &self.out)?;
+            }
+            (ProtoVersion::V2, Step::Batch(batch)) => {
+                if batch.len() > MAX_BATCH {
+                    return Err(AcmrError::InvalidRequest {
+                        reason: format!(
+                            "BATCH {} exceeds the {MAX_BATCH}-request frame cap",
+                            batch.len()
+                        ),
+                    });
+                }
+                self.out.clear();
+                self.out
+                    .extend_from_slice(&(batch.len() as u32).to_le_bytes());
+                for request in batch {
+                    encode_record_into(&mut self.out, request, self.num_edges)
+                        .map_err(invalid_request)?;
+                }
+                write_frame(w, FRAME_BATCH, &self.out)?;
+            }
+            (ProtoVersion::V2, Step::End) => write_frame(w, FRAME_END, &[])?,
+            (ProtoVersion::V2, Step::Stats) => write_frame(w, FRAME_STATS, &[])?,
         }
-        self.out.clear();
-        self.out
-            .extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        for request in batch {
-            encode_record_into(&mut self.out, request, self.num_edges).map_err(invalid_request)?;
-        }
-        write_frame(&mut self.writer, FRAME_BATCH, &self.out)
+        Ok(())
     }
 
-    /// Queue the empty `END` frame. Buffered — does not flush.
-    pub(crate) fn write_end_frame(&mut self) -> Result<(), AcmrError> {
-        write_frame(&mut self.writer, FRAME_END, &[])
+    /// [`ServeClient::write`], then flush.
+    fn send(&mut self, step: Step<'_>) -> Result<(), AcmrError> {
+        self.write(step)?;
+        self.flush_writes()
     }
 
     /// Queue a `RESET` frame (see [`ServeClient::reset`]). Buffered —
@@ -454,6 +502,9 @@ impl ServeClient {
         base_seed: Option<u64>,
         capacities: &[u32],
     ) -> Result<(), AcmrError> {
+        if self.proto() != ProtoVersion::V2 {
+            return Err(proto_error("RESET needs a proto=v2 session".into()));
+        }
         self.out.clear();
         encode_reset(&mut self.out, spec, base_seed, capacities);
         write_frame(&mut self.writer, FRAME_RESET, &self.out)?;
@@ -464,106 +515,33 @@ impl ServeClient {
     }
 
     /// Flush everything queued so far to the socket.
-    pub(crate) fn flush_writes(&mut self) -> Result<(), AcmrError> {
+    fn flush_writes(&mut self) -> Result<(), AcmrError> {
         self.writer.flush()?;
         Ok(())
     }
 
-    /// Read the `OK` frame answering a `RESET`; updates (and returns)
-    /// the session id and re-reads the canonical spec.
-    pub(crate) fn read_reset_ok(&mut self) -> Result<u64, AcmrError> {
-        self.expect_frame(FRAME_OK, "OK")?;
-        let (id, spec) = decode_ok(&self.scratch)
-            .map_err(|e| proto_error(format!("malformed OK frame: {e}")))?;
+    // ---- read half: every reply through `Replies` ----
+
+    /// Read the `OK` answering a `RESET`; updates (and returns) the
+    /// session id and re-reads the canonical spec.
+    fn read_reset_ok(&mut self) -> Result<u64, AcmrError> {
+        let (id, spec, _) = self.replies.ok()?;
         self.session_id = id;
         self.spec = spec;
         Ok(id)
     }
 
-    /// Read one `SUMMARY` frame (summary-mode batch acknowledgement).
-    pub(crate) fn read_batch_summary(&mut self) -> Result<BatchSummary, AcmrError> {
-        self.expect_frame(FRAME_SUMMARY, "SUMMARY")?;
-        decode_summary(&self.scratch).map_err(|e| proto_error(format!("malformed SUMMARY: {e}")))
-    }
-
-    /// Read the `REPORT` frame answering `END`.
-    pub(crate) fn read_report_frame(&mut self) -> Result<RunReport, AcmrError> {
-        self.expect_frame(FRAME_REPORT, "REPORT")?;
-        let json = std::str::from_utf8(&self.scratch)
-            .map_err(|e| proto_error(format!("malformed REPORT: {e}")))?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed REPORT: {e}")))
-    }
-
-    /// After a failed *write*: try to read one frame, hoping for the
+    /// After a failed *write*: try to read one reply, hoping for the
     /// server's terminal `ERR` (a server that rejects a frame stops
-    /// reading, which is what made our write fail). `Some` only for a
-    /// typed remote answer; `None` means the connection is just gone
-    /// and the caller's transport error stands.
-    pub(crate) fn pending_error(&mut self) -> Option<AcmrError> {
-        match self.read_v2_frame() {
+    /// reading, which is what made our write fail). `Some` for a
+    /// remote-coded answer: the server's `ERR`, or the `proto` error
+    /// of a connection closed without one; `None` for an I/O failure
+    /// or an ordinary reply, and the caller's transport error stands.
+    fn pending_error(&mut self) -> Option<AcmrError> {
+        match self.replies.next() {
             Err(e @ AcmrError::Remote { .. }) => Some(e),
             _ => None,
         }
-    }
-
-    // ---- v2 read half ----
-
-    /// Read one reply frame into `self.scratch`, returning its type.
-    /// EOF and framing violations are client-side *transport* errors
-    /// (`Remote{code:"proto"}` — the server vanished or spoke
-    /// garbage), so the pool's retry classification stays exact; an
-    /// `ERR` frame decodes to the server's typed error.
-    fn read_v2_frame(&mut self) -> Result<u8, AcmrError> {
-        let ReadHalf::V2(frames) = &mut self.read else {
-            return Err(proto_error("internal: frame read on a v1 session".into()));
-        };
-        let ty = match frames.read_frame(&mut self.scratch) {
-            Ok(Some(ty)) => ty,
-            Ok(None) => {
-                return Err(proto_error(
-                    "server closed the connection without a reply".into(),
-                ))
-            }
-            Err(AcmrError::TraceParse { message, .. }) => {
-                return Err(proto_error(format!("malformed reply frame: {message}")))
-            }
-            Err(e) => return Err(e),
-        };
-        if ty == FRAME_ERR {
-            let body = String::from_utf8_lossy(&self.scratch).into_owned();
-            return Err(decode_error_reply(&body));
-        }
-        Ok(ty)
-    }
-
-    fn expect_frame(&mut self, want: u8, what: &str) -> Result<(), AcmrError> {
-        let ty = self.read_v2_frame()?;
-        if ty != want {
-            return Err(proto_error(format!(
-                "expected a {what} frame, got type 0x{ty:02x}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn read_event_frame(&mut self) -> Result<ArrivalEvent, AcmrError> {
-        self.expect_frame(FRAME_EVENT, "EVENT")?;
-        let json = std::str::from_utf8(&self.scratch)
-            .map_err(|e| proto_error(format!("malformed EVENT: {e}")))?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed EVENT: {e}")))
-    }
-
-    fn reply_line_v1(&mut self) -> Result<(usize, String), AcmrError> {
-        let ReadHalf::V1(frames) = &mut self.read else {
-            return Err(proto_error("internal: line read on a v2 session".into()));
-        };
-        reply_line(frames)
-    }
-
-    fn read_event_line(&mut self) -> Result<ArrivalEvent, AcmrError> {
-        let (_, line) = self.reply_line_v1()?;
-        let json = decode_reply(&line, "EVENT")?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed EVENT: {e}")))
     }
 }
 
@@ -574,24 +552,33 @@ impl ServeClient {
 /// `connection` half of the report reflects only the probe itself;
 /// the `server` half is the interesting part.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<StatsReport, AcmrError> {
-    let stream = connect_stream(addr)?;
+    let (mut replies, mut writer) = greet(connect_stream(addr)?)?;
+    writeln!(writer, "STATS")?;
+    writer.flush()?;
+    replies.json(ReplyKind::Stats)
+}
+
+/// Split a fresh connection into its reply reader and buffered writer,
+/// and check the server's greeting.
+fn greet(stream: TcpStream) -> Result<(Replies, BufWriter<TcpStream>), AcmrError> {
+    // Frames are small and latency-bound; Nagle would trade the
+    // per-decision round trip for nothing.
     let _ = stream.set_nodelay(true);
     let write_half = stream.try_clone().map_err(|e| AcmrError::Io {
         message: format!("cannot clone socket: {e}"),
     })?;
-    let mut frames = FrameReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-    let (_, greeting) = reply_line(&mut frames)?;
+    let mut lines = FrameReader::new(stream);
+    let (_, greeting) = lines.next_line()?.ok_or_else(closed)?;
     if greeting != GREETING {
         return Err(proto_error(format!(
             "unexpected greeting {greeting:?} (expected {GREETING:?})"
         )));
     }
-    writeln!(writer, "STATS")?;
-    writer.flush()?;
-    let (_, line) = reply_line(&mut frames)?;
-    let json = decode_reply(&line, "STATS")?;
-    serde_json::from_str(json).map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
+    let replies = Replies {
+        read: ReadHalf::Lines(lines),
+        body: Vec::new(),
+    };
+    Ok((replies, BufWriter::new(write_half)))
 }
 
 fn connect_stream(addr: impl ToSocketAddrs) -> Result<TcpStream, AcmrError> {
@@ -607,29 +594,16 @@ fn proto_error(message: String) -> AcmrError {
     }
 }
 
+/// The protocol always ends with `REPORT` or `ERR`, never a silent
+/// EOF.
+fn closed() -> AcmrError {
+    proto_error("server closed the connection without a reply".into())
+}
+
 fn invalid_request(e: std::io::Error) -> AcmrError {
     AcmrError::InvalidRequest {
         reason: e.to_string(),
     }
-}
-
-/// Read one reply line; a closed connection is a typed error (the
-/// protocol always ends with `REPORT` or `ERR`, never a silent EOF).
-fn reply_line(frames: &mut FrameReader<TcpStream>) -> Result<(usize, String), AcmrError> {
-    frames
-        .next_line()?
-        .ok_or_else(|| proto_error("server closed the connection without a reply".into()))
-}
-
-/// Strip the expected reply keyword; an `ERR` reply decodes to the
-/// typed [`AcmrError::Remote`] instead.
-fn decode_reply<'a>(line: &'a str, expected: &str) -> Result<&'a str, AcmrError> {
-    if let Some(rest) = line.strip_prefix("ERR ") {
-        return Err(decode_error_reply(rest));
-    }
-    line.strip_prefix(expected)
-        .map(str::trim_start)
-        .ok_or_else(|| proto_error(format!("expected a {expected} reply, got {line:?}")))
 }
 
 /// Replay a whole arrival stream through a serving endpoint — the
@@ -786,16 +760,20 @@ where
         for request in arrivals {
             chunk.push(request.map_err(StreamFail::Source)?);
             if chunk.len() == n {
-                client.write_batch_frame(&chunk).map_err(StreamFail::Wire)?;
+                client
+                    .write(Step::Batch(&chunk))
+                    .map_err(StreamFail::Wire)?;
                 batches += 1;
                 chunk.clear();
             }
         }
         if !chunk.is_empty() {
-            client.write_batch_frame(&chunk).map_err(StreamFail::Wire)?;
+            client
+                .write(Step::Batch(&chunk))
+                .map_err(StreamFail::Wire)?;
             batches += 1;
         }
-        client.write_end_frame().map_err(StreamFail::Wire)?;
+        client.write(Step::End).map_err(StreamFail::Wire)?;
         client.flush_writes().map_err(StreamFail::Wire)
     };
     match stream_all(client) {
@@ -814,7 +792,7 @@ where
         client.read_reset_ok()?;
     }
     for _ in 0..batches {
-        client.read_batch_summary()?;
+        client.replies.summary()?;
     }
-    client.read_report_frame()
+    client.replies.json(ReplyKind::Report)
 }

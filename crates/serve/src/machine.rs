@@ -11,9 +11,21 @@
 //! reactor in [`crate::server`] is built on — a nonblocking event
 //! loop just moves bytes between sockets and machines — and what
 //! makes the wire logic exhaustively testable: the fuzz suite drives
-//! a `Connection` byte-at-a-time with zero processes, and the
-//! differential suite replays the golden corpus through it with zero
-//! sockets, pinning machine ≡ served ≡ in-memory.
+//! a `Connection` byte-at-a-time with zero processes, the differential
+//! suite replays the golden corpus through it with zero sockets,
+//! pinning machine ≡ served ≡ in-memory, and the transcript suite pins
+//! every reply byte.
+//!
+//! Inside, a connection runs *decode → execute → encode*. The two
+//! dialects are only two encodings of the same few steps: one
+//! arrival, one batch, `END`, `STATS`, and opening a session (the
+//! handshake, or a v2 `RESET`). The line decoder (the handshake and
+//! v1) and the frame decoder (v2) carve and decode their input into
+//! those steps; one executor applies each step to the live session,
+//! which sits beside the phase rather than inside it, and counts
+//! arrivals and batches; and one writer encodes every reply (`OK`,
+//! `EVENT`, `SUMMARY`, `REPORT`, `STATS`, `ERR`) and frames it for
+//! the dialect, as a v1 line or a v2 frame.
 //!
 //! Determinism contract: a `Connection`'s output depends only on the
 //! *consumed input bytes* — never on how they were chunked across
@@ -22,15 +34,15 @@
 //! a probe observes real transport progress.)
 
 use crate::protocol::{
-    decode_reset, encode_ok, encode_summary, error_reply, error_reply_body, summarize_events,
-    write_frame, ConnStats, FrameBuffer, ProtoVersion, ServerStats, StatsReport, EVENTS_TOKEN,
-    FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET,
-    FRAME_STATS, FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, MAX_BATCH, MAX_FRAME_BYTES,
-    PROTO_V2_TOKEN,
+    decode_reset, encode_ok, encode_summary, error_reply_body, summarize_events, write_frame,
+    BatchSummary, ConnStats, FrameBuffer, ProtoVersion, ReplyKind, ServerStats, StatsReport,
+    EVENTS_TOKEN, FRAME_BATCH, FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH,
+    MAX_FRAME_BYTES, PROTO_V2_TOKEN,
 };
-use acmr_core::{AcmrError, AlgorithmSpec, ArrivalEvent, Registry, Request, Session};
+use acmr_core::{AcmrError, AlgorithmSpec, ArrivalEvent, Registry, Request, RunReport, Session};
 use acmr_workloads::binfmt::decode_record;
 use acmr_workloads::trace::{parse_caps_line, parse_edges_line, parse_request_line, LineBuffer};
+use serde::Serialize;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,55 +131,145 @@ impl Default for MachineConfig {
     }
 }
 
-/// Which framing the connection's *output* (and error replies) uses
-/// right now. Input framing is implied by the phase; output framing
-/// must survive the phase collapsing to `Done` on an error, so it is
-/// tracked separately.
+/// The framing the connection speaks: lines for the handshake and v1
+/// sessions, frames once a `proto=v2` handshake completes. It frames
+/// input and output alike, and outlives the phase collapsing to
+/// `Done` on an error, so the terminal `ERR` is framed like the
+/// replies before it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dialect {
     Line,
-    Binary,
+    Frame,
 }
 
-/// Parsed `OPEN` arguments, carried through the handshake phases.
-struct OpenArgs {
-    spec: AlgorithmSpec,
-    base_seed: u64,
-    proto: ProtoVersion,
-    events_optin: bool,
-}
-
-/// A `BATCH <n>` frame mid-collection (v1 only: the n request lines
-/// arrive as further wire lines; v2 batches are one frame).
-struct PendingBatch {
-    n: usize,
-    requests: Vec<Request>,
-}
-
+/// Where the conversation stands. The live session sits beside the
+/// phase, in [`Connection`]'s `session` field, not inside it.
+#[derive(Clone, Copy)]
 enum Phase {
     /// Waiting for `OPEN` (or a sessionless `STATS` probe).
     AwaitOpen,
     /// `OPEN` parsed; waiting for the `edges` line.
-    AwaitEdges { open: OpenArgs },
-    /// Waiting for the `caps` line.
-    AwaitCaps { open: OpenArgs, m: usize },
-    /// A live v1 (line-dialect) session.
-    V1 {
-        session: Session,
-        capacities: Vec<u32>,
-        pending: Option<PendingBatch>,
-    },
-    /// A live v2 (binary-frame) session. `active` is false between
-    /// `END` and the next `RESET`.
-    V2 {
-        session: Session,
-        capacities: Vec<u32>,
-        events_optin: bool,
-        active: bool,
-    },
+    AwaitEdges,
+    /// Waiting for the `caps` line of an `m`-edge universe.
+    AwaitCaps { m: usize },
+    /// A session is open, in either dialect. A v2 connection stays
+    /// here after `END`, without a session, until `RESET` or hangup.
+    Live,
+    /// v1 only: collecting the `n` request lines of a `BATCH`.
+    Batch { n: usize },
     /// Terminal: the reply stream is complete; the driver flushes
     /// [`Connection::pending_output`] and closes the transport.
     Done,
+}
+
+/// A session request, decoded from the handshake or from a `RESET`.
+struct OpenArgs {
+    spec: AlgorithmSpec,
+    base_seed: u64,
+    proto: ProtoVersion,
+    /// v2: acknowledge each `BATCH` per arrival (`events=on`) instead
+    /// of with one `SUMMARY`.
+    events: bool,
+    /// Empty keeps the current edge universe (a `RESET` without
+    /// capacities).
+    capacities: Vec<u32>,
+}
+
+/// One step of the conversation, decoded from a line or a frame.
+/// Arrivals travel in the connection's reused request buffer.
+enum Step {
+    /// Open a session: the completed handshake, or a `RESET`.
+    Open(OpenArgs),
+    /// One arrival.
+    Arrival,
+    /// A whole `BATCH`.
+    Batch,
+    End,
+    Stats,
+}
+
+/// One reply and what it carries.
+enum Reply<'a> {
+    /// Session opened; a v1 `OK` line also acknowledges `proto=v2`.
+    Ok {
+        id: u64,
+        spec: &'a str,
+        proto: ProtoVersion,
+    },
+    Event(&'a ArrivalEvent),
+    Summary(&'a BatchSummary),
+    Report(&'a RunReport),
+    Stats(&'a StatsReport),
+    Err(&'a AcmrError),
+}
+
+/// Every reply goes out through [`Writer::write`], framed for the
+/// connection's dialect.
+struct Writer {
+    out: Vec<u8>,
+    dialect: Dialect,
+    /// Reply-body scratch, reused so a `SUMMARY` allocates nothing.
+    body: Vec<u8>,
+}
+
+impl Writer {
+    /// Encode `reply`'s body, then frame it: a v1 line
+    /// `<keyword> <body>`, or a v2 frame of the reply's type.
+    fn write(&mut self, reply: Reply<'_>) -> Result<(), AcmrError> {
+        let body = &mut self.body;
+        body.clear();
+        let kind = match reply {
+            Reply::Ok { id, spec, proto } => {
+                match (self.dialect, proto) {
+                    (Dialect::Line, ProtoVersion::V1) => {
+                        body.extend_from_slice(format!("{id} {spec}").as_bytes())
+                    }
+                    (Dialect::Line, ProtoVersion::V2) => {
+                        body.extend_from_slice(format!("{id} {spec} {PROTO_V2_TOKEN}").as_bytes())
+                    }
+                    (Dialect::Frame, _) => encode_ok(body, id, spec),
+                }
+                ReplyKind::Ok
+            }
+            Reply::Event(event) => json(body, event, ReplyKind::Event)?,
+            Reply::Summary(summary) => {
+                encode_summary(body, summary);
+                ReplyKind::Summary
+            }
+            Reply::Report(report) => json(body, report, ReplyKind::Report)?,
+            Reply::Stats(stats) => json(body, stats, ReplyKind::Stats)?,
+            Reply::Err(e) => {
+                body.extend_from_slice(error_reply_body(e).as_bytes());
+                ReplyKind::Err
+            }
+        };
+        match self.dialect {
+            Dialect::Line => {
+                self.out.extend_from_slice(kind.keyword().as_bytes());
+                self.out.push(b' ');
+                self.out.extend_from_slice(&self.body);
+                self.out.push(b'\n');
+                Ok(())
+            }
+            Dialect::Frame => write_frame(&mut self.out, kind.frame_type(), &self.body),
+        }
+    }
+}
+
+/// The JSON body of an `EVENT`, `REPORT` or `STATS` reply.
+fn json(
+    body: &mut Vec<u8>,
+    value: &impl Serialize,
+    kind: ReplyKind,
+) -> Result<ReplyKind, AcmrError> {
+    let text = serde_json::to_string(value).map_err(|e| AcmrError::Io {
+        message: format!(
+            "cannot serialize {}: {e}",
+            kind.keyword().to_ascii_lowercase()
+        ),
+    })?;
+    body.extend_from_slice(text.as_bytes());
+    Ok(kind)
 }
 
 /// The pure per-connection protocol state machine. See the module
@@ -194,19 +296,31 @@ pub struct Connection {
     ids: Arc<AtomicU64>,
     lines: LineBuffer,
     frames: FrameBuffer,
-    dialect: Dialect,
     phase: Phase,
-    out: Vec<u8>,
+    /// The parsed `OPEN` line while the handshake awaits `edges` and
+    /// `caps`.
+    handshake: Option<OpenArgs>,
+    /// The live session: from its `OK` until `END`, an error or
+    /// hangup.
+    session: Option<Session>,
+    /// The live session's edge capacities.
+    capacities: Vec<u32>,
+    /// Whether a `BATCH` is acknowledged per arrival (v1, and v2 with
+    /// `events=on`) rather than with one `SUMMARY`.
+    batch_events: bool,
+    writer: Writer,
     stats: ConnStats,
     /// `(id, canonical spec)` of the live session, for the driver to
-    /// mirror into the [`crate::SessionManager`].
+    /// mirror into the [`crate::SessionManager`]. A v2 session stays
+    /// in the table after `END`, until `RESET` or hangup.
     session_meta: Option<(u64, String)>,
-    // Scratch buffers, reused across frames so the steady-state v2
-    // batch path allocates nothing.
+    // Scratch buffers, reused across lines and frames so the
+    // steady-state batch path allocates nothing. `batch` holds the
+    // arrivals of the next step: one request line or `REQ` frame, the
+    // collected lines of a v1 `BATCH`, or a decoded v2 `BATCH`.
     payload: Vec<u8>,
     batch: Vec<Request>,
     events: Vec<ArrivalEvent>,
-    reply: Vec<u8>,
 }
 
 impl Connection {
@@ -220,19 +334,23 @@ impl Connection {
             ids: config.ids,
             lines: LineBuffer::new(MAX_FRAME_BYTES),
             frames: FrameBuffer::new(),
-            dialect: Dialect::Line,
             phase: Phase::AwaitOpen,
-            out: Vec::new(),
+            handshake: None,
+            session: None,
+            capacities: Vec::new(),
+            batch_events: true,
+            writer: Writer {
+                out: format!("{GREETING}\n").into_bytes(),
+                dialect: Dialect::Line,
+                body: Vec::new(),
+            },
             stats: ConnStats::default(),
             session_meta: None,
             payload: Vec::new(),
             batch: Vec::new(),
             events: Vec::new(),
-            reply: Vec::new(),
         };
-        let before = conn.out.len();
-        conn.push_line(GREETING);
-        conn.count_out(before);
+        conn.count_out(0);
         conn
     }
 
@@ -244,9 +362,9 @@ impl Connection {
         self.server
             .bytes_in
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        match self.dialect {
+        match self.writer.dialect {
             Dialect::Line => self.lines.feed(bytes),
-            Dialect::Binary => self.frames.feed(bytes),
+            Dialect::Frame => self.frames.feed(bytes),
         }
         self.pump();
     }
@@ -255,9 +373,9 @@ impl Connection {
     /// boundary is a clean close; mid-frame it is the typed
     /// truncation `ERR`.
     pub fn feed_eof(&mut self) {
-        match self.dialect {
+        match self.writer.dialect {
             Dialect::Line => self.lines.set_eof(),
-            Dialect::Binary => self.frames.set_eof(),
+            Dialect::Frame => self.frames.set_eof(),
         }
         self.pump();
     }
@@ -267,10 +385,10 @@ impl Connection {
     /// dialect and finishes the machine. The driver should flush the
     /// output and close the transport, as after any other error.
     pub fn fail(&mut self, e: &AcmrError) {
-        if matches!(self.phase, Phase::Done) {
+        if self.is_done() {
             return;
         }
-        let before = self.out.len();
+        let before = self.writer.out.len();
         self.emit_error(e);
         self.count_out(before);
     }
@@ -278,19 +396,19 @@ impl Connection {
     /// Bytes queued for the peer; ship some and acknowledge with
     /// [`Connection::consume_output`].
     pub fn pending_output(&self) -> &[u8] {
-        &self.out
+        &self.writer.out
     }
 
     /// Drop the first `n` queued output bytes (they were written to
     /// the transport).
     pub fn consume_output(&mut self, n: usize) {
-        self.out.drain(..n);
+        self.writer.out.drain(..n);
     }
 
     /// Take all queued output at once — the in-process driving mode
     /// tests use.
     pub fn drain_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
+        std::mem::take(&mut self.writer.out)
     }
 
     /// Terminal: every reply is queued; once
@@ -324,28 +442,22 @@ impl Connection {
 
     // -- internals ---------------------------------------------------------
 
-    fn push_line(&mut self, line: &str) {
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
-    }
-
-    /// Add everything appended to `out` since `before` to the byte
-    /// counters. Called at the public entry points, so internal steps
-    /// can append freely.
+    /// Add everything appended to the output since `before` to the
+    /// byte counters. Called at the public entry points, so internal
+    /// steps can append freely.
     fn count_out(&mut self, before: usize) {
-        let delta = (self.out.len() - before) as u64;
+        let delta = (self.writer.out.len() - before) as u64;
         self.stats.bytes_out += delta;
         self.server.bytes_out.fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn alloc_session(&mut self, canonical: String) -> u64 {
+    fn alloc_session(&mut self, canonical: String) {
         self.release_session();
         let id = self.ids.fetch_add(1, Ordering::Relaxed);
         self.stats.sessions += 1;
         self.server.sessions_opened.fetch_add(1, Ordering::Relaxed);
         self.server.sessions_active.fetch_add(1, Ordering::Relaxed);
         self.session_meta = Some((id, canonical));
-        id
     }
 
     /// Idempotent: drop the live-session gauge contribution (on
@@ -361,23 +473,18 @@ impl Connection {
     fn emit_error(&mut self, e: &AcmrError) {
         self.stats.errors += 1;
         self.server.errors.fetch_add(1, Ordering::Relaxed);
-        match self.dialect {
-            Dialect::Line => {
-                let reply = error_reply(e);
-                self.push_line(&reply);
-            }
-            Dialect::Binary => {
-                // Appending to a Vec cannot fail and the body is tiny,
-                // so the only write_frame error (oversize payload) is
-                // unreachable; swallow rather than recurse.
-                let _ = write_frame(&mut self.out, FRAME_ERR, error_reply_body(e).as_bytes());
-            }
-        }
+        // Appending to a Vec cannot fail and the body is tiny, so the
+        // only write error (an oversize frame) is unreachable; swallow
+        // rather than recurse.
+        let _ = self.writer.write(Reply::Err(e));
         self.finish();
     }
 
+    /// Terminal: drop the session (also one a panic left half
+    /// updated) and its gauge contribution.
     fn finish(&mut self) {
         self.release_session();
+        self.session = None;
         self.phase = Phase::Done;
     }
 
@@ -388,9 +495,11 @@ impl Connection {
     /// like any other error, and the reactor shard driving the machine
     /// keeps serving its other connections.
     fn pump(&mut self) {
-        let before = self.out.len();
+        let before = self.writer.out.len();
         let steps = panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), AcmrError> {
-            while self.step()? {}
+            while let Some(step) = self.next_step()? {
+                self.execute(step)?;
+            }
             Ok(())
         }));
         let error = match steps {
@@ -405,7 +514,7 @@ impl Connection {
 
     /// The error a panicking step ends the connection with: a contract
     /// violation of the live session's spec, carrying the panic
-    /// message. The panicking step already dropped the session.
+    /// message. [`Connection::emit_error`] then drops the session.
     fn panic_error(&self, payload: &(dyn Any + Send)) -> AcmrError {
         let message = payload
             .downcast_ref::<&str>()
@@ -422,531 +531,308 @@ impl Connection {
         }
     }
 
-    /// One step of progress: `Ok(true)` consumed a line or frame (or
-    /// finished), `Ok(false)` needs more input.
-    fn step(&mut self) -> Result<bool, AcmrError> {
+    /// Decode the next step in the connection's dialect; `None` once
+    /// the buffered input is used up (or the machine finished).
+    fn next_step(&mut self) -> Result<Option<Step>, AcmrError> {
+        match (self.phase, self.writer.dialect) {
+            (Phase::Done, _) => Ok(None),
+            (_, Dialect::Line) => self.next_line_step(),
+            (_, Dialect::Frame) => self.next_frame_step(),
+        }
+    }
+
+    /// The peer hung up at a line or frame boundary: a clean close
+    /// between steps, a typed error mid-handshake or mid-batch.
+    fn hangup(&mut self) -> Result<(), AcmrError> {
+        let closed = |what: String| AcmrError::TraceParse {
+            line: self.lines.line_number() + 1,
+            message: format!("connection closed {what}"),
+        };
         match self.phase {
-            Phase::Done => Ok(false),
-            Phase::V2 { .. } => self.step_frame(),
-            _ => self.step_line(),
+            Phase::AwaitEdges => Err(closed("before `edges`".into())),
+            Phase::AwaitCaps { .. } => Err(closed("before `caps`".into())),
+            Phase::Batch { n } => Err(closed(format!(
+                "mid-batch ({} of {n} requests)",
+                self.batch.len()
+            ))),
+            Phase::AwaitOpen | Phase::Live | Phase::Done => {
+                self.finish();
+                Ok(())
+            }
         }
     }
 
     // ---- line dialect (handshake + v1 sessions) --------------------------
 
-    fn step_line(&mut self) -> Result<bool, AcmrError> {
-        if !self.lines.poll()? {
-            return Ok(false);
-        }
-        // Borrow dance: carve the line (borrowing the buffer), own it,
-        // then hand it to the phase logic which needs `&mut self`.
-        let next = self.lines.next_line()?.map(|(n, s)| (n, s.to_string()));
-        self.handle_line(next)?;
-        Ok(true)
-    }
-
-    fn handle_line(&mut self, next: Option<(usize, String)>) -> Result<(), AcmrError> {
-        let proto_err = |line: usize, message: String| AcmrError::TraceParse { line, message };
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::AwaitOpen => match next {
-                // Connected and left (or a finished STATS probe): not
-                // an error.
-                None => self.finish(),
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitOpen,
-                Some((_, line)) if line == "STATS" => {
-                    self.write_stats_line()?;
-                    self.phase = Phase::AwaitOpen;
+    /// Carve lines until one decodes to a step. Blank lines and the
+    /// handshake's `edges` line only advance the phase.
+    fn next_line_step(&mut self) -> Result<Option<Step>, AcmrError> {
+        loop {
+            let Some((ln, line)) = self.lines.next_line()? else {
+                if self.lines.is_eof() {
+                    self.hangup()?;
                 }
-                Some((ln, line)) => {
-                    let open = self.parse_open(ln, &line)?;
-                    self.phase = Phase::AwaitEdges { open };
-                }
-            },
-            Phase::AwaitEdges { open } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        "connection closed before `edges`".into(),
-                    ));
-                }
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitEdges { open },
-                Some((ln, line)) => {
-                    let m = parse_edges_line(ln, &line)?;
-                    self.phase = Phase::AwaitCaps { open, m };
-                }
-            },
-            Phase::AwaitCaps { open, m } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        "connection closed before `caps`".into(),
-                    ));
-                }
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitCaps { open, m },
-                Some((ln, line)) => {
-                    let capacities = parse_caps_line(ln, &line, m)?;
-                    self.open_session(open, capacities)?;
-                }
-            },
-            Phase::V1 {
-                mut session,
-                capacities,
-                pending: Some(mut pb),
-            } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        format!(
-                            "connection closed mid-batch ({} of {} requests)",
-                            pb.requests.len(),
-                            pb.n
-                        ),
-                    ));
-                }
+                return Ok(None);
+            };
+            let num_edges = self.capacities.len();
+            match self.phase {
                 // Inside a batch every line is a request line — blanks
                 // are data here, not separators.
-                Some((ln, line)) => {
-                    pb.requests
-                        .push(parse_request_line(ln, &line, capacities.len())?);
-                    if pb.requests.len() == pb.n {
-                        let done = self.apply_v1_batch(&mut session, &pb.requests);
-                        self.phase = Phase::V1 {
-                            session,
-                            capacities,
-                            pending: None,
-                        };
-                        done?;
-                    } else {
-                        self.phase = Phase::V1 {
-                            session,
-                            capacities,
-                            pending: Some(pb),
-                        };
+                Phase::Batch { n } => {
+                    self.batch.push(parse_request_line(ln, line, num_edges)?);
+                    if self.batch.len() == n {
+                        self.phase = Phase::Live;
+                        return Ok(Some(Step::Batch));
                     }
                 }
-            },
-            Phase::V1 {
-                mut session,
-                capacities,
-                pending: None,
-            } => match next {
-                // Client hung up between frames: clean close.
-                None => self.finish(),
-                Some((_, line)) if line.is_empty() => {
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
+                _ if line.is_empty() => {}
+                Phase::AwaitOpen | Phase::Live if line == "STATS" => return Ok(Some(Step::Stats)),
+                Phase::AwaitOpen => {
+                    self.handshake = Some(parse_open(self.max_proto, ln, line)?);
+                    self.phase = Phase::AwaitEdges;
                 }
-                Some((_, line)) if line == "STATS" => {
-                    self.write_stats_line()?;
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
+                Phase::AwaitEdges => {
+                    self.phase = Phase::AwaitCaps {
+                        m: parse_edges_line(ln, line)?,
+                    }
                 }
-                Some((_, line)) if line == "END" => {
-                    let report = session.report();
-                    let json = serde_json::to_string(&report).map_err(|e| AcmrError::Io {
-                        message: format!("cannot serialize report: {e}"),
-                    })?;
-                    self.push_line(&format!("REPORT {json}"));
+                Phase::AwaitCaps { m } => {
+                    let mut open = self.handshake.take().expect("OPEN precedes caps");
+                    open.capacities = parse_caps_line(ln, line, m)?;
+                    return Ok(Some(Step::Open(open)));
+                }
+                Phase::Live if line == "END" => return Ok(Some(Step::End)),
+                Phase::Live => {
+                    self.batch.clear();
+                    let Some(count) = line.strip_prefix("BATCH") else {
+                        // Anything else must be a request line of the
+                        // trace grammar.
+                        self.batch.push(parse_request_line(ln, line, num_edges)?);
+                        return Ok(Some(Step::Arrival));
+                    };
+                    let proto_err = |message| AcmrError::TraceParse { line: ln, message };
+                    let n: usize = count
+                        .trim()
+                        .parse()
+                        .map_err(|_| proto_err(format!("expected `BATCH <n>`, got {line:?}")))?;
+                    if n > MAX_BATCH {
+                        return Err(proto_err(format!(
+                            "BATCH {n} exceeds the {MAX_BATCH}-request frame cap"
+                        )));
+                    }
+                    // An empty batch applies nothing and replies
+                    // nothing.
+                    if n > 0 {
+                        self.phase = Phase::Batch { n };
+                    }
+                }
+                Phase::Done => unreachable!("no steps after Done"),
+            }
+        }
+    }
+
+    // ---- frame dialect (v2 sessions) -------------------------------------
+
+    fn next_frame_step(&mut self) -> Result<Option<Step>, AcmrError> {
+        let Some(ty) = self.frames.next_frame(&mut self.payload)? else {
+            if self.frames.is_eof() {
+                self.hangup()?;
+            }
+            return Ok(None);
+        };
+        let fno = self.frames.frame_number();
+        let frame_err = |message: String| AcmrError::TraceParse { line: fno, message };
+        let payload = &self.payload;
+        let num_edges = self.capacities.len() as u32;
+        let live = self.session.is_some();
+        let step = match ty {
+            FRAME_REQ if live => {
+                let (request, end) = decode_record(payload, 0, fno, num_edges)?;
+                if end != payload.len() {
+                    return Err(frame_err(format!(
+                        "{} trailing bytes after the REQ record",
+                        payload.len() - end
+                    )));
+                }
+                self.batch.clear();
+                self.batch.push(request);
+                Step::Arrival
+            }
+            FRAME_BATCH if live => {
+                decode_batch_into(payload, fno, num_edges, &mut self.batch)?;
+                Step::Batch
+            }
+            FRAME_END if live && !payload.is_empty() => {
+                return Err(frame_err("END frame carries a payload".into()))
+            }
+            FRAME_END if live => Step::End,
+            FRAME_RESET => {
+                let reset = decode_reset(payload).map_err(|e| match e {
+                    AcmrError::TraceParse { message, .. } => frame_err(message),
+                    other => other,
+                })?;
+                Step::Open(OpenArgs {
+                    spec: AlgorithmSpec::parse(&reset.spec)?,
+                    base_seed: reset.base_seed.unwrap_or(0),
+                    proto: ProtoVersion::V2,
+                    events: self.batch_events,
+                    capacities: reset.capacities,
+                })
+            }
+            FRAME_STATS if !payload.is_empty() => {
+                return Err(frame_err("STATS frame carries a payload".into()))
+            }
+            FRAME_STATS => Step::Stats,
+            FRAME_REQ | FRAME_BATCH | FRAME_END => {
+                return Err(frame_err(
+                    "session already ended: only RESET (or hangup) may follow END".into(),
+                ))
+            }
+            other => return Err(frame_err(format!("unexpected frame type 0x{other:02x}"))),
+        };
+        Ok(Some(step))
+    }
+
+    // ---- the executor: one implementation of each step -------------------
+
+    fn execute(&mut self, step: Step) -> Result<(), AcmrError> {
+        match step {
+            Step::Open(open) => self.open_session(open),
+            Step::Arrival => self.apply(false),
+            Step::Batch => self.apply(true),
+            Step::End => {
+                let session = self.session.take().expect("END decodes only when live");
+                self.writer.write(Reply::Report(&session.report()))?;
+                // A v1 connection closes after its report; a v2 one
+                // waits for `RESET`.
+                if self.writer.dialect == Dialect::Line {
                     self.finish();
                 }
-                Some((ln, line)) => {
-                    if let Some(count) = line.strip_prefix("BATCH") {
-                        let n: usize = count.trim().parse().map_err(|_| {
-                            proto_err(ln, format!("expected `BATCH <n>`, got {line:?}"))
-                        })?;
-                        if n > MAX_BATCH {
-                            return Err(proto_err(
-                                ln,
-                                format!("BATCH {n} exceeds the {MAX_BATCH}-request frame cap"),
-                            ));
-                        }
-                        if n == 0 {
-                            // An empty batch applies nothing and (like
-                            // the loop below with zero events) replies
-                            // nothing.
-                            self.phase = Phase::V1 {
-                                session,
-                                capacities,
-                                pending: None,
-                            };
-                        } else {
-                            self.phase = Phase::V1 {
-                                session,
-                                capacities,
-                                pending: Some(PendingBatch {
-                                    n,
-                                    requests: Vec::new(),
-                                }),
-                            };
-                        }
-                        return Ok(());
-                    }
-                    // Anything else must be a request line of the
-                    // trace grammar.
-                    let request = parse_request_line(ln, &line, capacities.len())?;
-                    self.stats.arrivals += 1;
-                    self.server.arrivals.fetch_add(1, Ordering::Relaxed);
-                    let done = session.push(&request);
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
-                    let event = done?;
-                    self.write_event_line(&event)?;
-                }
-            },
-            Phase::V2 { .. } | Phase::Done => unreachable!("step_line outside a line phase"),
+                Ok(())
+            }
+            Step::Stats => {
+                let report = self.stats_report();
+                self.writer.write(Reply::Stats(&report))
+            }
         }
-        Ok(())
     }
 
-    /// Parse `OPEN <spec> [seed=<S>] [proto=v2 [events=on]]` — the
-    /// exact grammar (and error wording) of the serving spec.
-    fn parse_open(&self, ln: usize, open: &str) -> Result<OpenArgs, AcmrError> {
-        let proto_err = |message: String| AcmrError::TraceParse { line: ln, message };
-        let mut toks = open.split_whitespace();
-        if toks.next() != Some("OPEN") {
-            return Err(proto_err(format!(
-                "expected `OPEN <spec> [seed=<S>]`, got {open:?}"
-            )));
+    /// Build the session, reply `OK`, and — after a `proto=v2`
+    /// handshake — switch both directions to frames, carrying over any
+    /// bytes a pipelining client already sent past its handshake. A
+    /// `RESET` replaces the live session the same way, as a fresh
+    /// session in the table: new id, new spec, same connection.
+    fn open_session(&mut self, open: OpenArgs) -> Result<(), AcmrError> {
+        if !open.capacities.is_empty() {
+            self.capacities = open.capacities;
         }
-        let spec_str = toks
-            .next()
-            .ok_or_else(|| proto_err("OPEN is missing an algorithm spec".into()))?;
-        let spec = AlgorithmSpec::parse(spec_str)?;
-        let mut base_seed = 0u64;
-        let mut proto = ProtoVersion::V1;
-        let mut events_optin = false;
-        for tok in toks {
-            if let Some(seed) = tok.strip_prefix("seed=").and_then(|s| s.parse().ok()) {
-                base_seed = seed;
-                continue;
-            }
-            // A v1-capped server answers `proto=v2` with this same
-            // typed parse error — the deterministic downgrade signal
-            // the v2 client turns into "use --proto v1 against this
-            // fleet".
-            if self.max_proto == ProtoVersion::V2 && tok == PROTO_V2_TOKEN {
-                proto = ProtoVersion::V2;
-                continue;
-            }
-            if self.max_proto == ProtoVersion::V2 && tok == EVENTS_TOKEN {
-                events_optin = true;
-                continue;
-            }
-            let allowed = match self.max_proto {
-                ProtoVersion::V1 => "only seed=<S> is allowed",
-                ProtoVersion::V2 => "seed=<S>, proto=v2 and events=on are allowed",
-            };
-            return Err(proto_err(format!(
-                "unexpected OPEN argument {tok:?} ({allowed})"
-            )));
-        }
-        if events_optin && proto != ProtoVersion::V2 {
-            return Err(proto_err(
-                "events=on requires proto=v2 (v1 always streams events)".into(),
-            ));
-        }
-        Ok(OpenArgs {
-            spec,
-            base_seed,
-            proto,
-            events_optin,
-        })
-    }
-
-    /// Handshake complete: build the session, reply `OK`, and enter
-    /// the negotiated dialect (switching the input framing to binary
-    /// for v2, carrying over any bytes a pipelining client already
-    /// sent past its handshake).
-    fn open_session(&mut self, open: OpenArgs, capacities: Vec<u32>) -> Result<(), AcmrError> {
         let session =
-            Session::from_registry(&self.registry, &open.spec, &capacities, open.base_seed)?;
-        let canonical = open.spec.canonical();
-        let id = self.alloc_session(canonical.clone());
-        match open.proto {
-            ProtoVersion::V1 => self.push_line(&format!("OK {id} {canonical}")),
-            ProtoVersion::V2 => self.push_line(&format!("OK {id} {canonical} {PROTO_V2_TOKEN}")),
-        }
-        if open.proto == ProtoVersion::V2 {
+            Session::from_registry(&self.registry, &open.spec, &self.capacities, open.base_seed)?;
+        self.alloc_session(open.spec.canonical());
+        self.session = Some(session);
+        self.batch_events = open.proto == ProtoVersion::V1 || open.events;
+        self.phase = Phase::Live;
+        let (id, spec) = self.session_meta.as_ref().expect("session just opened");
+        self.writer.write(Reply::Ok {
+            id: *id,
+            spec,
+            proto: open.proto,
+        })?;
+        if open.proto == ProtoVersion::V2 && self.writer.dialect == Dialect::Line {
             let rest = self.lines.take_rest();
             self.frames.feed(&rest);
             if self.lines.is_eof() {
                 self.frames.set_eof();
             }
-            self.dialect = Dialect::Binary;
-            self.phase = Phase::V2 {
-                session,
-                capacities,
-                events_optin: open.events_optin,
-                active: true,
-            };
+            self.writer.dialect = Dialect::Frame;
+        }
+        Ok(())
+    }
+
+    /// Apply the request buffer — one arrival or a whole batch — to
+    /// the live session and acknowledge it: an `EVENT` per arrival, or
+    /// one `SUMMARY` for a v2 batch without `events=on`. On a mid-batch
+    /// contract violation the arrivals before it are still
+    /// acknowledged (their events, or a summary whose `n` counts only
+    /// them), then the violation is raised.
+    fn apply(&mut self, batch: bool) -> Result<(), AcmrError> {
+        let arrivals = self.batch.len() as u64;
+        self.stats.arrivals += arrivals;
+        self.server.arrivals.fetch_add(arrivals, Ordering::Relaxed);
+        if batch {
+            self.stats.batches += 1;
+            self.server.batches.fetch_add(1, Ordering::Relaxed);
+        }
+        let session = self
+            .session
+            .as_mut()
+            .expect("arrivals decode only when live");
+        let applied = session.push_batch_into(&self.batch, &mut self.events);
+        let acked = if batch && !self.batch_events {
+            self.writer
+                .write(Reply::Summary(&summarize_events(&self.events)))
         } else {
-            self.phase = Phase::V1 {
-                session,
-                capacities,
-                pending: None,
-            };
-        }
-        Ok(())
-    }
-
-    /// Apply a complete v1 batch. On a mid-batch contract violation
-    /// the events preceding the violation are still delivered, then
-    /// the `ERR` (raised from the returned error).
-    fn apply_v1_batch(
-        &mut self,
-        session: &mut Session,
-        requests: &[Request],
-    ) -> Result<(), AcmrError> {
-        self.stats.batches += 1;
-        self.server.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.arrivals += requests.len() as u64;
-        self.server
-            .arrivals
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let mut events = std::mem::take(&mut self.events);
-        let result = session.push_batch_into(requests, &mut events);
-        let mut write = Ok(());
-        for event in &events {
-            write = self.write_event_line(event);
-            if write.is_err() {
-                break;
-            }
-        }
-        self.events = events;
-        write?;
-        result
-    }
-
-    fn write_event_line(&mut self, event: &ArrivalEvent) -> Result<(), AcmrError> {
-        let json = serde_json::to_string(event).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize event: {e}"),
-        })?;
-        self.push_line(&format!("EVENT {json}"));
-        Ok(())
-    }
-
-    fn write_stats_line(&mut self) -> Result<(), AcmrError> {
-        let json = self.stats_json()?;
-        self.push_line(&format!("STATS {json}"));
-        Ok(())
-    }
-
-    fn stats_json(&self) -> Result<String, AcmrError> {
-        serde_json::to_string(&self.stats_report()).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize stats: {e}"),
-        })
-    }
-
-    // ---- binary dialect (v2 sessions) ------------------------------------
-
-    fn step_frame(&mut self) -> Result<bool, AcmrError> {
-        // The scratch buffers leave `self` for the duration of the
-        // step (plain moves — their capacity survives), so the frame
-        // logic can borrow `self` freely.
-        let mut payload = std::mem::take(&mut self.payload);
-        let result = self.step_frame_with(&mut payload);
-        self.payload = payload;
-        result
-    }
-
-    fn step_frame_with(&mut self, payload: &mut Vec<u8>) -> Result<bool, AcmrError> {
-        let Some(ty) = self.frames.next_frame(payload)? else {
-            if self.frames.is_eof() {
-                // Hangup at a frame boundary: clean close.
-                self.finish();
-                return Ok(true);
-            }
-            return Ok(false);
+            self.events
+                .iter()
+                .try_for_each(|event| self.writer.write(Reply::Event(event)))
         };
-        let fno = self.frames.frame_number();
-        let frame_err = |message: String| AcmrError::TraceParse { line: fno, message };
-        let Phase::V2 {
-            mut session,
-            mut capacities,
-            events_optin,
-            mut active,
-        } = std::mem::replace(&mut self.phase, Phase::Done)
-        else {
-            unreachable!("step_frame outside the v2 phase");
-        };
-        // Restore-then-raise: the phase goes back intact before any
-        // `?` below, so an error leaves `Done` only via `emit_error`.
-        macro_rules! restore {
-            () => {
-                self.phase = Phase::V2 {
-                    session,
-                    capacities,
-                    events_optin,
-                    active,
-                }
-            };
-        }
-        let num_edges = capacities.len() as u32;
-        match ty {
-            FRAME_REQ if active => {
-                let decoded = decode_record(payload, 0, fno, num_edges);
-                let pushed = decoded.and_then(|(request, end)| {
-                    if end != payload.len() {
-                        return Err(frame_err(format!(
-                            "{} trailing bytes after the REQ record",
-                            payload.len() - end
-                        )));
-                    }
-                    self.stats.arrivals += 1;
-                    self.server.arrivals.fetch_add(1, Ordering::Relaxed);
-                    session.push(&request)
-                });
-                restore!();
-                let event = pushed?;
-                self.write_event_frame(&event)?;
-            }
-            FRAME_BATCH if active => {
-                let mut batch = std::mem::take(&mut self.batch);
-                let decoded = decode_batch_into(payload, fno, num_edges, &mut batch);
-                let applied = decoded.and_then(|n| {
-                    self.stats.batches += 1;
-                    self.server.batches.fetch_add(1, Ordering::Relaxed);
-                    self.stats.arrivals += batch.len() as u64;
-                    self.server
-                        .arrivals
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    let mut events = std::mem::take(&mut self.events);
-                    // A mid-batch contract violation still delivers
-                    // the acknowledgement for the arrivals that
-                    // preceded it (events, or a summary over the
-                    // applied prefix), then the ERR frame — same
-                    // contract as v1.
-                    let result = session.push_batch_into(&batch, &mut events);
-                    let mut write = Ok(());
-                    if events_optin {
-                        for event in &events {
-                            write = self.write_event_frame(event);
-                            if write.is_err() {
-                                break;
-                            }
-                        }
-                    } else {
-                        let mut summary = summarize_events(&events);
-                        // `n` is the count *requested*; on a violation
-                        // the summary covers only the applied prefix,
-                        // and its `n` says how many actually landed.
-                        debug_assert!(events.len() <= n);
-                        summary.n = events.len() as u32;
-                        self.reply.clear();
-                        encode_summary(&mut self.reply, &summary);
-                        let reply = std::mem::take(&mut self.reply);
-                        write = write_frame(&mut self.out, FRAME_SUMMARY, &reply);
-                        self.reply = reply;
-                    }
-                    self.events = events;
-                    write.and(result)
-                });
-                self.batch = batch;
-                restore!();
-                applied?;
-            }
-            FRAME_END if active => {
-                if !payload.is_empty() {
-                    restore!();
-                    return Err(frame_err("END frame carries a payload".into()));
-                }
-                let report = session.report();
-                active = false;
-                restore!();
-                let json = serde_json::to_string(&report).map_err(|e| AcmrError::Io {
-                    message: format!("cannot serialize report: {e}"),
-                })?;
-                write_frame(&mut self.out, FRAME_REPORT, json.as_bytes())?;
-            }
-            FRAME_RESET => {
-                // Every fallible step restores the phase before
-                // raising, so `emit_error` still sees a live v2 frame
-                // dialect; once the fresh session is in, the old one
-                // is gone for good — exactly the thread-server
-                // behavior, where a failed RESET killed the
-                // connection anyway.
-                let decoded = decode_reset(payload).map_err(|e| match e {
-                    AcmrError::TraceParse { message, .. } => frame_err(message),
-                    other => other,
-                });
-                let reset = match decoded {
-                    Ok(reset) => reset,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                };
-                let spec = match AlgorithmSpec::parse(&reset.spec) {
-                    Ok(spec) => spec,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                };
-                if !reset.capacities.is_empty() {
-                    capacities = reset.capacities;
-                }
-                let seed = reset.base_seed.unwrap_or(0);
-                match Session::from_registry(&self.registry, &spec, &capacities, seed) {
-                    Ok(fresh) => session = fresh,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                }
-                let canonical = spec.canonical();
-                // A RESET is a fresh session in the table: new id,
-                // new spec, same connection.
-                let id = self.alloc_session(canonical.clone());
-                active = true;
-                restore!();
-                self.reply.clear();
-                encode_ok(&mut self.reply, id, &canonical);
-                let reply = std::mem::take(&mut self.reply);
-                let wrote = write_frame(&mut self.out, FRAME_OK, &reply);
-                self.reply = reply;
-                wrote?;
-            }
-            FRAME_STATS => {
-                if !payload.is_empty() {
-                    restore!();
-                    return Err(frame_err("STATS frame carries a payload".into()));
-                }
-                restore!();
-                let json = self.stats_json()?;
-                write_frame(&mut self.out, FRAME_STATS_REPLY, json.as_bytes())?;
-            }
-            FRAME_REQ | FRAME_BATCH | FRAME_END => {
-                restore!();
-                return Err(frame_err(
-                    "session already ended: only RESET (or hangup) may follow END".into(),
-                ));
-            }
-            other => {
-                restore!();
-                return Err(frame_err(format!("unexpected frame type 0x{other:02x}")));
-            }
-        }
-        Ok(true)
+        acked.and(applied)
     }
+}
 
-    /// Serialize one arrival event as a v2 `EVENT` frame — the payload
-    /// is the same JSON the v1 `EVENT` line carries.
-    fn write_event_frame(&mut self, event: &ArrivalEvent) -> Result<(), AcmrError> {
-        let json = serde_json::to_string(event).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize event: {e}"),
-        })?;
-        write_frame(&mut self.out, FRAME_EVENT, json.as_bytes())
+/// Parse `OPEN <spec> [seed=<S>] [proto=v2 [events=on]]` — the exact
+/// grammar (and error wording) of the serving spec.
+fn parse_open(max_proto: ProtoVersion, ln: usize, open: &str) -> Result<OpenArgs, AcmrError> {
+    let proto_err = |message: String| AcmrError::TraceParse { line: ln, message };
+    let mut toks = open.split_whitespace();
+    if toks.next() != Some("OPEN") {
+        return Err(proto_err(format!(
+            "expected `OPEN <spec> [seed=<S>]`, got {open:?}"
+        )));
     }
+    let spec_str = toks
+        .next()
+        .ok_or_else(|| proto_err("OPEN is missing an algorithm spec".into()))?;
+    let spec = AlgorithmSpec::parse(spec_str)?;
+    let mut base_seed = 0u64;
+    let mut proto = ProtoVersion::V1;
+    let mut events = false;
+    for tok in toks {
+        if let Some(seed) = tok.strip_prefix("seed=").and_then(|s| s.parse().ok()) {
+            base_seed = seed;
+            continue;
+        }
+        // A v1-capped server answers `proto=v2` with this same typed
+        // parse error — the deterministic downgrade signal the v2
+        // client turns into "use --proto v1 against this fleet".
+        if max_proto == ProtoVersion::V2 && tok == PROTO_V2_TOKEN {
+            proto = ProtoVersion::V2;
+            continue;
+        }
+        if max_proto == ProtoVersion::V2 && tok == EVENTS_TOKEN {
+            events = true;
+            continue;
+        }
+        let allowed = match max_proto {
+            ProtoVersion::V1 => "only seed=<S> is allowed",
+            ProtoVersion::V2 => "seed=<S>, proto=v2 and events=on are allowed",
+        };
+        return Err(proto_err(format!(
+            "unexpected OPEN argument {tok:?} ({allowed})"
+        )));
+    }
+    if events && proto != ProtoVersion::V2 {
+        return Err(proto_err(
+            "events=on requires proto=v2 (v1 always streams events)".into(),
+        ));
+    }
+    Ok(OpenArgs {
+        spec,
+        base_seed,
+        proto,
+        events,
+        capacities: Vec::new(),
+    })
 }
 
 impl Drop for Connection {

@@ -139,16 +139,11 @@ pub fn error_code(e: &AcmrError) -> &'static str {
     }
 }
 
-/// Render an [`AcmrError`] as the single-line `ERR` reply the server
-/// sends before closing the connection (newline not included).
-pub fn error_reply(e: &AcmrError) -> String {
-    format!("ERR {}", error_reply_body(e))
-}
-
-/// The `ERR` reply without its `ERR ` keyword: `<code> <message>
-/// (<spec pointer>)` — what follows the keyword in a v1 line and the
-/// **entire payload** of a v2 [`FRAME_ERR`] frame, so both protocols
-/// share one error grammar and one decoder ([`decode_error_reply`]).
+/// The body of the `ERR` reply the server sends before closing the
+/// connection: `<code> <message> (<spec pointer>)` — what follows the
+/// `ERR ` keyword in a v1 line and the **entire payload** of a v2
+/// [`FRAME_ERR`] frame, so both protocols share one error grammar and
+/// one decoder ([`decode_error_reply`]).
 pub fn error_reply_body(e: &AcmrError) -> String {
     // Error displays are single-line by construction; the replace is
     // belt-and-braces so a future message can never break the framing.
@@ -276,6 +271,65 @@ pub const FRAME_ERR: u8 = 0x84;
 /// serialization of one [`StatsReport`] — byte-identical to what
 /// follows `STATS ` in the v1 reply line.
 pub const FRAME_STATS_REPLY: u8 = 0x85;
+
+/// The server's reply kinds. Each travels as a v1 line
+/// `<keyword> <body>` or as one v2 frame of its type, with the same
+/// body in both dialects — except `OK`, whose v1 line spells the id
+/// and spec as text, and `SUMMARY`, which only v2 sends. The machine
+/// frames every reply it writes through this table, and the client
+/// reads every reply through it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ReplyKind {
+    Ok,
+    Event,
+    Summary,
+    Report,
+    Err,
+    Stats,
+}
+
+impl ReplyKind {
+    const ALL: [ReplyKind; 6] = [
+        ReplyKind::Ok,
+        ReplyKind::Event,
+        ReplyKind::Summary,
+        ReplyKind::Report,
+        ReplyKind::Err,
+        ReplyKind::Stats,
+    ];
+
+    /// The v1 line keyword.
+    pub(crate) fn keyword(self) -> &'static str {
+        match self {
+            ReplyKind::Ok => "OK",
+            ReplyKind::Event => "EVENT",
+            ReplyKind::Summary => "SUMMARY",
+            ReplyKind::Report => "REPORT",
+            ReplyKind::Err => "ERR",
+            ReplyKind::Stats => "STATS",
+        }
+    }
+
+    /// The v2 frame type.
+    pub(crate) fn frame_type(self) -> u8 {
+        match self {
+            ReplyKind::Ok => FRAME_OK,
+            ReplyKind::Event => FRAME_EVENT,
+            ReplyKind::Summary => FRAME_SUMMARY,
+            ReplyKind::Report => FRAME_REPORT,
+            ReplyKind::Err => FRAME_ERR,
+            ReplyKind::Stats => FRAME_STATS_REPLY,
+        }
+    }
+
+    pub(crate) fn from_keyword(keyword: &str) -> Option<ReplyKind> {
+        ReplyKind::ALL.into_iter().find(|k| k.keyword() == keyword)
+    }
+
+    pub(crate) fn from_frame_type(ty: u8) -> Option<ReplyKind> {
+        ReplyKind::ALL.into_iter().find(|k| k.frame_type() == ty)
+    }
+}
 
 /// Blocking reader for the v2 binary frame stream: the pull loop
 /// over a [`FrameBuffer`], the way [`LineScanner`] drives the line
@@ -730,10 +784,10 @@ mod tests {
             line: 7,
             message: "bad cost nan".into(),
         };
-        let reply = error_reply(&e);
-        assert!(reply.starts_with("ERR parse "), "{reply}");
-        assert!(reply.contains(SPEC_POINTER), "{reply}");
-        let decoded = decode_error_reply(reply.strip_prefix("ERR ").unwrap());
+        let body = error_reply_body(&e);
+        assert!(body.starts_with("parse "), "{body}");
+        assert!(body.contains(SPEC_POINTER), "{body}");
+        let decoded = decode_error_reply(&body);
         match decoded {
             AcmrError::Remote { code, message } => {
                 assert_eq!(code, "parse");

@@ -2,15 +2,19 @@
 //! sans-I/O [`Connection`] machine per socket.
 //!
 //! All protocol logic — handshake, both wire dialects, `STATS`, the
-//! typed `ERR` surface — lives in [`crate::machine`]; this module is
-//! the *driver*: it owns the listener, the accept thread, and N
-//! event-loop shards (`--reactor-threads`), and its whole job is to
-//! move bytes between nonblocking `TcpStream`s and machines. Each
-//! shard blocks in a level-triggered [`polling::Poller`] (epoll on
-//! Linux, with portable fallbacks — see the vendored shim), feeds
-//! whatever arrives into the owning machine, ships whatever the
-//! machine queued, and mirrors the machine's live session into the
-//! [`SessionManager`]. One shard multiplexes thousands of
+//! typed `ERR` surface — lives in [`crate::machine`], which decodes
+//! either dialect into the same session steps and runs them through
+//! one executor; this module is the *driver*: it owns the listener,
+//! the accept thread, and N event-loop shards (`--reactor-threads`),
+//! and its whole job is to move bytes between nonblocking
+//! `TcpStream`s and machines. Each shard blocks in a level-triggered
+//! [`polling::Poller`] (epoll on Linux, with portable fallbacks — see
+//! the vendored shim), feeds whatever arrives into the owning
+//! machine, ships whatever the machine queued, and mirrors the
+//! machine's live session into the [`SessionManager`]. The session
+//! table holds metadata only; every socket is tracked once, from
+//! accept time, in the manager's connection table, which is what
+//! graceful shutdown closes. One shard multiplexes thousands of
 //! connections on one thread — the front-door shape the
 //! thread-per-connection server could not take past a few hundred
 //! peers (`BENCH_connections.json` is the receipt).
@@ -128,22 +132,19 @@ pub struct SessionMeta {
     pub spec: String,
 }
 
-struct SessionEntry {
-    meta: SessionMeta,
-    /// Socket clone, kept so shutdown can close live sessions.
-    stream: Option<TcpStream>,
-}
-
 /// The concurrent session table: every live connection registers its
 /// session here and deregisters on close, so an operator (or a test)
-/// can observe the serving state, and graceful shutdown can close
-/// every live socket to unblock its reactor shard.
+/// can observe the serving state. It also tracks every connection's
+/// socket from accept time, so graceful shutdown can close each one
+/// to unblock its reactor shard.
 ///
 /// ```
 /// use acmr_serve::SessionManager;
+/// use std::sync::atomic::Ordering;
 ///
 /// let manager = SessionManager::new();
-/// let id = manager.register("client:1".into(), "greedy".into(), None);
+/// let id = manager.ids().fetch_add(1, Ordering::Relaxed);
+/// manager.register_assigned(id, "client:1".into(), "greedy".into());
 /// assert_eq!(manager.active(), 1);
 /// assert_eq!(manager.snapshot()[0].spec, "greedy");
 /// manager.deregister(id);
@@ -156,7 +157,7 @@ pub struct SessionManager {
     /// ids`]) so session ids stay unique no matter who allocates.
     next_id: Arc<AtomicU64>,
     opened: AtomicU64,
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
+    sessions: Mutex<HashMap<u64, SessionMeta>>,
     /// Every live connection's socket, tracked from **accept time** —
     /// before the handshake, so [`SessionManager::close_all`] can
     /// close a connection still waiting for `OPEN` (a session only
@@ -183,47 +184,18 @@ impl SessionManager {
         Arc::clone(&self.next_id)
     }
 
-    /// Register a live session; returns its id. `stream` is the
-    /// connection's socket (a clone), kept so [`SessionManager::
-    /// close_all`] can end the session; pass `None` when there is no
-    /// socket (tests, embedding).
-    pub fn register(&self, peer: String, spec: String, stream: Option<TcpStream>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.register_assigned(id, peer, spec, stream);
-        id
-    }
-
     /// Register a live session whose id was already allocated from
     /// [`SessionManager::ids`] — how the reactor mirrors the session
     /// a machine opened (the machine hands out the id in its `OK`
-    /// reply; the driver files it here).
-    pub fn register_assigned(
-        &self,
-        id: u64,
-        peer: String,
-        spec: String,
-        stream: Option<TcpStream>,
-    ) {
+    /// reply; the driver files it here). The table holds no socket:
+    /// [`SessionManager::close_all`] reaches every connection through
+    /// [`SessionManager::track_connection`].
+    pub fn register_assigned(&self, id: u64, peer: String, spec: String) {
         self.opened.fetch_add(1, Ordering::Relaxed);
-        let meta = SessionMeta { id, peer, spec };
         self.sessions
             .lock()
             .expect("session table poisoned")
-            .insert(id, SessionEntry { meta, stream });
-        // Registered after close_all's sweep started? Close it here —
-        // otherwise nothing ever would (the sweep is one-shot).
-        if self.closing.load(Ordering::SeqCst) {
-            if let Some(entry) = self
-                .sessions
-                .lock()
-                .expect("session table poisoned")
-                .get(&id)
-            {
-                if let Some(stream) = &entry.stream {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            }
-        }
+            .insert(id, SessionMeta { id, peer, spec });
     }
 
     /// Remove a session from the table (idempotent).
@@ -250,7 +222,7 @@ impl SessionManager {
             .lock()
             .expect("session table poisoned")
             .values()
-            .map(|e| e.meta.clone())
+            .cloned()
             .collect()
     }
 
@@ -301,16 +273,6 @@ impl SessionManager {
             .values()
         {
             let _ = stream.shutdown(Shutdown::Both);
-        }
-        for entry in self
-            .sessions
-            .lock()
-            .expect("session table poisoned")
-            .values()
-        {
-            if let Some(stream) = &entry.stream {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
         }
     }
 }
@@ -778,14 +740,8 @@ impl ShardCtx {
                     self.manager.deregister(old);
                 }
                 conn.session = current.map(|(id, spec)| {
-                    // No socket clone here: every reactor connection is
-                    // already in the connection table from accept time
-                    // (`track_connection`), which is what `close_all`
-                    // uses to end it. A per-session clone would cost a
-                    // third fd per connection — real money at the
-                    // connection scale E17 benchmarks.
                     self.manager
-                        .register_assigned(id, conn.peer.clone(), spec.to_string(), None);
+                        .register_assigned(id, conn.peer.clone(), spec.to_string());
                     id
                 });
             }

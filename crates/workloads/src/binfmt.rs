@@ -484,6 +484,15 @@ impl BinTraceMap {
             poison: None,
         }
     }
+
+    /// Decode every record into an in-memory instance.
+    pub fn into_instance(self) -> Result<AdmissionInstance, AcmrError> {
+        let mut inst = AdmissionInstance::from_capacities(self.capacities.clone());
+        for request in self.into_reader() {
+            inst.push(request?);
+        }
+        Ok(inst)
+    }
 }
 
 impl std::fmt::Debug for BinTraceMap {
@@ -671,15 +680,12 @@ pub fn write_bin_trace(inst: &AdmissionInstance) -> Vec<u8> {
 }
 
 /// Parse an instance from binary v2 bytes (in-memory convenience over
-/// the [`BinMapReader`] cursor of a [`BinTraceMap::from_bytes`] copy,
-/// so every path accepts exactly the same input).
+/// a [`BinTraceMap::from_bytes`] copy, so every path accepts exactly
+/// the same input). A caller that owns its buffer should hand it to
+/// [`BinTraceMap::from_bytes`] and [`BinTraceMap::into_instance`]
+/// instead, and skip the copy.
 pub fn read_bin_trace(bytes: &[u8]) -> Result<AdmissionInstance, AcmrError> {
-    let map = BinTraceMap::from_bytes(bytes.to_vec())?;
-    let mut inst = AdmissionInstance::from_capacities(map.capacities.clone());
-    for request in map.into_reader() {
-        inst.push(request?);
-    }
-    Ok(inst)
+    BinTraceMap::from_bytes(bytes.to_vec())?.into_instance()
 }
 
 #[cfg(test)]

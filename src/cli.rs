@@ -36,8 +36,8 @@ use crate::serve::{
 use crate::workloads::trace::{read_trace, write_trace, TraceReader, TraceWriter};
 use crate::workloads::{
     buyback_hostile, dyadic_admission_instance, nested_intervals, open_trace, random_path_workload,
-    read_bin_trace, repeated_hot_edge, sniff_bytes, stochastic_workload, two_phase_squeeze,
-    write_bin_trace, BinTraceWriter, CostModel, PathWorkloadSpec, StochasticSpec, Topology,
+    repeated_hot_edge, sniff_bytes, stochastic_workload, two_phase_squeeze, write_bin_trace,
+    BinTraceMap, BinTraceWriter, CostModel, PathWorkloadSpec, StochasticSpec, Topology,
     TraceFormat, TrafficModel,
 };
 use rand::rngs::StdRng;
@@ -63,14 +63,32 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Parse `--key value` pairs (flags without values get `"true"`).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// Parse `--key value` pairs (flags without values get `"true"`),
+/// refusing any flag that is not among `command`'s `known` flags
+/// (space-separated) — a typo is an error, never a silently ignored
+/// default.
+fn parse_flags(
+    args: &[String],
+    command: &str,
+    known: &str,
+) -> Result<HashMap<String, String>, CliError> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| err(format!("expected --flag, got {:?}", args[i])))?;
+        if !known.split_whitespace().any(|k| k == key) {
+            let list: Vec<String> = known.split_whitespace().map(|k| format!("--{k}")).collect();
+            return Err(err(format!(
+                "unknown {command} flag --{key} ({})",
+                if list.is_empty() {
+                    format!("{command} takes no flags")
+                } else {
+                    list.join(", ")
+                }
+            )));
+        }
         if i + 1 < args.len() && !args[i + 1].starts_with("--") {
             map.insert(key.to_string(), args[i + 1].clone());
             i += 2;
@@ -81,6 +99,15 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     }
     Ok(map)
 }
+
+// Each subcommand's flags, space-separated.
+const GEN_FLAGS: &str = "topology m cap overload seed weighted max-hops format out family rounds \
+    shrink total width hits levels model arrival-rate duration period amplitude boost waves growth";
+const STATS_FLAGS: &str = "addr format";
+const CONVERT_FLAGS: &str = "to";
+const RUN_FLAGS: &str = "alg seed batch format stream cluster workers proto";
+const SERVE_FLAGS: &str = "addr max-conns idle-timeout proto reactor-threads";
+const CLIENT_FLAGS: &str = "stream addr alg seed batch format events proto stats";
 
 fn get<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
@@ -324,7 +351,7 @@ fn emit_gen(flags: &HashMap<String, String>, inst: &AdmissionInstance) -> Result
 /// `acmr gen` — emit a trace to the returned string (text), or to
 /// `--out FILE` in `--format text|binary`.
 pub fn cmd_gen(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "gen", GEN_FLAGS)?;
     let m: u32 = get(&flags, "m", 64)?;
     let cap: u32 = get(&flags, "cap", 4)?;
     if cap == 0 {
@@ -402,24 +429,27 @@ pub fn cmd_gen(args: &[String]) -> Result<String, CliError> {
 /// Parse a whole trace of either format from bytes. The leading magic
 /// picks the parser (text v1 / binary v2); unknown magics are refused
 /// with a typed error pointing at `docs/TRACE_FORMAT.md`, never
-/// mis-parsed as text.
-fn parse_trace_bytes(trace: &[u8]) -> Result<(TraceFormat, AdmissionInstance), CliError> {
-    let format = sniff_bytes(trace).map_err(|e| err(e.to_string()))?;
+/// mis-parsed as text. The buffer is owned, so a binary trace decodes
+/// in place instead of being copied.
+fn parse_trace_bytes(trace: Vec<u8>) -> Result<(TraceFormat, AdmissionInstance), CliError> {
+    let format = sniff_bytes(&trace).map_err(|e| err(e.to_string()))?;
     let inst = match format {
         TraceFormat::TextV1 => {
-            let text = std::str::from_utf8(trace)
+            let text = std::str::from_utf8(&trace)
                 .map_err(|e| err(format!("text trace is not valid UTF-8: {e}")))?;
             read_trace(text).map_err(|e| err(e.to_string()))?
         }
-        TraceFormat::BinaryV2 => read_bin_trace(trace).map_err(|e| err(e.to_string()))?,
+        TraceFormat::BinaryV2 => BinTraceMap::from_bytes(trace)
+            .and_then(BinTraceMap::into_instance)
+            .map_err(|e| err(e.to_string()))?,
     };
     Ok((format, inst))
 }
 
 /// `acmr stats` — summarize a trace of either format; the sniffed
 /// format is reported in the output.
-pub fn cmd_stats(trace: &[u8]) -> Result<String, CliError> {
-    let (format, inst) = parse_trace_bytes(trace)?;
+pub fn cmd_stats(trace: impl Into<Vec<u8>>) -> Result<String, CliError> {
+    let (format, inst) = parse_trace_bytes(trace.into())?;
     let mut out = String::new();
     out.push_str(&format!(
         "format          : {}\nedges           : {}\nmax capacity    : {}\nrequests        : {}\ntotal cost      : {:.2}\nunweighted      : {}\nmax edge excess : {}\n",
@@ -440,14 +470,7 @@ pub fn cmd_stats(trace: &[u8]) -> Result<String, CliError> {
 /// mid-session via `acmr client --stats`; the wire exchange is
 /// specified in docs/SERVING.md.
 pub fn cmd_stats_remote(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args)?;
-    for key in flags.keys() {
-        if !matches!(key.as_str(), "addr" | "format") {
-            return Err(err(format!(
-                "unknown stats flag --{key} (--addr, --format)"
-            )));
-        }
-    }
+    let flags = parse_flags(args, "stats", STATS_FLAGS)?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -509,7 +532,7 @@ pub fn cmd_convert(args: &[String]) -> Result<String, CliError> {
         .position(|a| a.starts_with("--"))
         .unwrap_or(args.len());
     let (positional, flag_args) = args.split_at(split);
-    let flags = parse_flags(flag_args)?;
+    let flags = parse_flags(flag_args, "convert", CONVERT_FLAGS)?;
     let [input, output] = positional else {
         return Err(err(
             "convert needs an input and an output path: acmr convert <in> <out> [--to text|binary]",
@@ -570,8 +593,8 @@ pub fn cmd_convert(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `acmr opt` — best offline bound for a trace of either format.
-pub fn cmd_opt(trace: &[u8]) -> Result<String, CliError> {
-    let (_, inst) = parse_trace_bytes(trace)?;
+pub fn cmd_opt(trace: impl Into<Vec<u8>>) -> Result<String, CliError> {
+    let (_, inst) = parse_trace_bytes(trace.into())?;
     let bound = crate::harness::admission_opt(&inst, BoundBudget::default());
     let kind: &str = bound.kind.label();
     Ok(format!("opt {kind} {:.4}\n", bound.value))
@@ -702,13 +725,13 @@ fn run_cluster(
 /// `acmr run` — run a registry algorithm over an in-memory trace of
 /// either format; returns the report in the requested `--format`
 /// (`text` or `json`).
-pub fn cmd_run(args: &[String], trace: &[u8]) -> Result<String, CliError> {
-    let flags = parse_flags(args)?;
+pub fn cmd_run(args: &[String], trace: impl Into<Vec<u8>>) -> Result<String, CliError> {
+    let flags = parse_flags(args, "run", RUN_FLAGS)?;
     if flags.contains_key("stream") {
         return Err(err("--stream takes a trace file path (or `-` for stdin); \
              use `dispatch_io` / the acmr binary for streamed runs"));
     }
-    let (_, inst) = parse_trace_bytes(trace)?;
+    let (_, inst) = parse_trace_bytes(trace.into())?;
     run_source(&flags, TraceSource::InMemory(inst))
 }
 
@@ -775,7 +798,7 @@ pub fn cmd_run_stream(
     stdin: &mut dyn Read,
     target: &str,
 ) -> Result<String, CliError> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "run", RUN_FLAGS)?;
     if target != "-" {
         return run_source(&flags, TraceSource::Path(target.into()));
     }
@@ -796,17 +819,7 @@ pub fn cmd_run_stream(
 /// [`cmd_serve`] so flag errors are unit-testable without binding a
 /// socket.
 pub fn serve_options(args: &[String]) -> Result<ServeConfig, CliError> {
-    let flags = parse_flags(args)?;
-    for key in flags.keys() {
-        if !matches!(
-            key.as_str(),
-            "addr" | "max-conns" | "idle-timeout" | "proto" | "reactor-threads"
-        ) {
-            return Err(err(format!(
-                "unknown serve flag --{key} (--addr, --max-conns, --idle-timeout, --proto, --reactor-threads)"
-            )));
-        }
-    }
+    let flags = parse_flags(args, "serve", SERVE_FLAGS)?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -877,7 +890,7 @@ pub fn cmd_client(
     stdin: &mut dyn Read,
     events_out: &mut dyn std::io::Write,
 ) -> Result<String, CliError> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "client", CLIENT_FLAGS)?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -986,19 +999,28 @@ pub fn dispatch_io(argv: &[String], stdin: &mut dyn Read) -> Result<String, CliE
         // `stats --addr` probes a live server and must not block on
         // stdin; plain `stats` summarizes a trace piped in.
         Some("stats") => {
-            if parse_flags(&argv[1..])?.contains_key("addr") {
+            if parse_flags(&argv[1..], "stats", STATS_FLAGS)?.contains_key("addr") {
                 cmd_stats_remote(&argv[1..])
             } else {
-                cmd_stats(&slurp(stdin)?)
+                cmd_stats(slurp(stdin)?)
             }
         }
         Some("convert") => cmd_convert(&argv[1..]),
-        Some("opt") => cmd_opt(&slurp(stdin)?),
-        Some("algs") => cmd_algs(),
+        Some("opt") => {
+            parse_flags(&argv[1..], "opt", "")?;
+            cmd_opt(slurp(stdin)?)
+        }
+        Some("algs") => {
+            parse_flags(&argv[1..], "algs", "")?;
+            cmd_algs()
+        }
         Some("run") => {
             let args = &argv[1..];
-            match parse_flags(args)?.get("stream").map(String::as_str) {
-                None => cmd_run(args, &slurp(stdin)?),
+            match parse_flags(args, "run", RUN_FLAGS)?
+                .get("stream")
+                .map(String::as_str)
+            {
+                None => cmd_run(args, slurp(stdin)?),
                 Some("true") => Err(err(
                     "--stream needs a trace file path, or `-` to stream stdin",
                 )),
@@ -1624,8 +1646,8 @@ mod tests {
         // on every other line.
         let text = std::fs::read(&text_path).unwrap();
         let bin = std::fs::read(&bin_path).unwrap();
-        let st = cmd_stats(&text).unwrap();
-        let sb = cmd_stats(&bin).unwrap();
+        let st = cmd_stats(&text[..]).unwrap();
+        let sb = cmd_stats(&bin[..]).unwrap();
         assert!(
             st.contains("format          : ACMR-TRACE v1 (text)"),
             "{st}"
@@ -1684,6 +1706,46 @@ mod tests {
         for path in [text_path, bin_path, bin2_path, text2_path] {
             std::fs::remove_file(path).unwrap();
         }
+    }
+
+    #[test]
+    fn every_subcommand_refuses_a_flag_it_does_not_know() {
+        let trace = cmd_gen(&argv(&["--m", "4", "--seed", "1"])).unwrap();
+        // A typo used to fall back to the flag's default: a text report
+        // at batch 1, capacity 4, a replay against the default address.
+        for (args, typo) in [
+            (
+                &["run", "--alg", "greedy", "--btach", "4", "--formt", "json"][..],
+                "btach",
+            ),
+            (&["run", "--stream", "-", "--formt", "json"], "formt"),
+            (&["gen", "--m", "8", "--cpa", "2"], "cpa"),
+            (
+                &[
+                    "client",
+                    "--stream",
+                    "-",
+                    "--addr",
+                    "127.0.0.1:9",
+                    "--btach",
+                    "2",
+                ],
+                "btach",
+            ),
+            (&["stats", "--adr", "127.0.0.1:9"], "adr"),
+            (&["convert", "a.trace", "b.bin", "--too", "text"], "too"),
+            (&["serve", "--bogus", "1"], "bogus"),
+            (&["opt", "--seed", "1"], "seed"),
+            (&["algs", "--all"], "all"),
+        ] {
+            let e = dispatch(&argv(args), &trace).unwrap_err().to_string();
+            let shape = format!("unknown {} flag --{typo} (", args[0]);
+            assert!(e.starts_with(&shape), "{args:?}: {e}");
+        }
+        let e = dispatch(&argv(&["opt", "--seed", "1"]), &trace).unwrap_err();
+        assert!(e.to_string().ends_with("(opt takes no flags)"), "{e}");
+        let e = dispatch(&argv(&["gen", "--cpa", "2"]), "").unwrap_err();
+        assert!(e.to_string().contains("--cap, --overload"), "{e}");
     }
 
     #[test]
@@ -1962,7 +2024,7 @@ mod tests {
         assert!(cmd_run(&argv(&["--format", "yaml"]), trace.as_bytes()).is_err());
         assert!(cmd_gen(&argv(&["--m", "NaN"])).is_err());
         assert!(cmd_gen(&argv(&["--topology", "torus"])).is_err());
-        assert!(parse_flags(&argv(&["oops"])).is_err());
+        assert!(parse_flags(&argv(&["oops"]), "run", RUN_FLAGS).is_err());
     }
 
     #[test]

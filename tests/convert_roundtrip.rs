@@ -70,8 +70,8 @@ fn golden_corpus_converts_losslessly_in_both_directions() {
         );
 
         // stats: same numbers, different (correct) format line.
-        let st = cmd_stats(&text).unwrap();
-        let sb = cmd_stats(&std::fs::read(&bin_path).unwrap()).unwrap();
+        let st = cmd_stats(&text[..]).unwrap();
+        let sb = cmd_stats(std::fs::read(&bin_path).unwrap()).unwrap();
         assert!(
             st.contains("format          : ACMR-TRACE v1 (text)"),
             "{st}"
@@ -115,9 +115,10 @@ fn golden_corpus_converts_losslessly_in_both_directions() {
 
 #[test]
 fn binary_traces_on_stdin_match_their_text_originals() {
-    // `run`, `run --stream -` and `opt` read stdin as bytes and sniff
-    // the magic, so a converted trace piped in prints exactly what its
-    // text original prints.
+    // `run`, `run --stream -`, `opt` and `stats` read stdin as bytes
+    // and sniff the magic, so a converted trace piped in prints exactly
+    // what its text original prints — bar the `format` line of
+    // `stats`, which names the format it sniffed.
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
     let run = [
@@ -137,10 +138,12 @@ fn binary_traces_on_stdin_match_their_text_originals() {
         cmd_convert(&argv(&[path.to_str().unwrap(), bin_path.to_str().unwrap()])).unwrap();
         let bin = std::fs::read(&bin_path).unwrap();
         std::fs::remove_file(&bin_path).unwrap();
-        for command in [&run[..], &streamed, &["opt"]] {
+        for command in [&run[..], &streamed, &["opt"], &["stats"]] {
             let piped = |stdin: &[u8]| {
-                dispatch_io(&argv(command), &mut &stdin[..])
-                    .unwrap_or_else(|e| panic!("{name}: {command:?}: {e}"))
+                let out = dispatch_io(&argv(command), &mut &stdin[..])
+                    .unwrap_or_else(|e| panic!("{name}: {command:?}: {e}"));
+                let lines = out.lines().filter(|l| !l.starts_with("format "));
+                lines.collect::<Vec<_>>().join("\n")
             };
             assert_eq!(piped(&bin), piped(&text), "{name}: {command:?}");
         }
