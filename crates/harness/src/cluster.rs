@@ -17,20 +17,30 @@
 //! whole-trace retry contract below is unchanged — a retry always
 //! replays from the first arrival on a fresh session
 //! (`WorkerPool::proto` drops back to the v1 line protocol for
-//! fleets that predate v2; `docs/SERVING.md` specifies both).
+//! fleets that predate v2; `docs/SERVING.md` specifies both). A
+//! path-backed binary trace is forwarded as it is: each `BATCH`
+//! payload is the trace file's own record bytes, checked like the
+//! decoder checks them but never decoded on the driver; text traces
+//! and in-memory instances are encoded request by request.
 //!
 //! Division of labor, by design:
 //!
 //! * **Decisions are remote.** The algorithm runs inside the worker
 //!   process, exactly as live traffic would drive it; the serving
 //!   differential suite guarantees the wire path is decision-for-
-//!   decision identical to an in-process session.
+//!   decision identical to an in-process session. One local driver
+//!   thread per worker slot feeds the jobs, and the pool places each
+//!   job on an idle worker ([`WorkerPool::run_job`]), so no worker
+//!   queues a job while another idles.
 //! * **Bounds are local.** The offline-optimum bound of each distinct
 //!   trace is computed **once** on the driver — the same shared
 //!   bound-computation phase `ShardedDriver` runs — because a live
 //!   worker cannot see the future and the
 //!   driver already has the trace. This keeps cluster reports
-//!   carrying the same OPT context as sharded ones.
+//!   carrying the same OPT context as sharded ones. The bounds are
+//!   computed on a scoped thread *while* the jobs run and attached
+//!   afterwards, so a sweep costs the longer of the two phases rather
+//!   than their sum; a bound error still wins over any job error.
 //! * **Failures are typed.** A worker dying mid-job is retried as a
 //!   whole-trace replay on a surviving worker (bounded, see
 //!   [`WorkerPool`]'s contract); exhaustion surfaces one
@@ -47,14 +57,14 @@ use crate::shard::{
     TraceSource,
 };
 use acmr_core::RequestSource as _;
-use acmr_core::{AcmrError, AdmissionInstance, Request, RunReport};
-use acmr_serve::WorkerPool;
+use acmr_core::{AcmrError, AdmissionInstance, RunReport};
+use acmr_serve::{JobArrivals, WorkerPool};
 use acmr_workloads::open_trace;
 
 /// A fresh per-attempt arrival stream for one job: borrowed from the
-/// in-memory instance, or a newly opened chunked reader for a
-/// path-backed trace.
-type Arrivals<'a> = Box<dyn Iterator<Item = Result<Request, AcmrError>> + 'a>;
+/// in-memory instance, or a newly opened reader for a path-backed
+/// trace (whose binary records the job forwards as they are).
+type Arrivals<'a> = Box<dyn JobArrivals + 'a>;
 
 /// Open a job's trace source from the top: capacities plus a fresh
 /// arrival iterator. Called once per delivery attempt — a retry after
@@ -129,7 +139,7 @@ impl<'p> ClusterDriver<'p> {
     /// Attach offline-optimum context to every job's report, computed
     /// **locally, once per distinct trace** and shared — exactly like
     /// [`crate::ShardedDriver::budget`], so cluster and sharded
-    /// reports stay byte-identical.
+    /// reports stay byte-identical — while the jobs run remotely.
     pub fn budget(mut self, budget: BoundBudget) -> Self {
         self.budget = Some(budget);
         self
@@ -157,7 +167,8 @@ impl<'p> ClusterDriver<'p> {
     /// [`ClusterDriver::run`] over [`TraceSource`]s: a
     /// [`TraceSource::Path`] job streams its trace file chunk by
     /// chunk straight onto the wire (the driver never materializes
-    /// it), and the trace's offline-optimum bound uses the two-pass
+    /// it; a binary trace's records go out as they are), and the
+    /// trace's offline-optimum bound uses the two-pass
     /// streamed scheme — the cross-process twin of
     /// [`crate::ShardedDriver::run_sources`].
     pub fn run_sources(
@@ -186,32 +197,43 @@ impl<'p> ClusterDriver<'p> {
         // duplicate names, malformed specs — all before any socket.
         let resolved = resolve_jobs(names, jobs)?;
 
-        // Phase 1 (local): shared offline-optimum bounds, one per
-        // distinct referenced trace, fanned over local threads.
+        // The shared offline-optimum bounds (local, one per distinct
+        // referenced trace, fanned over local threads) are computed on
+        // a scoped thread while the jobs run remotely, fanned over one
+        // local driver thread per worker slot (the pool places each
+        // job on an idle worker and reroutes on failure). A bound
+        // error wins over any job error, as when bounds came first.
         let workers = self.pool.len();
-        let bounds = compute_shared_bounds(sources, &resolved, self.budget, workers)?;
-
-        // Phase 2 (remote): the jobs, fanned over one local driver
-        // thread per worker slot; job `i` starts on worker `i % W` so
-        // load spreads round-robin, and the pool reroutes on failure.
-        let batch = self.batch;
-        let pool = self.pool;
-        let indexed: Vec<(usize, usize, &SweepJob)> = resolved
-            .iter()
-            .enumerate()
-            .map(|(i, (trace_idx, _, job))| (i, *trace_idx, *job))
-            .collect();
-        let results: Vec<Result<RunReport, AcmrError>> =
-            parallel_map(indexed, workers, |(i, trace_idx, job)| {
-                let mut report =
-                    pool.run_job(*i, &job.spec, Some(job.seed), Some(batch), || {
-                        open_arrivals(&sources[*trace_idx])
-                    })?;
+        let (bounds, results) = std::thread::scope(|scope| {
+            let bounds =
+                scope.spawn(|| compute_shared_bounds(sources, &resolved, self.budget, workers));
+            let results: Vec<Result<RunReport, AcmrError>> = parallel_map(
+                resolved.iter().enumerate().collect(),
+                workers,
+                |(i, (trace_idx, _, job))| {
+                    self.pool
+                        .run_job(*i, &job.spec, Some(job.seed), Some(self.batch), || {
+                            open_arrivals(&sources[*trace_idx])
+                        })
+                },
+            );
+            let bounds = bounds
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (bounds, results)
+        });
+        let bounds = bounds?;
+        let results = results
+            .into_iter()
+            .zip(&resolved)
+            .map(|(result, (trace_idx, _, _))| {
+                let mut report = result?;
                 if let Some(bound) = &bounds[*trace_idx] {
                     report.opt = Some(opt_summary(bound, report.rejected_cost));
                 }
                 Ok(report)
-            });
+            })
+            .collect();
 
         // The report's `threads` is the fan-out width — worker
         // processes here, exactly as worker threads there — so a

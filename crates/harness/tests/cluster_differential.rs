@@ -16,15 +16,17 @@
 //! identical to a separate process; `tests/cluster_cli.rs` covers
 //! genuinely separate worker processes with the real binaries).
 
-use acmr_core::AdmissionInstance;
+use acmr_core::{AdmissionInstance, Request};
 use acmr_harness::{
     cross_jobs, default_registry, BoundBudget, ClusterDriver, ShardedDriver, SweepJob, TraceSource,
 };
+use acmr_serve::protocol::MAX_BATCH;
 use acmr_serve::{serve, ServeConfig, ServerHandle, WorkerPool};
 use acmr_workloads::trace::{read_trace, write_trace};
 use acmr_workloads::{
-    dyadic_admission_instance, nested_intervals, random_path_workload, repeated_hot_edge,
-    two_phase_squeeze, CostModel, PathWorkloadSpec, Topology,
+    dyadic_admission_instance, encode_record_into, nested_intervals, random_path_workload,
+    repeated_hot_edge, two_phase_squeeze, write_bin_trace, BinTraceMap, CostModel,
+    PathWorkloadSpec, Topology,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -167,49 +169,61 @@ fn cluster_attaches_the_same_local_opt_bounds_as_sharded() {
 
 #[test]
 fn cluster_streams_path_backed_traces_identically() {
-    // Path-backed sources: the cluster replays the trace file chunk
-    // by chunk onto the wire; reports must still be byte-identical to
-    // the sharded path-backed sweep.
+    // Path-backed sources: the cluster replays a text trace file chunk
+    // by chunk onto the wire and forwards a binary one's records as
+    // they are; reports must still be byte-identical to the sharded
+    // path-backed sweep, with and without bounds, at every batch size.
+    let wide = wide_footprints();
     let in_memory = [
         ("squeeze".to_string(), two_phase_squeeze(12, 3, 4, 3)),
         ("dyadic".to_string(), dyadic_admission_instance(4, 3, 2)),
     ];
     let dir = std::env::temp_dir();
-    let sources: Vec<(String, TraceSource)> = in_memory
-        .iter()
-        .map(|(name, inst)| {
-            let path = dir.join(format!(
-                "acmr-cluster-diff-{}-{name}.trace",
-                std::process::id()
-            ));
-            std::fs::write(&path, write_trace(inst)).unwrap();
-            (name.clone(), TraceSource::Path(path))
-        })
-        .collect();
+    let path = |name: &str| dir.join(format!("acmr-cluster-diff-{}-{name}", std::process::id()));
+    let mut sources: Vec<(String, TraceSource)> = Vec::new();
+    for (name, inst) in &in_memory {
+        let text = path(&format!("{name}.trace"));
+        std::fs::write(&text, write_trace(inst)).unwrap();
+        sources.push((name.clone(), TraceSource::Path(text)));
+        let binary = path(&format!("{name}.bin"));
+        std::fs::write(&binary, write_bin_trace(inst)).unwrap();
+        sources.push((format!("{name}-bin"), TraceSource::Path(binary)));
+    }
+    let binary = path("wide.bin");
+    std::fs::write(&binary, write_bin_trace(&wide)).unwrap();
+    sources.push(("wide-bin".to_string(), TraceSource::Path(binary)));
 
     let registry = default_registry();
+    let names: Vec<&str> = sources.iter().map(|(n, _)| n.as_str()).collect();
     let jobs = cross_jobs(
-        &["squeeze", "dyadic"],
+        &names,
         &["greedy", "aag-weighted", "random-preempt"],
         &[0, 5],
     );
     let (handles, pool) = start_workers(WIDTH);
-    let sharded = ShardedDriver::new()
-        .threads(WIDTH)
-        .batch(BATCH)
-        .budget(BoundBudget::default())
-        .run_sources(&registry, &sources, &jobs)
-        .expect("sharded path-backed sweep");
-    let cluster = ClusterDriver::new(&pool)
-        .batch(BATCH)
-        .budget(BoundBudget::default())
-        .run_sources(&sources, &jobs)
-        .expect("cluster path-backed sweep");
-    assert_eq!(cluster, sharded);
-    assert_eq!(
-        serde_json::to_string_pretty(&cluster).unwrap(),
-        serde_json::to_string_pretty(&sharded).unwrap()
-    );
+    for budget in [None, Some(BoundBudget::default())] {
+        for batch in [1, BATCH, MAX_BATCH] {
+            let mut sharded = ShardedDriver::new().threads(WIDTH).batch(batch);
+            let mut cluster = ClusterDriver::new(&pool).batch(batch);
+            if let Some(budget) = budget {
+                sharded = sharded.budget(budget);
+                cluster = cluster.budget(budget);
+            }
+            let sharded = sharded
+                .run_sources(&registry, &sources, &jobs)
+                .expect("sharded path-backed sweep");
+            let cluster = cluster
+                .run_sources(&sources, &jobs)
+                .expect("cluster path-backed sweep");
+            let context = format!("budget {budget:?}, batch {batch}");
+            assert_eq!(cluster, sharded, "{context}");
+            assert_eq!(
+                serde_json::to_string_pretty(&cluster).unwrap(),
+                serde_json::to_string_pretty(&sharded).unwrap(),
+                "{context}"
+            );
+        }
+    }
 
     // A missing trace file is the same typed I/O error the sharded
     // driver surfaces — not a retry storm, not a cluster error.
@@ -232,6 +246,64 @@ fn cluster_streams_path_backed_traces_identically() {
     }
     for handle in handles {
         handle.shutdown();
+    }
+}
+
+/// A trace whose footprints reach past the five edges an `EdgeSet`
+/// holds inline, so its records decode into boxed sets.
+fn wide_footprints() -> AdmissionInstance {
+    let spec = PathWorkloadSpec {
+        topology: Topology::Line { m: 24 },
+        capacity: 2,
+        overload: 2.0,
+        costs: CostModel::Zipf {
+            n_values: 16,
+            s: 1.1,
+        },
+        max_hops: 12,
+    };
+    let (_, inst) = random_path_workload(&spec, &mut StdRng::seed_from_u64(11));
+    assert!(
+        inst.requests.iter().any(|r| r.footprint.len() > 5),
+        "no footprint wider than 5 edges"
+    );
+    inst
+}
+
+#[test]
+fn forwarded_records_are_the_encoding_of_the_decoded_requests() {
+    // The oracle behind record forwarding: for every golden-corpus
+    // trace (plus a wide-footprint one) and several batch sizes, each
+    // slice `next_records` hands a job is exactly `encode_record_into`
+    // of the requests the cursor decodes at the same place.
+    let mut traces = golden_traces();
+    traces.push(("wide".to_string(), wide_footprints()));
+    for (name, inst) in &traces {
+        let reader = BinTraceMap::from_bytes(write_bin_trace(inst))
+            .unwrap()
+            .into_reader();
+        let decoded: Vec<Request> = reader.rewound().map(|r| r.unwrap()).collect();
+        assert_eq!(&decoded, &inst.requests, "{name}");
+        let num_edges = inst.capacities.len() as u32;
+        for max in [1, 3, BATCH, MAX_BATCH] {
+            let mut cursor = reader.rewound();
+            let mut at = 0;
+            loop {
+                let (records, count) = cursor.next_records(max).unwrap();
+                assert_eq!(count, max.min(decoded.len() - at), "{name}, max {max}");
+                let mut encoded = Vec::new();
+                for r in &decoded[at..at + count] {
+                    encode_record_into(&mut encoded, r, num_edges).unwrap();
+                }
+                assert_eq!(records, encoded.as_slice(), "{name}, max {max}, at {at}");
+                at += count;
+                if count == 0 {
+                    break;
+                }
+            }
+            assert_eq!(at, decoded.len(), "{name}, max {max}");
+            assert_eq!(cursor.next_records(max).unwrap().1, 0);
+        }
     }
 }
 

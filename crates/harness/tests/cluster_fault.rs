@@ -17,10 +17,10 @@
 
 use acmr_core::AcmrError;
 use acmr_harness::{
-    cross_jobs, default_registry, BoundBudget, ClusterDriver, ShardedDriver, SweepJob,
+    cross_jobs, default_registry, BoundBudget, ClusterDriver, ShardedDriver, SweepJob, TraceSource,
 };
 use acmr_serve::{serve, ServeConfig, ServerHandle, WorkerPool, CLUSTER_ERROR_CODE};
-use acmr_workloads::{nested_intervals, repeated_hot_edge};
+use acmr_workloads::{nested_intervals, repeated_hot_edge, write_bin_trace};
 
 fn start_worker() -> ServerHandle {
     serve(
@@ -95,11 +95,14 @@ fn killing_a_worker_mid_sweep_still_yields_the_identical_report() {
 
     let survivor = start_worker();
     let victim = start_worker();
+    // One retry is enough: a job that loses its attempt on the victim
+    // retries on the survivor, never on the slot that just failed.
     let pool = WorkerPool::connect(&[
         victim.local_addr().to_string(),
         survivor.local_addr().to_string(),
     ])
-    .expect("adopt workers");
+    .expect("adopt workers")
+    .retries(1);
 
     // Kill the victim concurrently with the sweep: its live sessions
     // are severed mid-frame and its port goes dark. Whether a given
@@ -179,4 +182,95 @@ fn a_semantic_worker_error_is_not_retried_and_fails_the_sweep_typed() {
     // The worker answered; it is alive and was never quarantined.
     assert_eq!(pool.alive(), 1);
     worker.shutdown();
+}
+
+#[test]
+fn a_corrupt_binary_record_fails_like_sharded_without_retry_or_quarantine() {
+    // A forwarded binary trace is checked record by record as the
+    // decoder checks it: one bad record fails the sweep with the very
+    // error the sharded driver's decoder reports. It is the input's
+    // fault, not the worker's: nothing is retried (the second worker
+    // never sees a connection) and nobody is quarantined.
+    let inst = nested_intervals(16, 2, 2, 2);
+    let valid = write_bin_trace(&inst);
+    // The header, then the records: cost f64, count u16, ids u32 each.
+    let body = 16 + 4 * inst.capacities.len() + 8;
+    let victim = inst.requests.len() / 2;
+    let at = body
+        + inst.requests[..victim]
+            .iter()
+            .map(|r| 10 + 4 * r.footprint.len())
+            .sum::<usize>();
+    assert!(inst.requests[victim].footprint.len() >= 2);
+    let corrupt = |patch: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = valid.clone();
+        patch(&mut bytes);
+        bytes
+    };
+    let cases = [
+        (
+            "edge out of range",
+            corrupt(&|b| b[at + 10..at + 14].copy_from_slice(&u32::MAX.to_le_bytes())),
+        ),
+        (
+            "unsorted ids",
+            corrupt(&|b| {
+                let (first, second) = (at + 10, at + 14);
+                let id = b[second..second + 4].to_vec();
+                b.copy_within(first..first + 4, second);
+                b[first..first + 4].copy_from_slice(&id);
+            }),
+        ),
+        (
+            "bad cost",
+            corrupt(&|b| b[at..at + 8].copy_from_slice(&(-1.0f64).to_le_bytes())),
+        ),
+        ("truncated", corrupt(&|b| b.truncate(at + 12))),
+    ];
+    let workers = [start_worker(), start_worker()];
+    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+    let pool = WorkerPool::connect(&addrs).expect("adopt workers");
+    let registry = default_registry();
+    let path =
+        std::env::temp_dir().join(format!("acmr-cluster-corrupt-{}.bin", std::process::id()));
+    let traces = vec![("bad".to_string(), TraceSource::Path(path.clone()))];
+    let jobs = [SweepJob::new("bad", "aag-weighted", 3)];
+    for (what, bytes) in &cases {
+        std::fs::write(&path, bytes).unwrap();
+        for budget in [None, Some(BoundBudget::default())] {
+            let mut sharded = ShardedDriver::new().threads(2).batch(4);
+            let mut cluster = ClusterDriver::new(&pool).batch(4);
+            if let Some(budget) = budget {
+                sharded = sharded.budget(budget);
+                cluster = cluster.budget(budget);
+            }
+            let expected = sharded
+                .run_sources(&registry, &traces, &jobs)
+                .expect_err(what);
+            assert!(
+                matches!(&expected, AcmrError::TraceParse { line, .. } if *line == victim + 1),
+                "{what}: {expected}"
+            );
+            let err = cluster.run_sources(&traces, &jobs).expect_err(what);
+            assert_eq!(err, expected, "{what}, budget {budget:?}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(pool.alive(), 2, "a bad record quarantined a worker");
+    // Every single-job sweep started on (and stayed on) the first
+    // worker; the second one only ever sees this probe.
+    let untouched = acmr_serve::fetch_stats(addrs[1].as_str())
+        .expect("STATS")
+        .server;
+    assert_eq!(
+        untouched.connections_opened, 1,
+        "a job was retried: {untouched:?}"
+    );
+    assert_eq!(
+        untouched.sessions_opened, 0,
+        "a job was retried: {untouched:?}"
+    );
+    for worker in workers {
+        worker.shutdown();
+    }
 }

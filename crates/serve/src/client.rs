@@ -32,7 +32,7 @@ use crate::protocol::{
     FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, ArrivalEvent, Request, RunReport};
-use acmr_workloads::binfmt::encode_record_into;
+use acmr_workloads::binfmt::{encode_record_into, AnyTraceReader, BinMapReader};
 use acmr_workloads::trace::write_request_line;
 use serde::de::DeserializeOwned;
 use std::io::{BufWriter, Chain, Cursor, Write};
@@ -140,6 +140,13 @@ impl Replies {
 enum Step<'a> {
     Arrival(&'a Request),
     Batch(&'a [Request]),
+    /// `count` arrivals already in the wire's record encoding: a
+    /// binary trace's own bytes, checked by
+    /// [`BinMapReader::next_records`]. v2 only.
+    Records {
+        count: usize,
+        bytes: &'a [u8],
+    },
     End,
     Stats,
 }
@@ -441,8 +448,8 @@ impl ServeClient {
 
     /// Queue one step as the session's dialect spells it: a request
     /// line, `BATCH <n>` and its lines, `END` or `STATS` in v1; a
-    /// `REQ`, `BATCH`, `END` or `STATS` frame in v2. Buffered — does
-    /// not flush.
+    /// `REQ`, `BATCH` (of requests or of forwarded records), `END` or
+    /// `STATS` frame in v2. Buffered — does not flush.
     fn write(&mut self, step: Step<'_>) -> Result<(), AcmrError> {
         let proto = self.proto();
         let w = &mut self.writer;
@@ -454,6 +461,11 @@ impl ServeClient {
                     write_request_line(w, request)?;
                 }
             }
+            (ProtoVersion::V1, Step::Records { .. }) => {
+                return Err(AcmrError::InvalidRequest {
+                    reason: "binary trace records travel only in v2 BATCH frames".into(),
+                })
+            }
             (ProtoVersion::V1, Step::End) => writeln!(w, "END")?,
             (ProtoVersion::V1, Step::Stats) => writeln!(w, "STATS")?,
             (ProtoVersion::V2, Step::Arrival(request)) => {
@@ -463,21 +475,16 @@ impl ServeClient {
                 write_frame(w, FRAME_REQ, &self.out)?;
             }
             (ProtoVersion::V2, Step::Batch(batch)) => {
-                if batch.len() > MAX_BATCH {
-                    return Err(AcmrError::InvalidRequest {
-                        reason: format!(
-                            "BATCH {} exceeds the {MAX_BATCH}-request frame cap",
-                            batch.len()
-                        ),
-                    });
-                }
-                self.out.clear();
-                self.out
-                    .extend_from_slice(&(batch.len() as u32).to_le_bytes());
+                batch_header(&mut self.out, batch.len())?;
                 for request in batch {
                     encode_record_into(&mut self.out, request, self.num_edges)
                         .map_err(invalid_request)?;
                 }
+                write_frame(w, FRAME_BATCH, &self.out)?;
+            }
+            (ProtoVersion::V2, Step::Records { count, bytes }) => {
+                batch_header(&mut self.out, count)?;
+                self.out.extend_from_slice(bytes);
                 write_frame(w, FRAME_BATCH, &self.out)?;
             }
             (ProtoVersion::V2, Step::End) => write_frame(w, FRAME_END, &[])?,
@@ -606,6 +613,19 @@ fn invalid_request(e: std::io::Error) -> AcmrError {
     }
 }
 
+/// Start a v2 `BATCH` payload of `count` arrivals in `out`: its count
+/// header, once the count is checked against the frame cap.
+fn batch_header(out: &mut Vec<u8>, count: usize) -> Result<(), AcmrError> {
+    if count > MAX_BATCH {
+        return Err(AcmrError::InvalidRequest {
+            reason: format!("BATCH {count} exceeds the {MAX_BATCH}-request frame cap"),
+        });
+    }
+    out.clear();
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    Ok(())
+}
+
 /// Replay a whole arrival stream through a serving endpoint — the
 /// remote twin of [`acmr_core::Session::run_stream_batched`], and what
 /// `acmr client --stream` dispatches to. Arrivals are taken from any
@@ -667,7 +687,7 @@ where
     if events {
         return replay_session(client, arrivals, batch, &mut on_event);
     }
-    run_job_v2(&mut client, arrivals, batch, false)
+    run_job_v2(&mut client, Encoded(arrivals.into_iter()), batch, false)
 }
 
 /// Drive an already-open session through a full arrival stream — the
@@ -718,6 +738,53 @@ where
     client.finish()
 }
 
+/// A job's arrival stream, as [`crate::WorkerPool::run_job`] replays
+/// it: a fallible request iterator that may also hand over the binary
+/// trace cursor behind it. A v2 job forwards such a trace's records
+/// onto the wire as they are, since a `BATCH` payload is the trace's
+/// own record bytes; every other stream is encoded request by request.
+/// Implemented for [`AnyTraceReader`], mapped iterators and boxed
+/// streams.
+pub trait JobArrivals: Iterator<Item = Result<Request, AcmrError>> {
+    /// The binary trace cursor this stream reads, if any.
+    fn records(&mut self) -> Option<&mut BinMapReader> {
+        None
+    }
+}
+
+impl JobArrivals for AnyTraceReader {
+    fn records(&mut self) -> Option<&mut BinMapReader> {
+        match self {
+            AnyTraceReader::Binary(reader) => Some(reader),
+            AnyTraceReader::Text(_) => None,
+        }
+    }
+}
+
+impl<I: Iterator, F: FnMut(I::Item) -> Result<Request, AcmrError>> JobArrivals
+    for std::iter::Map<I, F>
+{
+}
+
+impl<J: JobArrivals + ?Sized> JobArrivals for Box<J> {
+    fn records(&mut self) -> Option<&mut BinMapReader> {
+        (**self).records()
+    }
+}
+
+/// Any request iterator, encoded request by request.
+struct Encoded<I>(I);
+
+impl<I: Iterator<Item = Result<Request, AcmrError>>> Iterator for Encoded<I> {
+    type Item = Result<Request, AcmrError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next()
+    }
+}
+
+impl<I: Iterator<Item = Result<Request, AcmrError>>> JobArrivals for Encoded<I> {}
+
 /// Default batch size for the pipelined v2 replay when the caller did
 /// not pick one: big enough to amortize frame headers, small enough
 /// to keep summary frames (and the server's working set) reasonable.
@@ -737,41 +804,56 @@ enum StreamFail {
 /// acknowledgements — the `RESET`'s `OK` first when `expect_reset_ok`
 /// (the pool's persistent-session path queues the job behind a
 /// [`ServeClient::write_reset`]), then one [`BatchSummary`] per
-/// batch, then the final `REPORT`.
+/// batch, then the final `REPORT`. A binary trace's records go out
+/// as they are ([`JobArrivals::records`]): the same frames the
+/// per-request encoder would build, and the same source errors.
 ///
 /// On any error the session is desynchronized and must be dropped,
 /// not reused — the pool's whole-trace-retry contract already
 /// guarantees a fresh session per attempt. A write failure usually
 /// means the server already sent its terminal `ERR` and stopped
 /// reading; that typed answer is preferred over the raw broken pipe.
-pub(crate) fn run_job_v2<I>(
+pub(crate) fn run_job_v2(
     client: &mut ServeClient,
-    arrivals: I,
+    mut arrivals: impl JobArrivals,
     batch: Option<usize>,
     expect_reset_ok: bool,
-) -> Result<RunReport, AcmrError>
-where
-    I: IntoIterator<Item = Result<Request, AcmrError>>,
-{
+) -> Result<RunReport, AcmrError> {
     let n = batch.unwrap_or(PIPELINE_BATCH).clamp(1, MAX_BATCH);
     let mut batches = 0usize;
     let stream_all = |client: &mut ServeClient| -> Result<(), StreamFail> {
-        let mut chunk = Vec::with_capacity(n);
-        for request in arrivals {
-            chunk.push(request.map_err(StreamFail::Source)?);
-            if chunk.len() == n {
+        if let Some(reader) = arrivals.records() {
+            loop {
+                let (records, count) = reader.next_records(n).map_err(StreamFail::Source)?;
+                if count == 0 {
+                    break;
+                }
+                client
+                    .write(Step::Records {
+                        count,
+                        bytes: records,
+                    })
+                    .map_err(StreamFail::Wire)?;
+                batches += 1;
+            }
+        } else {
+            let mut chunk = Vec::with_capacity(n);
+            for request in arrivals {
+                chunk.push(request.map_err(StreamFail::Source)?);
+                if chunk.len() == n {
+                    client
+                        .write(Step::Batch(&chunk))
+                        .map_err(StreamFail::Wire)?;
+                    batches += 1;
+                    chunk.clear();
+                }
+            }
+            if !chunk.is_empty() {
                 client
                     .write(Step::Batch(&chunk))
                     .map_err(StreamFail::Wire)?;
                 batches += 1;
-                chunk.clear();
             }
-        }
-        if !chunk.is_empty() {
-            client
-                .write(Step::Batch(&chunk))
-                .map_err(StreamFail::Wire)?;
-            batches += 1;
         }
         client.write(Step::End).map_err(StreamFail::Wire)?;
         client.flush_writes().map_err(StreamFail::Wire)

@@ -62,7 +62,7 @@ pub mod pool;
 pub mod protocol;
 pub mod server;
 
-pub use client::{fetch_stats, serve_trace, serve_trace_v2, ServeClient};
+pub use client::{fetch_stats, serve_trace, serve_trace_v2, JobArrivals, ServeClient};
 pub use machine::{Connection, MachineConfig, ServerCounters};
 pub use pool::{is_transport_error, WorkerPool, CLUSTER_ERROR_CODE, LISTENING_PREFIX};
 pub use protocol::{BatchSummary, ProtoVersion, StatsReport};

@@ -767,10 +767,17 @@ impl Connection {
             .session
             .as_mut()
             .expect("arrivals decode only when live");
+        let total_before = session.stats().rejected_cost;
         let applied = session.push_batch_into(&self.batch, &mut self.events);
         let acked = if batch && !self.batch_events {
-            self.writer
-                .write(Reply::Summary(&summarize_events(&self.events)))
+            let mut summary = summarize_events(&self.events);
+            if self.events.is_empty() {
+                // No event carries the running objective: it is
+                // unchanged, and nothing was added to it.
+                summary.total_rejected_cost = total_before;
+                summary.rejected_cost_delta = 0.0;
+            }
+            self.writer.write(Reply::Summary(&summary))
         } else {
             self.events
                 .iter()

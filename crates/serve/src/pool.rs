@@ -31,7 +31,10 @@
 //!   dead process stays dead, so later jobs skip it instead of paying
 //!   a connect timeout each. A worker that drops an *established*
 //!   session is not (the failure may be transient); the retry just
-//!   moves to the next worker slot.
+//!   moves on, to the next idle worker after the failed slot, or,
+//!   when every other worker is busy, to the first alive one after
+//!   it, never straight back to the slot that just failed (unless it
+//!   is the only one alive).
 //! * Retries are **bounded** ([`WorkerPool::retries`], default: one
 //!   extra attempt per worker). Exhaustion surfaces one typed
 //!   [`AcmrError::Remote`] with code [`CLUSTER_ERROR_CODE`] naming
@@ -44,15 +47,22 @@
 //!   concurrency, and watch `busy_rejections` in the workers'
 //!   `STATS` counters (`acmr stats --addr`) if sweeps start failing
 //!   with it.
+//!
+//! Placement: a job runs on an **idle** worker whenever one is alive
+//! (the first from its start slot onward), holding it until the
+//! attempt ends; only when every alive worker is busy does it share
+//! one. So callers that run at most one job per worker at a time never
+//! queue a job on a busy worker, and each worker serves them all over
+//! the one connection its first job opened.
 
-use crate::client::{replay_session, run_job_v2, ServeClient};
+use crate::client::{replay_session, run_job_v2, JobArrivals, ServeClient};
 use crate::protocol::ProtoVersion;
 use acmr_core::{AcmrError, Request, RunReport};
 use std::io::BufRead;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::process::{Child, ChildStderr, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// First stderr line `acmr serve` prints: `LISTENING <host:port>`,
@@ -95,6 +105,12 @@ struct Worker {
     /// Cleared when a **connection attempt** to this worker fails
     /// (the process is gone); quarantined workers are skipped.
     alive: AtomicBool,
+    /// Jobs running on this worker right now (see [`Claim`]). A
+    /// claim's release (`AcqRel` on drop, after a successful job has
+    /// parked its connection) pairs with the acquire of the next
+    /// claim's compare-exchange, so a job that finds the worker idle
+    /// also finds its parked connection.
+    jobs: AtomicUsize,
     /// The slot's cached v2 session (protocol v2 pools only): after a
     /// successful job the connection parks here post-`END`, and the
     /// next job revives it with a pipelined `RESET` instead of paying
@@ -123,6 +139,7 @@ impl Worker {
         Worker {
             addr,
             alive: AtomicBool::new(true),
+            jobs: AtomicUsize::new(0),
             conn: Mutex::new(None),
             child: Mutex::new(None),
             _stderr: Mutex::new(None),
@@ -157,6 +174,21 @@ impl Worker {
 impl Drop for Worker {
     fn drop(&mut self) {
         self.kill();
+    }
+}
+
+/// One job's hold on a worker slot, from the attempt that picks the
+/// slot until the attempt ends, whichever way it ends, or, after a
+/// transport failure, until the retry has claimed its own slot
+/// (dropping the claim releases it).
+struct Claim<'p> {
+    slot: usize,
+    worker: &'p Worker,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.worker.jobs.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -325,13 +357,48 @@ impl WorkerPool {
         drop(self);
     }
 
+    /// Claim a worker for one attempt: the first idle alive worker
+    /// at or after slot `cursor`, or — only when every alive worker is
+    /// busy — the first alive one, which then runs two jobs at once.
+    /// `None` when every worker is quarantined.
+    fn claim(&self, cursor: usize) -> Option<Claim<'_>> {
+        let n = self.workers.len();
+        let mut alive = (0..n)
+            .map(|k| (cursor + k) % n)
+            .filter(|&w| self.workers[w].alive.load(Ordering::Relaxed));
+        let first = alive.next()?;
+        let idle = std::iter::once(first).chain(alive).find(|&w| {
+            self.workers[w]
+                .jobs
+                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+        });
+        let slot = idle.unwrap_or_else(|| {
+            self.workers[first].jobs.fetch_add(1, Ordering::AcqRel);
+            first
+        });
+        Some(Claim {
+            slot,
+            worker: &self.workers[slot],
+        })
+    }
+
     /// Run one whole job — open a session for `spec` (seeded like
     /// [`ServeClient::connect`]), replay every arrival `source`
     /// yields in `BATCH` frames of `batch` (or one frame per arrival
-    /// when `None`), `END`, return the final report — on the first
-    /// alive worker at or after slot `start % len`, retrying the
+    /// when `None`), `END`, return the final report — retrying the
     /// **whole trace** on the next worker after a transport failure,
     /// up to the pool's retry bound.
+    ///
+    /// Placement: each attempt claims the first *idle* alive worker
+    /// at or after slot `start % len` (after a failure, after the
+    /// failed slot, which stays claimed until the retry has picked
+    /// its worker) and holds it until the attempt ends, success,
+    /// error or retry alike. Only when every alive worker is busy
+    /// does the attempt share the first alive one, so concurrent
+    /// callers never stack two jobs on one worker while another
+    /// idles, and a job always finds the slot's parked connection
+    /// when the slot was idle.
     ///
     /// In protocol v2 (the default) the replay is pipelined — the
     /// whole trace streams out before any acknowledgement is read —
@@ -340,14 +407,19 @@ impl WorkerPool {
     /// TCP connect + handshake. A stale cached connection (worker
     /// restarted, idle timeout fired) falls back to a fresh connect
     /// *within the same attempt* — reviving the cache never costs the
-    /// job one of its bounded attempts.
+    /// job one of its bounded attempts. When the arrivals come from a
+    /// binary trace ([`JobArrivals::records`]), each `BATCH` payload
+    /// is the trace's own record bytes, checked but not decoded.
     ///
     /// `source` is called per replay and must produce the edge
     /// capacities plus a fresh arrival iterator from the top — that is
     /// what makes a retry a full replay rather than a half-replayed
     /// session (a stale-cache fallback can call it twice in one
     /// attempt). An error from `source` itself (e.g. the trace file
-    /// is missing) is returned as-is, without consuming an attempt.
+    /// is missing), or a parse error from the arrivals it yields (a
+    /// malformed record), is returned as-is, without consuming an
+    /// attempt; an I/O error from the arrivals is retried (see the
+    /// caveat on [`is_transport_error`]).
     pub fn run_job<I, F>(
         &self,
         start: usize,
@@ -359,6 +431,7 @@ impl WorkerPool {
     where
         F: Fn() -> Result<(Vec<u32>, I), AcmrError>,
         I: IntoIterator<Item = Result<Request, AcmrError>>,
+        I::IntoIter: JobArrivals,
     {
         if batch == Some(0) {
             return Err(AcmrError::InvalidRequest {
@@ -369,14 +442,17 @@ impl WorkerPool {
         let max_attempts = self.retries.saturating_add(1);
         let mut cursor = start % n;
         let mut last_failure: Option<(SocketAddr, AcmrError)> = None;
+        // The current attempt's claim. A failed attempt keeps its slot
+        // claimed until the next claim is taken, so the retry's scan
+        // sees the failed worker as busy and moves on, or shares the
+        // first alive worker after it when all others are busy.
+        let mut held: Option<Claim<'_>> = None;
         for attempt in 0..max_attempts {
-            let Some(slot) = (0..n)
-                .map(|k| (cursor + k) % n)
-                .find(|&w| self.workers[w].alive.load(Ordering::Relaxed))
-            else {
+            let Some(claim) = self.claim(cursor) else {
                 return Err(self.exhausted("no alive workers left", attempt, last_failure));
             };
-            let worker = &self.workers[slot];
+            let claim = held.insert(claim);
+            let (slot, worker) = (claim.slot, claim.worker);
             // Persistent-session fast path (v2 only): revive the
             // slot's parked connection with a pipelined RESET. A
             // stale cached connection (the worker restarted, an idle
@@ -388,7 +464,7 @@ impl WorkerPool {
                     let (capacities, arrivals) = source()?;
                     let outcome = client
                         .write_reset(spec, base_seed, &capacities)
-                        .and_then(|()| run_job_v2(&mut client, arrivals, batch, true));
+                        .and_then(|()| run_job_v2(&mut client, arrivals.into_iter(), batch, true));
                     match outcome {
                         Ok(report) => {
                             worker.park_conn(client);
@@ -441,7 +517,7 @@ impl WorkerPool {
                     false,
                 )
                 .and_then(|mut client| {
-                    let report = run_job_v2(&mut client, arrivals, batch, false)?;
+                    let report = run_job_v2(&mut client, arrivals.into_iter(), batch, false)?;
                     // Success parks the post-END session for the next
                     // job on this slot.
                     worker.park_conn(client);
@@ -542,6 +618,7 @@ fn spawn_worker(binary: &Path) -> Result<Worker, AcmrError> {
     Ok(Worker {
         addr,
         alive: AtomicBool::new(true),
+        jobs: AtomicUsize::new(0),
         conn: Mutex::new(None),
         child: Mutex::new(Some(child)),
         _stderr: Mutex::new(reader),
@@ -605,7 +682,7 @@ mod tests {
         assert!(!pool.is_empty());
         let err = pool
             .run_job(0, "greedy", None, None, || {
-                Ok((vec![1u32], Vec::<Result<Request, AcmrError>>::new()))
+                Ok((vec![1u32], Vec::<Request>::new().into_iter().map(Ok)))
             })
             .unwrap_err();
         match &err {
@@ -621,7 +698,7 @@ mod tests {
         // still as one typed cluster error.
         let err = pool
             .run_job(0, "greedy", None, None, || {
-                Ok((vec![1u32], Vec::<Result<Request, AcmrError>>::new()))
+                Ok((vec![1u32], Vec::<Request>::new().into_iter().map(Ok)))
             })
             .unwrap_err();
         assert!(
@@ -641,7 +718,7 @@ mod tests {
         // error, exactly like ShardedDriver surfaces it.
         let err = pool
             .run_job(0, "greedy", None, None, || {
-                Err::<(Vec<u32>, Vec<Result<Request, AcmrError>>), _>(AcmrError::Io {
+                Err::<(Vec<u32>, Box<dyn JobArrivals>), _>(AcmrError::Io {
                     message: "cannot open trace /no/such.trace".into(),
                 })
             })
@@ -668,7 +745,7 @@ mod tests {
         let start = std::time::Instant::now();
         let err = pool
             .run_job(0, "greedy", None, None, || {
-                Ok((vec![1u32], Vec::<Result<Request, AcmrError>>::new()))
+                Ok((vec![1u32], Vec::<Request>::new().into_iter().map(Ok)))
             })
             .unwrap_err();
         assert!(
@@ -717,9 +794,11 @@ mod tests {
         let source = || {
             Ok((
                 vec![1u32],
-                vec![Ok(Request::unit(acmr_graph::EdgeSet::singleton(
+                vec![Request::unit(acmr_graph::EdgeSet::singleton(
                     acmr_graph::EdgeId(0),
-                )))],
+                ))]
+                .into_iter()
+                .map(Ok),
             ))
         };
         // Job 1 starts on the dead slot: its connect fails, the slot
@@ -745,11 +824,72 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_moves_off_a_stalled_worker_even_when_the_others_are_busy() {
+        // Slot 0 never greets: connecting succeeds (the kernel's
+        // backlog), then the handshake times out, a transport failure
+        // that does not quarantine it. Slot 1 is live but busy with
+        // another job. With one retry, a job starting at slot 0 must
+        // retry on slot 1, sharing it, and not go back to the slot
+        // that just failed, although that attempt is over by the time
+        // the retry picks a worker.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut registry = acmr_core::Registry::new();
+        acmr_core::register_core(&mut registry);
+        let live = crate::server::serve(
+            registry,
+            crate::server::ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                ..crate::server::ServeConfig::default()
+            },
+        )
+        .expect("bind live worker");
+        let pool = WorkerPool::connect(&[
+            silent.local_addr().unwrap().to_string(),
+            live.local_addr().to_string(),
+        ])
+        .unwrap()
+        .retries(1)
+        .io_timeout(std::time::Duration::from_millis(200));
+        let request = || Request::unit(acmr_graph::EdgeSet::singleton(acmr_graph::EdgeId(0)));
+        let (started, busy) = std::sync::mpsc::channel();
+        let (done, release) = std::sync::mpsc::channel::<()>();
+        let (held, tested) = std::thread::scope(|scope| {
+            // The busy job holds slot 1 from its claim until the job
+            // under test has finished: its one arrival waits for it.
+            let pool = &pool;
+            let holder = scope.spawn(move || {
+                let release = &release;
+                pool.run_job(1, "aag-unweighted", None, None, move || {
+                    let _ = started.send(());
+                    let wait = std::iter::once(()).map(move |()| {
+                        let _ = release.recv_timeout(std::time::Duration::from_secs(10));
+                        Ok(request())
+                    });
+                    Ok((vec![1u32], wait))
+                })
+            });
+            busy.recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the busy job claimed its worker");
+            let tested = pool.run_job(0, "aag-unweighted", None, None, || {
+                Ok((vec![1u32], vec![request()].into_iter().map(Ok)))
+            });
+            let _ = done.send(());
+            (holder.join().unwrap(), tested)
+        });
+        let tested = tested.expect("the retry must leave the worker that just failed");
+        assert_eq!(tested.requests, 1);
+        assert_eq!(held.expect("busy job").requests, 1);
+        assert_eq!(pool.alive(), 2, "a stalled worker is not quarantined");
+        live.shutdown();
+        drop(silent);
+    }
+
+    #[test]
     fn batch_zero_is_rejected_upfront() {
         let pool = WorkerPool::connect(&["127.0.0.1:1"]).unwrap();
         let err = pool
             .run_job(0, "greedy", None, Some(0), || {
-                Ok((vec![1u32], Vec::<Result<Request, AcmrError>>::new()))
+                Ok((vec![1u32], Vec::<Request>::new().into_iter().map(Ok)))
             })
             .unwrap_err();
         assert!(matches!(err, AcmrError::InvalidRequest { .. }), "{err}");

@@ -20,6 +20,7 @@
 //!    hangup was at a legal boundary, or one typed `ERR` closed it.
 
 use acmr_core::{AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId};
+use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
     decode_error_reply, decode_summary, encode_reset, write_frame, FrameBuffer, ProtoVersion,
@@ -385,6 +386,49 @@ fn zero_capacities_are_refused_alike_by_open_and_reset() {
             "{name}: {last:?}"
         );
     }
+}
+
+#[test]
+fn an_empty_summary_batch_acknowledges_the_running_objective() {
+    // Three unit arrivals on one capacity-1 edge reject two, then an
+    // empty `BATCH` changes nothing: its `SUMMARY` must carry the
+    // running total (2.0) and add exactly +0.0 to it, like a batch
+    // whose arrivals were all accepted.
+    let mut script = b"OPEN greedy proto=v2\nedges 1\ncaps 1\n".to_vec();
+    let mut batch = 3u32.to_le_bytes().to_vec();
+    for _ in 0..3 {
+        encode_record_into(&mut batch, &Request::unit(EdgeSet::singleton(EdgeId(0))), 1).unwrap();
+    }
+    write_frame(&mut script, FRAME_BATCH, &batch).unwrap();
+    write_frame(&mut script, FRAME_BATCH, &0u32.to_le_bytes()).unwrap();
+    write_frame(&mut script, FRAME_END, &[]).unwrap();
+    let out = drive_whole(Mode::V2Summary, &script);
+    assert_valid_output(&out, "empty batch");
+    let ok_end = out
+        .windows(9)
+        .position(|w| w == b"proto=v2\n")
+        .expect("v2 OK line")
+        + 9;
+    let mut frames = FrameBuffer::new();
+    frames.feed(&out[ok_end..]);
+    frames.set_eof();
+    let mut payload = Vec::new();
+    let mut summaries = Vec::new();
+    while let Some(ty) = frames.next_frame(&mut payload).unwrap() {
+        if ty == FRAME_SUMMARY {
+            summaries.push(decode_summary(&payload).unwrap());
+        }
+    }
+    assert_eq!(summaries.len(), 2, "{summaries:?}");
+    assert_eq!(summaries[0].total_rejected_cost, 2.0);
+    let empty = summaries[1];
+    assert_eq!((empty.n, empty.accepted, empty.preemptions), (0, 0, 0));
+    assert_eq!(empty.total_rejected_cost, 2.0, "{empty:?}");
+    assert_eq!(
+        empty.rejected_cost_delta.to_bits(),
+        0.0f64.to_bits(),
+        "{empty:?}"
+    );
 }
 
 #[test]

@@ -258,6 +258,24 @@ pub fn decode_record(
     record: usize,
     num_edges: u32,
 ) -> Result<(Request, usize), AcmrError> {
+    let (cost, id_bytes, end) = check_record(bytes, at, record, num_edges)?;
+    let ids = id_bytes
+        .chunks_exact(4)
+        .map(|chunk| EdgeId(u32::from_le_bytes(chunk.try_into().expect("4 bytes"))));
+    Ok((Request::new(EdgeSet::from_sorted_iter(ids), cost), end))
+}
+
+/// Every check [`decode_record`] makes, with its errors, on the record
+/// at `at`: returns the cost, the edge-id bytes and the offset just
+/// past the record. Shared with [`BinMapReader::next_records`], which
+/// validates records it forwards without decoding them.
+#[inline(always)]
+fn check_record(
+    bytes: &[u8],
+    at: usize,
+    record: usize,
+    num_edges: u32,
+) -> Result<(f64, &[u8], usize), AcmrError> {
     let prefix = bytes
         .get(at..at + RECORD_PREFIX)
         .ok_or_else(|| berr(record, "truncated record"))?;
@@ -277,7 +295,7 @@ pub fn decode_record(
         .chunks_exact(4)
         .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
     let mut prev = None;
-    for id in ids.clone() {
+    for id in ids {
         if id >= num_edges {
             return Err(berr(record, format!("edge id {id} out of range")));
         }
@@ -289,8 +307,7 @@ pub fn decode_record(
         }
         prev = Some(id);
     }
-    let footprint = EdgeSet::from_sorted_iter(ids.map(EdgeId));
-    Ok((Request::new(footprint, cost), end))
+    Ok((cost, id_bytes, end))
 }
 
 /// Incremental writer for the binary `ACMR-TRACE v2` format — the
@@ -546,37 +563,71 @@ impl BinMapReader {
         self.yielded
     }
 
+    /// Step over up to `max` records without decoding them, checking
+    /// each exactly as [`decode_record`] does (same errors, same
+    /// end-of-trace check, same poisoning as the iterator), and return
+    /// them as one slice of the trace's own bytes with their count —
+    /// what a v2 `BATCH` payload carries after its count, so a replay
+    /// can forward a binary trace without building [`Request`]s or
+    /// re-encoding them. `(&[], 0)` at the end of the trace.
+    pub fn next_records(&mut self, max: usize) -> Result<(&[u8], usize), AcmrError> {
+        let start = self.at;
+        let mut count = 0;
+        while count < max {
+            let Some(record) = self.next_index()? else {
+                break;
+            };
+            let num_edges = self.map.capacities.len() as u32;
+            self.at = check_record(self.map.bytes(), self.at, record, num_edges)
+                .map(|(_, _, end)| end)
+                .map_err(|e| self.poisoned(e))?;
+            self.yielded += 1;
+            count += 1;
+        }
+        Ok((&self.map.bytes()[start..self.at], count))
+    }
+
     fn pull(&mut self) -> Result<Option<Request>, AcmrError> {
+        let Some(record) = self.next_index()? else {
+            return Ok(None);
+        };
+        let num_edges = self.map.capacities.len() as u32;
+        let (request, next) = decode_record(self.map.bytes(), self.at, record, num_edges)
+            .map_err(|e| self.poisoned(e))?;
+        self.at = next;
+        self.yielded += 1;
+        Ok(Some(request))
+    }
+
+    /// The 1-based index of the next record, or `None` at a clean end
+    /// of the trace; a poisoned cursor repeats its error. Inlined so
+    /// the replay's `next` keeps one call per record, to
+    /// [`decode_record`].
+    #[inline(always)]
+    fn next_index(&mut self) -> Result<Option<usize>, AcmrError> {
         if let Some(e) = &self.poison {
             return Err(e.clone());
         }
-        match self.pull_inner() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    fn pull_inner(&mut self) -> Result<Option<Request>, AcmrError> {
         if self.finished {
             return Ok(None);
         }
-        let bytes = self.map.bytes();
         let record = usize::try_from(self.yielded + 1).unwrap_or(usize::MAX);
         if self.yielded == self.map.declared {
-            if self.at != bytes.len() {
-                return Err(berr(record, "trailing content after the last record"));
+            if self.at != self.map.bytes().len() {
+                let e = berr(record, "trailing content after the last record");
+                return Err(self.poisoned(e));
             }
             self.finished = true;
             return Ok(None);
         }
-        let (request, next) =
-            decode_record(bytes, self.at, record, self.map.capacities.len() as u32)?;
-        self.at = next;
-        self.yielded += 1;
-        Ok(Some(request))
+        Ok(Some(record))
+    }
+
+    /// Poison the cursor with `e`, so every later call repeats it.
+    #[cold]
+    fn poisoned(&mut self, e: AcmrError) -> AcmrError {
+        self.poison = Some(e.clone());
+        e
     }
 }
 
@@ -893,6 +944,71 @@ mod tests {
         let e1 = first_err.expect("truncated trace must error");
         let e2 = cursor.pull().unwrap_err();
         assert_eq!(e1, e2, "poisoned cursor must repeat its error");
+    }
+
+    #[test]
+    fn next_records_checks_like_the_decoder() {
+        // Valid: the slices are the record bytes, in order, and the
+        // cursor then ends cleanly, whatever the step size.
+        let inst = sample();
+        let bytes = write_bin_trace(&inst);
+        let body = FIXED_PREFIX + 4 * inst.capacities.len() + 8;
+        for max in [1, 2, 5, usize::MAX] {
+            let mut cursor = BinTraceMap::from_bytes(bytes.clone())
+                .unwrap()
+                .into_reader();
+            let mut forwarded = Vec::new();
+            let mut total = 0;
+            loop {
+                let (records, count) = cursor.next_records(max).unwrap();
+                if count == 0 {
+                    assert!(records.is_empty());
+                    break;
+                }
+                assert!(count <= max);
+                forwarded.extend_from_slice(records);
+                total += count;
+            }
+            assert_eq!(total, inst.requests.len());
+            assert_eq!(forwarded, &bytes[body..]);
+            assert_eq!(cursor.requests_read(), total as u64);
+        }
+        // Corrupt: the same error as the decoding iterator, at the same
+        // record, repeated on every later call (the cursor is poisoned).
+        let mut cases = Vec::new();
+        let mut bad_cost = bytes.clone();
+        bad_cost[body..body + 8].copy_from_slice(&(-2.0f64).to_le_bytes());
+        cases.push(bad_cost);
+        let mut out_of_range = bytes.clone();
+        out_of_range[body + RECORD_PREFIX..body + RECORD_PREFIX + 4]
+            .copy_from_slice(&99u32.to_le_bytes());
+        cases.push(out_of_range);
+        let mut truncated = bytes.clone();
+        truncated.truncate(bytes.len() - 2);
+        cases.push(truncated);
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        cases.push(trailing);
+        for bad in cases {
+            let expected = BinTraceMap::from_bytes(bad.clone())
+                .unwrap()
+                .into_reader()
+                .find_map(Result::err)
+                .expect("corrupt trace must fail");
+            for max in [1, 3, usize::MAX] {
+                let mut cursor = BinTraceMap::from_bytes(bad.clone()).unwrap().into_reader();
+                let err = loop {
+                    match cursor.next_records(max) {
+                        Ok((_, 0)) => panic!("corrupt trace ended cleanly"),
+                        Ok(_) => {}
+                        Err(e) => break e,
+                    }
+                };
+                assert_eq!(err, expected, "max {max}");
+                assert_eq!(cursor.next_records(max).unwrap_err(), expected);
+                assert_eq!(cursor.next().unwrap().unwrap_err(), expected);
+            }
+        }
     }
 
     #[test]

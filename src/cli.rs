@@ -999,8 +999,14 @@ pub fn dispatch_io(argv: &[String], stdin: &mut dyn Read) -> Result<String, CliE
         // `stats --addr` probes a live server and must not block on
         // stdin; plain `stats` summarizes a trace piped in.
         Some("stats") => {
-            if parse_flags(&argv[1..], "stats", STATS_FLAGS)?.contains_key("addr") {
+            let flags = parse_flags(&argv[1..], "stats", STATS_FLAGS)?;
+            if flags.contains_key("addr") {
                 cmd_stats_remote(&argv[1..])
+            } else if flags.contains_key("format") {
+                Err(err(
+                    "--format applies only to `stats --addr HOST:PORT` (a trace's stats \
+                     print as text); see `acmr help`",
+                ))
             } else {
                 cmd_stats(slurp(stdin)?)
             }
@@ -1746,6 +1752,23 @@ mod tests {
         assert!(e.to_string().ends_with("(opt takes no flags)"), "{e}");
         let e = dispatch(&argv(&["gen", "--cpa", "2"]), "").unwrap_err();
         assert!(e.to_string().contains("--cap, --overload"), "{e}");
+    }
+
+    #[test]
+    fn stats_refuses_format_without_addr() {
+        // `--format` shapes only the `stats --addr` probe's reply; a
+        // trace summary used to take it and print text regardless.
+        let trace = cmd_gen(&argv(&["--m", "4", "--seed", "1"])).unwrap();
+        for format in ["json", "text"] {
+            let e = dispatch(&argv(&["stats", "--format", format]), &trace).unwrap_err();
+            let e = e.to_string();
+            assert!(
+                e.contains("--addr") && e.contains("acmr help"),
+                "{format}: {e}"
+            );
+        }
+        let text = dispatch(&argv(&["stats"]), &trace).unwrap();
+        assert!(text.starts_with("format          : "), "{text}");
     }
 
     #[test]
