@@ -8,16 +8,19 @@
 //! 1. **Idle sweep** — open waves of idle connections (each greeted,
 //!    so the reactor has fully adopted it) from 1 000 up toward
 //!    10 000, recording the cumulative wall-clock per step. The top
-//!    of the sweep is clamped to the process fd budget (three fds
-//!    per loopback connection: the client end, the server end, and
-//!    the shutdown handle in the connection table) and the clamp is
-//!    recorded in the summary rather than silently shrinking the
-//!    claim.
+//!    of the sweep is clamped to the process fd budget (two fds per
+//!    loopback connection: the client end and the server end, which
+//!    only its reactor shard holds) and the clamp is recorded in the
+//!    summary rather than silently shrinking the claim. The fds the
+//!    first wave opens are counted in `/proc/self/fd` and recorded
+//!    per connection; the bench fails if that count, rounded, exceeds
+//!    the budget (the check is skipped where `/proc` is unreadable).
 //! 2. **Active sessions** — ≥ 5 000 *concurrent open sessions* (v1
 //!    handshake completed, one audited decision pushed and read back
 //!    per session), held simultaneously while a fresh probe session
 //!    still gets served. The held count is read back from the
-//!    server's own session table, not inferred client-side.
+//!    server's own `sessions_active` counter, not inferred
+//!    client-side.
 //! 3. **Throughput under load** — the E16 workload (200 000 greedy
 //!    requests, batch 512, v2 binary frames in summary mode) replayed
 //!    over one connection while 5 000 idle connections stay parked on
@@ -56,10 +59,9 @@ const IDLE_STEPS: [usize; 5] = [1_000, 2_500, 5_000, 7_500, 10_000];
 const ACTIVE_SESSIONS: usize = 5_000;
 /// Idle connections parked during the throughput leg.
 const LOADED_IDLE: usize = 5_000;
-/// Loopback fds consumed per held connection: client end, server
-/// end, and the server's shutdown-handle clone in the connection
-/// table.
-const FDS_PER_CONN: usize = 3;
+/// Loopback fds consumed per held connection: the client end and the
+/// server end (the reactor shard that owns it holds no other copy).
+const FDS_PER_CONN: usize = 2;
 /// Fds reserved for everything that is not a held connection
 /// (listener, pollers, stdio, the throughput client, slack).
 const FD_SLACK: usize = 2_048;
@@ -93,6 +95,14 @@ fn fd_limit() -> usize {
         }
     }
     4_096
+}
+
+/// Open fds of this process (client ends and server ends alike, since
+/// the server runs in-process), or `None` where `/proc` is unreadable.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd")
+        .ok()
+        .map(|dir| dir.count())
 }
 
 /// A line-protocol peer on one fd: no `BufReader` clone, no helper
@@ -160,7 +170,11 @@ struct ConnectionsSummary {
     algorithm: &'static str,
     reactor_threads: usize,
     fd_limit: usize,
+    /// The fd budget per held connection the sweep is clamped by.
     fds_per_connection: usize,
+    /// Fds the first idle wave opened, per connection, counted in
+    /// `/proc/self/fd` (`None` where it is unreadable).
+    measured_fds_per_connection: Option<f64>,
     /// Where the idle sweep was cut off by the fd budget
     /// (`min(10_000, (fd_limit - slack) / fds_per_connection)`).
     idle_clamp: usize,
@@ -168,8 +182,8 @@ struct ConnectionsSummary {
     /// `connections_active` read from the server's own counters at
     /// the top of the idle sweep.
     idle_held_server_view: u64,
-    /// Concurrent open sessions held (server session-table view).
-    active_sessions_held: usize,
+    /// Concurrent open sessions held (the server's `sessions_active`).
+    active_sessions_held: u64,
     /// Wall-clock to open all held sessions (handshake acknowledged).
     active_open_ms: f64,
     /// One audited decision pushed and read back per held session:
@@ -278,11 +292,18 @@ fn connections() {
     let addr = handle.local_addr();
     let mut held: Vec<LineConn> = Vec::with_capacity(idle_clamp);
     let mut idle_sweep = Vec::new();
+    let mut measured_fds_per_connection = None;
+    let fds_before = open_fds();
     let sweep_start = Instant::now();
     for step in IDLE_STEPS {
         let step = step.min(idle_clamp);
         if step > held.len() {
             held.extend(open_idle(addr, step - held.len()));
+            if idle_sweep.is_empty() {
+                measured_fds_per_connection = fds_before
+                    .zip(open_fds())
+                    .map(|(before, after)| (after - before) as f64 / held.len() as f64);
+            }
             idle_sweep.push(IdleStep {
                 connections: held.len(),
                 open_ms: sweep_start.elapsed().as_secs_f64() * 1e3,
@@ -301,6 +322,12 @@ fn connections() {
         "server sees {idle_held_server_view} active connections, client holds {}",
         held.len()
     );
+    if let Some(measured) = measured_fds_per_connection {
+        assert!(
+            measured.round() as usize <= FDS_PER_CONN,
+            "each held connection costs {measured:.3} fds, over the budget of {FDS_PER_CONN}"
+        );
+    }
     probe_session(addr);
     drop(held);
     handle.shutdown();
@@ -338,10 +365,13 @@ fn connections() {
         })
         .collect();
     let active_open_ms = t.elapsed().as_secs_f64() * 1e3;
-    let active_sessions_held = handle.manager().active();
+    let active_sessions_held = handle
+        .counters()
+        .sessions_active
+        .load(std::sync::atomic::Ordering::Relaxed);
     assert!(
-        active_sessions_held >= active_n,
-        "server session table holds {active_sessions_held}, expected ≥ {active_n}"
+        active_sessions_held >= active_n as u64,
+        "server counts {active_sessions_held} live sessions, expected ≥ {active_n}"
     );
     probe_session(addr);
 
@@ -410,6 +440,7 @@ fn connections() {
         reactor_threads,
         fd_limit,
         fds_per_connection: FDS_PER_CONN,
+        measured_fds_per_connection,
         idle_clamp,
         idle_sweep,
         idle_held_server_view,
@@ -423,12 +454,16 @@ fn connections() {
     };
 
     println!(
-        "E17 connections: idle sweep to {} (fd limit {}, clamp {}), \
+        "E17 connections: idle sweep to {} (fd limit {}, clamp {}, {} fds per connection), \
          {} concurrent sessions in {:.0} ms, fleet round-trip {:.0} dec/s, \
          v2 loaded {:.0} dec/s{}",
         summary.idle_held_server_view,
         summary.fd_limit,
         summary.idle_clamp,
+        match summary.measured_fds_per_connection {
+            Some(fds) => format!("{fds:.3}"),
+            None => "unmeasured".to_string(),
+        },
         summary.active_sessions_held,
         summary.active_open_ms,
         summary.active_roundtrip_decisions_per_sec,

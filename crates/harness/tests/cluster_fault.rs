@@ -20,7 +20,14 @@ use acmr_harness::{
     cross_jobs, default_registry, BoundBudget, ClusterDriver, ShardedDriver, SweepJob, TraceSource,
 };
 use acmr_serve::{serve, ServeConfig, ServerHandle, WorkerPool, CLUSTER_ERROR_CODE};
-use acmr_workloads::{nested_intervals, repeated_hot_edge, write_bin_trace};
+use acmr_workloads::{
+    nested_intervals, random_path_workload, repeated_hot_edge, write_bin_trace, PathWorkloadSpec,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn start_worker() -> ServerHandle {
     serve(
@@ -85,7 +92,27 @@ fn jobs_on_a_dead_worker_are_retried_on_the_survivor_with_an_identical_report() 
 
 #[test]
 fn killing_a_worker_mid_sweep_still_yields_the_identical_report() {
-    let (traces, jobs) = sweep_fixture();
+    let (mut traces, short_jobs) = sweep_fixture();
+    // Two long jobs first: job `i` claims the first idle worker from
+    // slot `i % 2`, so job 0 lands on the victim (slot 0) and job 1 on
+    // the survivor. The kill waits for job 0's session, so it lands
+    // mid-replay. The trace spans several of a shard's read quanta, so
+    // the victim's shard stops, and its port goes dark, before job 1
+    // ends; the next job then tries the victim (job 0's retry is on
+    // the survivor) and fails its connect.
+    let spec = PathWorkloadSpec {
+        overload: 20.0,
+        max_hops: 4,
+        ..PathWorkloadSpec::line_default(512, 8)
+    };
+    let (_, long) = random_path_workload(&spec, &mut StdRng::seed_from_u64(29));
+    assert!(long.requests.len() > 20_000, "{}", long.requests.len());
+    traces.push(("long".to_string(), long));
+    let mut jobs = vec![
+        SweepJob::new("long", "aag-weighted", 0),
+        SweepJob::new("long", "aag-weighted", 1),
+    ];
+    jobs.extend(short_jobs);
     let registry = default_registry();
     let expected = ShardedDriver::new()
         .threads(2)
@@ -95,6 +122,10 @@ fn killing_a_worker_mid_sweep_still_yields_the_identical_report() {
 
     let survivor = start_worker();
     let victim = start_worker();
+    let counters = [
+        Arc::clone(victim.counters()),
+        Arc::clone(survivor.counters()),
+    ];
     // One retry is enough: a job that loses its attempt on the victim
     // retries on the survivor, never on the slot that just failed.
     let pool = WorkerPool::connect(&[
@@ -104,13 +135,18 @@ fn killing_a_worker_mid_sweep_still_yields_the_identical_report() {
     .expect("adopt workers")
     .retries(1);
 
-    // Kill the victim concurrently with the sweep: its live sessions
-    // are severed mid-frame and its port goes dark. Whether a given
-    // job dies mid-session, fails its connect, or slipped through
-    // before the kill, the retry contract makes the report identical.
+    // Kill the victim once job 0's session is open on it: that session
+    // is severed mid-frame and the victim's port goes dark.
     let sweep = std::thread::scope(|scope| {
         let killer = scope.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while counters[0].sessions_active.load(Ordering::Relaxed) == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the long job never opened its session on the victim"
+                );
+                std::thread::yield_now();
+            }
             victim.shutdown();
         });
         let sweep = ClusterDriver::new(&pool)
@@ -121,6 +157,18 @@ fn killing_a_worker_mid_sweep_still_yields_the_identical_report() {
         sweep
     });
     assert_eq!(sweep, expected, "mid-sweep kill changed the report");
+    // The retry path ran: the victim was quarantined, and the severed
+    // session was opened again on the survivor.
+    assert_eq!(pool.alive(), 1, "the victim was never quarantined");
+    let opened: u64 = counters
+        .iter()
+        .map(|c| c.sessions_opened.load(Ordering::Relaxed))
+        .sum();
+    assert!(
+        opened > jobs.len() as u64,
+        "{opened} sessions for {} jobs: no job was retried",
+        jobs.len()
+    );
     survivor.shutdown();
 }
 

@@ -33,9 +33,9 @@ use crate::protocol::{
 };
 use acmr_core::{AcmrError, ArrivalEvent, Request, RunReport};
 use acmr_workloads::binfmt::{encode_record_into, AnyTraceReader, BinMapReader};
-use acmr_workloads::trace::write_request_line;
+use acmr_workloads::trace::{write_request_line, TraceReader};
 use serde::de::DeserializeOwned;
-use std::io::{BufWriter, Chain, Cursor, Write};
+use std::io::{BufWriter, Chain, Cursor, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// The read half of a connection: v1 lines, or — after a `proto=v2`
@@ -663,7 +663,9 @@ where
 /// is **pipelined**: the whole trace streams out in `BATCH` frames
 /// before any acknowledgement is read, each batch answers with one
 /// [`BatchSummary`], and `on_event` is never called — the mode built
-/// for throughput, where only the final report matters.
+/// for throughput, where only the final report matters. There, a
+/// binary trace's records go out as they are
+/// ([`JobArrivals::records`]), as in a cluster job.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_trace_v2<I>(
     addr: impl ToSocketAddrs,
@@ -677,6 +679,7 @@ pub fn serve_trace_v2<I>(
 ) -> Result<RunReport, AcmrError>
 where
     I: IntoIterator<Item = Result<Request, AcmrError>>,
+    I::IntoIter: JobArrivals,
 {
     if batch == Some(0) {
         return Err(AcmrError::InvalidRequest {
@@ -687,7 +690,7 @@ where
     if events {
         return replay_session(client, arrivals, batch, &mut on_event);
     }
-    run_job_v2(&mut client, Encoded(arrivals.into_iter()), batch, false)
+    run_job_v2(&mut client, arrivals.into_iter(), batch, false)
 }
 
 /// Drive an already-open session through a full arrival stream — the
@@ -743,8 +746,8 @@ where
 /// trace cursor behind it. A v2 job forwards such a trace's records
 /// onto the wire as they are, since a `BATCH` payload is the trace's
 /// own record bytes; every other stream is encoded request by request.
-/// Implemented for [`AnyTraceReader`], mapped iterators and boxed
-/// streams.
+/// Implemented for [`AnyTraceReader`], text [`TraceReader`]s, mapped
+/// iterators and boxed streams.
 pub trait JobArrivals: Iterator<Item = Result<Request, AcmrError>> {
     /// The binary trace cursor this stream reads, if any.
     fn records(&mut self) -> Option<&mut BinMapReader> {
@@ -761,6 +764,8 @@ impl JobArrivals for AnyTraceReader {
     }
 }
 
+impl<R: Read> JobArrivals for TraceReader<R> {}
+
 impl<I: Iterator, F: FnMut(I::Item) -> Result<Request, AcmrError>> JobArrivals
     for std::iter::Map<I, F>
 {
@@ -771,19 +776,6 @@ impl<J: JobArrivals + ?Sized> JobArrivals for Box<J> {
         (**self).records()
     }
 }
-
-/// Any request iterator, encoded request by request.
-struct Encoded<I>(I);
-
-impl<I: Iterator<Item = Result<Request, AcmrError>>> Iterator for Encoded<I> {
-    type Item = Result<Request, AcmrError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
-    }
-}
-
-impl<I: Iterator<Item = Result<Request, AcmrError>>> JobArrivals for Encoded<I> {}
 
 /// Default batch size for the pipelined v2 replay when the caller did
 /// not pick one: big enough to amortize frame headers, small enough

@@ -32,14 +32,16 @@
 //!   typed `ERR`, the `STATS` counters — with no socket type in
 //!   sight, so the fuzz and differential suites drive the full wire
 //!   semantics in-process.
-//! * [`serve`] / [`ServerHandle`] / [`SessionManager`] — the reactor:
-//!   sharded event-loop threads ([`ServeConfig::reactor_threads`])
-//!   pumping nonblocking sockets through one machine per connection
-//!   over the shared [`acmr_core::Registry`], with a concurrent
-//!   session table, an explicit overload policy (`ERR busy` past
+//! * [`serve`] / [`ServerHandle`] — the reactor: sharded event-loop
+//!   threads ([`ServeConfig::reactor_threads`]) pumping nonblocking
+//!   sockets through one machine per connection over the shared
+//!   [`acmr_core::Registry`], with one set of [`ServerCounters`] (live
+//!   and total connections and sessions among them, read through
+//!   [`ServerHandle::counters`] or a `STATS` probe), an explicit
+//!   overload policy (`ERR busy` past
 //!   [`ServeConfig::max_connections`]), idle timeouts, backpressure,
-//!   and graceful shutdown that closes live sockets and joins every
-//!   shard.
+//!   and graceful shutdown in which every shard closes the sockets it
+//!   owns before it is joined.
 //! * [`ServeClient`] / [`serve_trace`] — the client: mirrors the
 //!   local `Session` API (`push` / `push_batch_into` / `finish`), so
 //!   the differential suite pins *served ≡ streamed ≡ in-memory* decision
@@ -66,4 +68,4 @@ pub use client::{fetch_stats, serve_trace, serve_trace_v2, JobArrivals, ServeCli
 pub use machine::{Connection, MachineConfig, ServerCounters};
 pub use pool::{is_transport_error, WorkerPool, CLUSTER_ERROR_CODE, LISTENING_PREFIX};
 pub use protocol::{BatchSummary, ProtoVersion, StatsReport};
-pub use server::{serve, ServeConfig, ServerHandle, SessionManager, SessionMeta, DEFAULT_ADDR};
+pub use server::{serve, ServeConfig, ServerHandle, DEFAULT_ADDR};

@@ -65,6 +65,9 @@ pub struct ServerCounters {
     /// Connections currently open.
     pub connections_active: AtomicU64,
     /// Sessions opened since start (`OPEN` handshakes plus `RESET`s).
+    /// Also the session-id allocator: each session's id is this
+    /// counter's value before it counted the session, so ids are
+    /// unique per server.
     pub sessions_opened: AtomicU64,
     /// Sessions currently live.
     pub sessions_active: AtomicU64,
@@ -104,11 +107,11 @@ impl ServerCounters {
     }
 }
 
-/// What a [`Connection`] shares with its server: protocol ceiling,
-/// the server-wide counters, and the session id allocator. The
-/// [`Default`] value (fresh counters, ids from 0, v2 allowed) is what
-/// in-process tests use; the reactor hands every machine the same
-/// two `Arc`s.
+/// What a [`Connection`] shares with its server: protocol ceiling and
+/// the server-wide counters, which also allocate session ids. The
+/// [`Default`] value (fresh counters, so ids from 0, v2 allowed) is
+/// what in-process tests use; the reactor hands every machine the
+/// same counters.
 #[derive(Clone)]
 pub struct MachineConfig {
     /// Highest protocol version to negotiate (same meaning as
@@ -116,9 +119,6 @@ pub struct MachineConfig {
     pub max_proto: ProtoVersion,
     /// Server-wide counters this connection contributes to.
     pub server: Arc<ServerCounters>,
-    /// Session id allocator shared across the server, so ids stay
-    /// unique no matter which shard's machine opens the session.
-    pub ids: Arc<AtomicU64>,
 }
 
 impl Default for MachineConfig {
@@ -126,7 +126,6 @@ impl Default for MachineConfig {
         MachineConfig {
             max_proto: ProtoVersion::V2,
             server: Arc::new(ServerCounters::default()),
-            ids: Arc::new(AtomicU64::new(0)),
         }
     }
 }
@@ -293,7 +292,6 @@ pub struct Connection {
     registry: Arc<Registry>,
     max_proto: ProtoVersion,
     server: Arc<ServerCounters>,
-    ids: Arc<AtomicU64>,
     lines: LineBuffer,
     frames: FrameBuffer,
     phase: Phase,
@@ -310,9 +308,9 @@ pub struct Connection {
     batch_events: bool,
     writer: Writer,
     stats: ConnStats,
-    /// `(id, canonical spec)` of the live session, for the driver to
-    /// mirror into the [`crate::SessionManager`]. A v2 session stays
-    /// in the table after `END`, until `RESET` or hangup.
+    /// `(id, canonical spec)` of the live session. A v2 session keeps
+    /// it, and its place in `sessions_active`, after `END`, until
+    /// `RESET` or hangup.
     session_meta: Option<(u64, String)>,
     // Scratch buffers, reused across lines and frames so the
     // steady-state batch path allocates nothing. `batch` holds the
@@ -331,7 +329,6 @@ impl Connection {
             registry,
             max_proto: config.max_proto,
             server: config.server,
-            ids: config.ids,
             lines: LineBuffer::new(MAX_FRAME_BYTES),
             frames: FrameBuffer::new(),
             phase: Phase::AwaitOpen,
@@ -424,8 +421,9 @@ impl Connection {
     }
 
     /// `(id, canonical spec)` of the live session, if a handshake (or
-    /// `RESET`) has completed — what the driver mirrors into the
-    /// session table.
+    /// `RESET`) has completed: the id its `OK` reply carried, unique
+    /// per server. A v2 session keeps it after `END`, until `RESET` or
+    /// hangup.
     pub fn session(&self) -> Option<(u64, &str)> {
         self.session_meta
             .as_ref()
@@ -453,9 +451,8 @@ impl Connection {
 
     fn alloc_session(&mut self, canonical: String) {
         self.release_session();
-        let id = self.ids.fetch_add(1, Ordering::Relaxed);
+        let id = self.server.sessions_opened.fetch_add(1, Ordering::Relaxed);
         self.stats.sessions += 1;
-        self.server.sessions_opened.fetch_add(1, Ordering::Relaxed);
         self.server.sessions_active.fetch_add(1, Ordering::Relaxed);
         self.session_meta = Some((id, canonical));
     }
@@ -721,7 +718,7 @@ impl Connection {
     /// handshake — switch both directions to frames, carrying over any
     /// bytes a pipelining client already sent past its handshake. A
     /// `RESET` replaces the live session the same way, as a fresh
-    /// session in the table: new id, new spec, same connection.
+    /// session: new id, new spec, same connection.
     fn open_session(&mut self, open: OpenArgs) -> Result<(), AcmrError> {
         if !open.capacities.is_empty() {
             self.capacities = open.capacities;

@@ -10,14 +10,15 @@
 //! `TcpStream`s and machines. Each shard blocks in a level-triggered
 //! [`polling::Poller`] (epoll on Linux, with portable fallbacks — see
 //! the vendored shim), feeds whatever arrives into the owning
-//! machine, ships whatever the machine queued, and mirrors the
-//! machine's live session into the [`SessionManager`]. The session
-//! table holds metadata only; every socket is tracked once, from
-//! accept time, in the manager's connection table, which is what
-//! graceful shutdown closes. One shard multiplexes thousands of
-//! connections on one thread — the front-door shape the
-//! thread-per-connection server could not take past a few hundred
-//! peers (`BENCH_connections.json` is the receipt).
+//! machine, and ships whatever the machine queued. Each socket has
+//! one owner, the shard holding it, which also closes it: when the
+//! connection ends, or in the shard's teardown on graceful shutdown.
+//! Live sessions and connections are counted once, in the
+//! [`ServerCounters`] every machine shares — the numbers `STATS`
+//! reports. One shard multiplexes thousands of connections on one
+//! thread — the front-door shape the thread-per-connection server
+//! could not take past a few hundred peers (`BENCH_connections.json`
+//! is the receipt).
 //!
 //! Overload is an explicit accept-queue policy now: past
 //! [`ServeConfig::max_connections`] open connections, an accepted
@@ -40,9 +41,9 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SendError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -121,168 +122,11 @@ fn effective_reactor_threads(configured: usize) -> usize {
         .clamp(1, 8)
 }
 
-/// Metadata snapshot of one live session.
-#[derive(Clone, Debug)]
-pub struct SessionMeta {
-    /// Session id (echoed to the client in the `OK` reply).
-    pub id: u64,
-    /// Peer address, as reported by the socket.
-    pub peer: String,
-    /// Canonical algorithm spec the session runs.
-    pub spec: String,
-}
-
-/// The concurrent session table: every live connection registers its
-/// session here and deregisters on close, so an operator (or a test)
-/// can observe the serving state. It also tracks every connection's
-/// socket from accept time, so graceful shutdown can close each one
-/// to unblock its reactor shard.
-///
-/// ```
-/// use acmr_serve::SessionManager;
-/// use std::sync::atomic::Ordering;
-///
-/// let manager = SessionManager::new();
-/// let id = manager.ids().fetch_add(1, Ordering::Relaxed);
-/// manager.register_assigned(id, "client:1".into(), "greedy".into());
-/// assert_eq!(manager.active(), 1);
-/// assert_eq!(manager.snapshot()[0].spec, "greedy");
-/// manager.deregister(id);
-/// assert_eq!(manager.active(), 0);
-/// assert_eq!(manager.total_opened(), 1);
-/// ```
-#[derive(Default)]
-pub struct SessionManager {
-    /// Shared with every shard's machines (via [`SessionManager::
-    /// ids`]) so session ids stay unique no matter who allocates.
-    next_id: Arc<AtomicU64>,
-    opened: AtomicU64,
-    sessions: Mutex<HashMap<u64, SessionMeta>>,
-    /// Every live connection's socket, tracked from **accept time** —
-    /// before the handshake, so [`SessionManager::close_all`] can
-    /// close a connection still waiting for `OPEN` (a session only
-    /// enters `sessions` once the handshake succeeds).
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Set (permanently) by [`SessionManager::close_all`]: a
-    /// connection tracked *after* the close sweep is shut down on
-    /// registration, so the accept-vs-shutdown race cannot leave a
-    /// socket open that no one will ever close.
-    closing: AtomicBool,
-}
-
-impl SessionManager {
-    /// An empty table.
-    pub fn new() -> Self {
-        SessionManager::default()
-    }
-
-    /// The session-id allocator, shared with the sans-I/O machines
-    /// (see [`crate::machine::MachineConfig::ids`]) so the id a
-    /// machine echoes in its `OK` reply is the id this table files
-    /// the session under.
-    pub fn ids(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.next_id)
-    }
-
-    /// Register a live session whose id was already allocated from
-    /// [`SessionManager::ids`] — how the reactor mirrors the session
-    /// a machine opened (the machine hands out the id in its `OK`
-    /// reply; the driver files it here). The table holds no socket:
-    /// [`SessionManager::close_all`] reaches every connection through
-    /// [`SessionManager::track_connection`].
-    pub fn register_assigned(&self, id: u64, peer: String, spec: String) {
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .insert(id, SessionMeta { id, peer, spec });
-    }
-
-    /// Remove a session from the table (idempotent).
-    pub fn deregister(&self, id: u64) {
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .remove(&id);
-    }
-
-    /// Live sessions right now.
-    pub fn active(&self) -> usize {
-        self.sessions.lock().expect("session table poisoned").len()
-    }
-
-    /// Sessions opened over the server's lifetime.
-    pub fn total_opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
-    }
-
-    /// Metadata of every live session, in no particular order.
-    pub fn snapshot(&self) -> Vec<SessionMeta> {
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .values()
-            .cloned()
-            .collect()
-    }
-
-    /// Track a connection's socket from accept time; returns a handle
-    /// for [`SessionManager::untrack_connection`]. This is what lets
-    /// [`SessionManager::close_all`] end a connection that is still
-    /// mid-handshake and therefore not yet in the session table.
-    pub fn track_connection(&self, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.conns
-            .lock()
-            .expect("connection table poisoned")
-            .insert(id, stream);
-        // Registered after close_all's sweep started? Close it here —
-        // otherwise nothing ever would (the sweep is one-shot).
-        if self.closing.load(Ordering::SeqCst) {
-            if let Some(stream) = self
-                .conns
-                .lock()
-                .expect("connection table poisoned")
-                .get(&id)
-            {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        id
-    }
-
-    /// Forget a tracked connection (idempotent).
-    pub fn untrack_connection(&self, id: u64) {
-        self.conns
-            .lock()
-            .expect("connection table poisoned")
-            .remove(&id);
-    }
-
-    /// Shut down every live connection's socket (both halves) —
-    /// pre-handshake connections included — so every reactor shard
-    /// sees EOF on its next wake-up: the teeth of graceful shutdown.
-    /// Also flips the table into closing mode: sockets tracked from
-    /// now on are shut down at registration.
-    pub fn close_all(&self) {
-        self.closing.store(true, Ordering::SeqCst);
-        for stream in self
-            .conns
-            .lock()
-            .expect("connection table poisoned")
-            .values()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
 /// Handle to a running server: its bound address, its
-/// [`SessionManager`], its [`ServerCounters`], and the shutdown
-/// switch. Dropping the handle shuts the server down.
+/// [`ServerCounters`], and the shutdown switch. Dropping the handle
+/// shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
-    manager: Arc<SessionManager>,
     counters: Arc<ServerCounters>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -294,12 +138,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The server's session table.
-    pub fn manager(&self) -> &Arc<SessionManager> {
-        &self.manager
-    }
-
-    /// The server-wide counters a `STATS` request reports.
+    /// The server-wide counters a `STATS` request reports: live and
+    /// total connections and sessions among them.
     pub fn counters(&self) -> &Arc<ServerCounters> {
         &self.counters
     }
@@ -313,10 +153,11 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, close every live
-    /// connection, and join every reactor shard before returning.
-    /// In-flight frames that already reached the engine stay applied;
-    /// clients see their connection close.
+    /// Graceful shutdown: stop accepting, and join every reactor
+    /// shard, each of which closes its live connections (pre-handshake
+    /// ones included) on the way out, before returning. In-flight
+    /// frames that already reached the engine stay applied; clients
+    /// see their connection close.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -332,7 +173,6 @@ impl ServerHandle {
             let loopback = SocketAddr::new(std::net::Ipv4Addr::LOCALHOST.into(), self.addr.port());
             let _ = TcpStream::connect_timeout(&loopback, wake);
         }
-        self.manager.close_all();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -371,7 +211,6 @@ pub fn serve(registry: Registry, config: ServeConfig) -> Result<ServerHandle, Ac
     let addr = listener.local_addr().map_err(|e| AcmrError::Io {
         message: format!("cannot read bound address: {e}"),
     })?;
-    let manager = Arc::new(SessionManager::new());
     let counters = Arc::new(ServerCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
     let registry = Arc::new(registry);
@@ -387,7 +226,6 @@ pub fn serve(registry: Registry, config: ServeConfig) -> Result<ServerHandle, Ac
             poller: Arc::clone(&poller),
             rx,
             registry: Arc::clone(&registry),
-            manager: Arc::clone(&manager),
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
             idle_timeout: config.idle_timeout,
@@ -401,18 +239,14 @@ pub fn serve(registry: Registry, config: ServeConfig) -> Result<ServerHandle, Ac
     }
 
     let accept = {
-        let manager = Arc::clone(&manager);
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
         let max_connections = config.max_connections;
-        std::thread::spawn(move || {
-            accept_loop(listener, manager, counters, stop, max_connections, shards)
-        })
+        std::thread::spawn(move || accept_loop(listener, counters, stop, max_connections, shards))
     };
 
     Ok(ServerHandle {
         addr,
-        manager,
         counters,
         stop,
         accept: Some(accept),
@@ -425,8 +259,6 @@ struct NewConn {
     /// Over the accept-queue cap: the shard delivers the typed busy
     /// reply and closes — the machine never sees peer input.
     busy: bool,
-    /// [`SessionManager::track_connection`] handle.
-    track: Option<u64>,
 }
 
 struct ShardHandle {
@@ -437,7 +269,6 @@ struct ShardHandle {
 
 fn accept_loop(
     listener: TcpListener,
-    manager: Arc<SessionManager>,
     counters: Arc<ServerCounters>,
     stop: Arc<AtomicBool>,
     max_connections: usize,
@@ -469,27 +300,16 @@ fn accept_loop(
         } else {
             counters.connections_active.fetch_add(1, Ordering::Relaxed);
         }
-        // Track the socket *before* handing it over, so graceful
-        // shutdown can close it even while it is still mid-handshake.
-        let track = stream.try_clone().ok().map(|s| manager.track_connection(s));
         let shard = &shards[next_shard % shards.len()];
         next_shard += 1;
-        let handoff = shard.tx.send(NewConn {
-            stream,
-            busy,
-            track,
-        });
-        match handoff {
+        match shard.tx.send(NewConn { stream, busy }) {
             Ok(()) => {
                 let _ = shard.poller.notify();
             }
-            // The shard is gone: release what this accept took, or the
-            // gauge leaks toward `ERR busy` and the tracked clone keeps
-            // the peer waiting on an open socket.
+            // The shard is gone (shutdown raced this accept, or it
+            // died): release what this accept took, or the gauge leaks
+            // toward `ERR busy` and the peer waits on an open socket.
             Err(SendError(lost)) => {
-                if let Some(track) = lost.track {
-                    manager.untrack_connection(track);
-                }
                 if !lost.busy {
                     counters.connections_active.fetch_sub(1, Ordering::Relaxed);
                 }
@@ -498,8 +318,9 @@ fn accept_loop(
         }
     }
     // Stop: wake every shard (each also re-checks its flag at least
-    // once per tick) and join them; their teardown closes what the
-    // manager's sweep did not already reach.
+    // once per tick) and join them. Each shard's teardown closes its
+    // connections; a hand-off still queued closes when the shard's
+    // receiver drops.
     for shard in &shards {
         let _ = shard.poller.notify();
     }
@@ -514,7 +335,6 @@ struct ShardCtx {
     poller: Arc<Poller>,
     rx: Receiver<NewConn>,
     registry: Arc<Registry>,
-    manager: Arc<SessionManager>,
     counters: Arc<ServerCounters>,
     stop: Arc<AtomicBool>,
     idle_timeout: Option<Duration>,
@@ -536,11 +356,6 @@ struct Conn {
     /// Poller key; allocated per shard, never reused.
     key: usize,
     machine: Connection,
-    /// [`SessionManager::track_connection`] handle.
-    track: Option<u64>,
-    /// The machine session currently mirrored into the manager.
-    session: Option<u64>,
-    peer: String,
     last_activity: Instant,
     /// Set once the peer's read half returned EOF.
     peer_eof: bool,
@@ -601,7 +416,8 @@ impl ShardCtx {
             }
             self.sweep(&mut conns, now);
         }
-        // Shard teardown (graceful shutdown): close everything.
+        // Shard teardown (graceful shutdown): the shard owns its
+        // sockets, so it closes every one, pre-handshake included.
         for (key, conn) in conns.drain() {
             self.close(conn, key);
         }
@@ -628,21 +444,12 @@ impl ShardCtx {
     }
 
     fn install(&self, new_conn: NewConn, conns: &mut HashMap<usize, Conn>, next_key: &mut usize) {
-        let NewConn {
-            stream,
-            busy,
-            track,
-        } = new_conn;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "unknown".to_string());
+        let NewConn { stream, busy } = new_conn;
         let mut machine = Connection::new(
             Arc::clone(&self.registry),
             MachineConfig {
                 max_proto: self.max_proto,
                 server: Arc::clone(&self.counters),
-                ids: self.manager.ids(),
             },
         );
         if busy {
@@ -659,9 +466,6 @@ impl ShardCtx {
         if self.poller.add(&stream, Event::all(key)).is_err() {
             // Cannot poll it — close immediately (best effort: the
             // greeting was never written).
-            if let Some(track) = track {
-                self.manager.untrack_connection(track);
-            }
             if !busy {
                 self.counters
                     .connections_active
@@ -676,9 +480,6 @@ impl ShardCtx {
                 stream,
                 key,
                 machine,
-                track,
-                session: None,
-                peer,
                 last_activity: Instant::now(),
                 peer_eof: false,
                 dead: false,
@@ -690,12 +491,9 @@ impl ShardCtx {
     }
 
     /// Post-I/O bookkeeping for one connection: flush queued output,
-    /// mirror the machine's session into the manager, enter the drain
-    /// phase when the machine finishes, and re-register interest.
+    /// enter the drain phase when the machine finishes, and
+    /// re-register interest.
     fn settle(&self, conn: &mut Conn, now: Instant) {
-        // Mirror before flushing: a peer that has read its `OK` must
-        // find the session already in the manager's table.
-        self.sync_session(conn);
         flush(conn);
         if conn.machine.is_done()
             && conn.machine.pending_output().is_empty()
@@ -724,26 +522,6 @@ impl ShardCtx {
             };
             if self.poller.modify(&conn.stream, event).is_ok() {
                 conn.interest = desired;
-            }
-        }
-    }
-
-    /// Mirror `machine.session()` into the [`SessionManager`] — a
-    /// `RESET` swaps ids on the same connection, and a finished
-    /// machine drops its session.
-    fn sync_session(&self, conn: &mut Conn) {
-        let current = conn.machine.session();
-        match (conn.session, current) {
-            (Some(old), Some((new, _))) if old == new => {}
-            (old, current) => {
-                if let Some(old) = old {
-                    self.manager.deregister(old);
-                }
-                conn.session = current.map(|(id, spec)| {
-                    self.manager
-                        .register_assigned(id, conn.peer.clone(), spec.to_string());
-                    id
-                });
             }
         }
     }
@@ -783,19 +561,13 @@ impl ShardCtx {
         }
     }
 
-    fn close(&self, mut conn: Conn, key: usize) {
+    fn close(&self, conn: Conn, key: usize) {
         if conn.draining.is_some() {
             self.draining_conns
                 .set(self.draining_conns.get().saturating_sub(1));
         }
         let _ = self.poller.delete(&conn.stream, key);
         let _ = conn.stream.shutdown(Shutdown::Both);
-        if let Some(session) = conn.session.take() {
-            self.manager.deregister(session);
-        }
-        if let Some(track) = conn.track.take() {
-            self.manager.untrack_connection(track);
-        }
         if conn.counted {
             self.counters
                 .connections_active

@@ -10,7 +10,8 @@
 //! 1. the server replies with a typed `ERR <code> …` line (or the
 //!    peer vanished first) and closes the connection — it never hangs
 //!    a compliant reader (all reads run under a timeout);
-//! 2. the session table drains back to zero;
+//! 2. the server's live-session and connection counters drain back
+//!    to zero;
 //! 3. a fresh, well-formed session on the same server still works —
 //!    the process survived.
 
@@ -18,7 +19,8 @@ use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
-    write_frame, FRAME_BATCH, FRAME_END, FRAME_REQ, GREETING, MAX_FRAME_BYTES,
+    decode_ok, encode_reset, write_frame, FRAME_BATCH, FRAME_END, FRAME_OK, FRAME_REPORT,
+    FRAME_REQ, FRAME_RESET, GREETING, MAX_FRAME_BYTES,
 };
 use acmr_serve::{
     is_transport_error, serve, ProtoVersion, ServeClient, ServeConfig, ServerHandle, WorkerPool,
@@ -31,6 +33,7 @@ use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -103,22 +106,25 @@ fn assert_server_alive(handle: &ServerHandle) {
 }
 
 /// Wait (up to 5 s) until every closed connection is fully released:
-/// its session deregistered *and* its connection slot freed. The
-/// server does the two in that order on close, so waiting only for the
-/// session table lets a following probe race the slot and read
-/// `ERR busy`.
+/// no live session (`sessions_active`) *and* no connection slot held
+/// (`connections_active`). A session can end well before its socket
+/// closes (a v1 `END` or any `ERR` releases it at once, while the
+/// connection still drains), so waiting for sessions alone lets a
+/// following probe race the slot and read `ERR busy`.
 fn wait_for_drained(handle: &ServerHandle) {
-    let slots = || handle.counters().connections_active.load(Ordering::Relaxed);
+    let counters = handle.counters();
+    let sessions = || counters.sessions_active.load(Ordering::Relaxed);
+    let slots = || counters.connections_active.load(Ordering::Relaxed);
     for _ in 0..500 {
-        if handle.manager().active() == 0 && slots() == 0 {
+        if sessions() == 0 && slots() == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!(
-        "server did not drain: {} connection slots held, sessions {:?}",
+        "server did not drain: {} connection slots and {} sessions held",
         slots(),
-        handle.manager().snapshot()
+        sessions()
     );
 }
 
@@ -268,15 +274,58 @@ fn out_of_range_batch_is_refused_with_typed_error() {
     handle.shutdown();
 }
 
+/// Read one reply line and check how it starts.
+fn expect_line(peer: &mut BufReader<TcpStream>, prefix: &str) {
+    let mut line = String::new();
+    peer.read_line(&mut line).expect("reply line");
+    assert!(
+        line.starts_with(prefix),
+        "expected {prefix:?}, got {line:?}"
+    );
+}
+
 #[test]
-fn shutdown_unblocks_pre_handshake_connections() {
-    // A peer that connects and never sends a byte: its worker thread
-    // is parked waiting for OPEN and owns no session-table entry.
-    // Graceful shutdown must still close its socket and join the
-    // thread instead of hanging forever.
+fn shutdown_closes_every_kind_of_connection() {
+    // Graceful shutdown must close every connection, whatever phase
+    // it is in, and join every shard instead of hanging. Each shard
+    // owns its sockets and closes them in its teardown; nothing else
+    // holds a copy of them.
     let handle = start_server();
-    let idle = TcpStream::connect(handle.local_addr()).expect("connect");
-    idle.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let counters = Arc::clone(handle.counters());
+    let peer = |script: &[u8]| {
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut peer = BufReader::new(stream);
+        peer.get_mut().write_all(script).expect("write script");
+        expect_line(&mut peer, GREETING);
+        peer
+    };
+    // Silent: connected and greeted, but never sends `OPEN`.
+    let silent = peer(b"");
+    // v1, mid-session: one decision made, no `END`.
+    let mut v1 = peer(b"OPEN greedy\nedges 2\ncaps 2 1\n1 0 1\n");
+    expect_line(&mut v1, "OK ");
+    expect_line(&mut v1, "EVENT ");
+    // v2, parked after `END`: its session lives until `RESET` or
+    // hangup.
+    let mut script = b"OPEN greedy proto=v2\nedges 2\ncaps 2 1\n".to_vec();
+    write_frame(&mut script, FRAME_END, &[]).unwrap();
+    let mut v2 = peer(&script);
+    expect_line(&mut v2, "OK ");
+    let mut header = [0u8; 5];
+    v2.read_exact(&mut header).expect("REPORT frame header");
+    assert_eq!(header[0], FRAME_REPORT);
+    let len = u32::from_le_bytes(header[1..].try_into().unwrap()) as usize;
+    v2.read_exact(&mut vec![0u8; len]).expect("REPORT frame");
+    // Draining: its v1 session ended, so the server half-closed and
+    // is reading what the peer might still send (the drain lasts
+    // half a second; this peer never closes its own side).
+    let mut draining = peer(b"OPEN greedy\nedges 2\ncaps 2 1\nEND\n");
+    expect_line(&mut draining, "OK ");
+    expect_line(&mut draining, "REPORT ");
+    assert_eq!(counters.connections_active.load(Ordering::Relaxed), 4);
+    assert_eq!(counters.sessions_active.load(Ordering::Relaxed), 2);
+
     // The shutdown itself is the assertion: run it on a watchdogged
     // thread so a regression fails the test instead of wedging it.
     let (tx, rx) = std::sync::mpsc::channel();
@@ -285,13 +334,20 @@ fn shutdown_unblocks_pre_handshake_connections() {
         let _ = tx.send(());
     });
     rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown wedged on a pre-handshake connection");
-    // The idle peer observes its connection closing.
-    let mut reader = BufReader::new(idle);
-    let mut line = String::new();
-    let _ = reader.read_line(&mut line); // greeting
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "{line:?}");
+        .expect("shutdown wedged on a live connection");
+    for (name, mut peer) in [
+        ("silent", silent),
+        ("v1 mid-session", v1),
+        ("v2 after END", v2),
+        ("draining", draining),
+    ] {
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("{name}: no EOF: {e}"));
+        assert!(rest.is_empty(), "{name}: {rest:?}");
+    }
+    assert_eq!(counters.connections_active.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.sessions_active.load(Ordering::Relaxed), 0);
 }
 
 #[test]
@@ -726,6 +782,63 @@ fn valid_v2_script_round_trips() {
     // The binary tail carries a REPORT frame (0x83) — spot-check the
     // JSON payload it wraps rather than re-implementing frame parsing.
     assert!(text.contains("\"requests\":3"), "{text:?}");
+    wait_for_drained(&handle);
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_end_reset_pairs_each_count_one_session_with_a_fresh_id() {
+    // Every `END` + `RESET` pair opens one session, even when the
+    // pairs arrive in a single write and the machine runs them all
+    // in one pass: the server counts sessions where it opens them,
+    // and each `OK` carries the id it counted.
+    const PAIRS: usize = 50;
+    let handle = start_server();
+    let mut script = b"OPEN greedy proto=v2\nedges 2\ncaps 2 1\n".to_vec();
+    let mut reset = Vec::new();
+    encode_reset(&mut reset, "greedy", None, &[]);
+    for _ in 0..PAIRS {
+        write_frame(&mut script, FRAME_END, &[]).unwrap();
+        write_frame(&mut script, FRAME_RESET, &reset).unwrap();
+    }
+    let replies = raw_exchange_bytes(&handle, &script);
+    // The greeting and the handshake's `OK` are lines; frames follow.
+    let text_end = replies
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(1)
+        .map(|(at, _)| at + 1)
+        .expect("greeting and OK lines");
+    let ok_line = std::str::from_utf8(&replies[..text_end]).unwrap();
+    let first_id: u64 = ok_line
+        .lines()
+        .nth(1)
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("no OK line in {ok_line:?}"));
+    let mut ids = vec![first_id];
+    let mut frames = &replies[text_end..];
+    let mut reports = 0;
+    while !frames.is_empty() {
+        let len = u32::from_le_bytes(frames[1..5].try_into().unwrap()) as usize;
+        let payload = &frames[5..5 + len];
+        match frames[0] {
+            FRAME_OK => ids.push(decode_ok(payload).unwrap().0),
+            FRAME_REPORT => reports += 1,
+            other => panic!("unexpected reply frame 0x{other:02x}"),
+        }
+        frames = &frames[5 + len..];
+    }
+    assert_eq!(reports, PAIRS);
+    assert_eq!(ids.len(), PAIRS + 1);
+    let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
+    assert_eq!(distinct.len(), ids.len(), "reused session ids: {ids:?}");
+    let counters = handle.counters();
+    assert_eq!(
+        counters.sessions_opened.load(Ordering::Relaxed),
+        PAIRS as u64 + 1
+    );
     wait_for_drained(&handle);
     handle.shutdown();
 }

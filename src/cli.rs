@@ -30,7 +30,7 @@ use crate::harness::{
     default_registry, run_report, BoundBudget, ClusterDriver, SourceRef, SweepJob, TraceSource,
 };
 use crate::serve::{
-    serve_trace, serve_trace_v2, ProtoVersion, ServeConfig, WorkerPool, DEFAULT_ADDR,
+    serve_trace, serve_trace_v2, JobArrivals, ProtoVersion, ServeConfig, WorkerPool, DEFAULT_ADDR,
     LISTENING_PREFIX,
 };
 use crate::workloads::trace::{read_trace, write_trace, TraceReader, TraceWriter};
@@ -935,19 +935,27 @@ pub fn cmd_client(
                 write_error = Some(e);
             }
         };
-        // One replay body for either source; --proto picks the wire.
-        // v2 without --events runs in batch-summary mode (the server
-        // never serializes per-arrival events at all); with --events
-        // it negotiates events=on and streams them exactly like v1.
-        let mut replay = |arrivals: &mut dyn Iterator<
-            Item = Result<crate::core::Request, crate::core::AcmrError>,
-        >,
-                          capacities: &[u32]| match proto {
+        let (arrivals, capacities): (Box<dyn JobArrivals + '_>, Vec<u32>) = if target == "-" {
+            let reader = TraceReader::new(stdin).map_err(|e| err(e.to_string()))?;
+            let capacities = reader.capacities().to_vec();
+            (Box::new(reader), capacities)
+        } else {
+            // Either trace format: sniffed, binary replays off an mmap.
+            let reader = open_trace(&target).map_err(|e| err(e.to_string()))?;
+            let capacities = reader.capacities().to_vec();
+            (Box::new(reader), capacities)
+        };
+        // --proto picks the wire. v2 without --events runs in
+        // batch-summary mode (the server never serializes per-arrival
+        // events at all, and a binary trace's records go out as they
+        // are); with --events it negotiates events=on and streams them
+        // exactly like v1.
+        match proto {
             ProtoVersion::V1 => serve_trace(
                 addr.as_str(),
                 alg_spec,
                 base_seed,
-                capacities,
+                &capacities,
                 arrivals,
                 batch,
                 &mut on_event,
@@ -956,22 +964,12 @@ pub fn cmd_client(
                 addr.as_str(),
                 alg_spec,
                 base_seed,
-                capacities,
+                &capacities,
                 arrivals,
                 batch,
                 print_events,
                 &mut on_event,
             ),
-        };
-        if target == "-" {
-            let reader = TraceReader::new(stdin).map_err(|e| err(e.to_string()))?;
-            let capacities = reader.capacities().to_vec();
-            replay(&mut reader.into_iter(), &capacities)
-        } else {
-            // Either trace format: sniffed, binary replays off an mmap.
-            let reader = open_trace(&target).map_err(|e| err(e.to_string()))?;
-            let capacities = reader.capacities().to_vec();
-            replay(&mut reader.into_iter(), &capacities)
         }
         .map_err(|e| err(e.to_string()))?
     };

@@ -67,11 +67,11 @@ fn acmr_serve_and_client_binaries_round_trip_a_golden_trace() {
     assert!(human.contains("acmr-serve listening on"), "{human:?}");
 
     // Replay the golden trace through the socket with the client
-    // binary, twice: per-arrival frames and BATCH frames.
-    let mut outputs = Vec::new();
-    for batch in [&[][..], &["--batch", "7"][..]] {
+    // binary (v2 summary mode, the default), twice: at the default
+    // batch and at BATCH 7.
+    let replay = |trace: &str, batch: &[&str]| {
         let mut args = vec![
-            "client", "--stream", golden, "--addr", &addr, "--alg", "greedy", "--format", "json",
+            "client", "--stream", trace, "--addr", &addr, "--alg", "greedy", "--format", "json",
         ];
         args.extend_from_slice(batch);
         let out = Command::new(acmr)
@@ -83,9 +83,29 @@ fn acmr_serve_and_client_binaries_round_trip_a_golden_trace() {
             "client failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        outputs.push(String::from_utf8(out.stdout).unwrap());
-    }
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let batches = [&[][..], &["--batch", "7"][..]];
+    let outputs: Vec<String> = batches.iter().map(|b| replay(golden, b)).collect();
     assert_eq!(outputs[0], outputs[1], "framing must not change the report");
+
+    // A binary copy of the same trace, whose records the client
+    // forwards as they are, must be served to the same report.
+    let binary = std::env::temp_dir().join(format!("acmr-serve-cli-{}.bin", std::process::id()));
+    let binary = binary.to_str().expect("utf-8 temp path");
+    let converted = Command::new(acmr)
+        .args(["convert", golden, binary])
+        .output()
+        .expect("run acmr convert");
+    assert!(converted.status.success(), "{converted:?}");
+    for batch in batches {
+        assert_eq!(
+            replay(binary, batch),
+            outputs[0],
+            "binary replay diverges (batch {batch:?})"
+        );
+    }
+    let _ = std::fs::remove_file(binary);
 
     // The served report equals `acmr run` on the same trace minus the
     // offline-optimum context a live session cannot compute.
