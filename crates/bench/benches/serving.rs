@@ -50,9 +50,16 @@ fn generate_requests() -> (Vec<u32>, Vec<Request>) {
     (caps, requests)
 }
 
+/// Host facts the numbers depend on.
+#[derive(Serialize)]
+struct Host {
+    cores: usize,
+}
+
 /// Machine-readable summary of the E14 serving numbers.
 #[derive(Serialize)]
 struct ServingSummary {
+    host: Host,
     workload: &'static str,
     algorithm: &'static str,
     edges: u32,
@@ -117,6 +124,9 @@ fn serving_loopback() {
         samples[idx].as_secs_f64() * 1e6
     };
     let summary = ServingSummary {
+        host: Host {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        },
         workload: "line-512-cap8-200k",
         algorithm: SPEC,
         edges: EDGES,

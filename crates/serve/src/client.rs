@@ -24,12 +24,15 @@
 //! of the expected kind — decoding `ERR` into the server's typed error
 //! in both dialects alike. [`ServeClient::push`], `push_batch_into`,
 //! `stats`, `end_session` and [`fetch_stats`] are each one write and
-//! one read.
+//! one read. An `EVENT` body is parsed by the direct codec
+//! [`crate::protocol::decode_event`], which accepts exactly the form
+//! the server writes; `serde_json` reads only `REPORT` and `STATS`.
 
 use crate::protocol::{
-    decode_error_reply, decode_ok, decode_summary, encode_reset, write_frame, BatchSummary,
-    BinFrameReader, FrameReader, ProtoVersion, ReplyKind, StatsReport, EVENTS_TOKEN, FRAME_BATCH,
-    FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
+    decode_error_reply, decode_event, decode_ok, decode_summary, encode_reset, write_frame,
+    BatchSummary, BinFrameReader, FrameReader, ProtoVersion, ReplyKind, StatsReport, EVENTS_TOKEN,
+    FRAME_BATCH, FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH,
+    PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, ArrivalEvent, Request, RunReport};
 use acmr_workloads::binfmt::{encode_record_into, AnyTraceReader, BinMapReader};
@@ -102,7 +105,12 @@ impl Replies {
         Ok(&self.body)
     }
 
-    /// An `EVENT`, `REPORT` or `STATS` reply: a JSON body.
+    /// An `EVENT` reply, through the direct codec.
+    fn event(&mut self) -> Result<ArrivalEvent, AcmrError> {
+        decode_event(self.expect(ReplyKind::Event)?)
+    }
+
+    /// A `REPORT` or `STATS` reply: a JSON body.
     fn json<T: DeserializeOwned>(&mut self, want: ReplyKind) -> Result<T, AcmrError> {
         let malformed =
             |e: &dyn std::fmt::Display| proto_error(format!("malformed {}: {e}", want.keyword()));
@@ -323,7 +331,7 @@ impl ServeClient {
     /// `EVENT` in both protocols and both v2 acknowledgement modes.
     pub fn push(&mut self, request: &Request) -> Result<ArrivalEvent, AcmrError> {
         self.send(Step::Arrival(request))?;
-        self.replies.json(ReplyKind::Event)
+        self.replies.event()
     }
 
     /// Send a `BATCH n` frame and wait for its `n` decisions — the
@@ -367,7 +375,7 @@ impl ServeClient {
         self.send(Step::Batch(batch))?;
         events.reserve(batch.len());
         for _ in 0..batch.len() {
-            events.push(self.replies.json(ReplyKind::Event)?);
+            events.push(self.replies.event()?);
         }
         Ok(())
     }

@@ -25,7 +25,10 @@
 //! which sits beside the phase rather than inside it, and counts
 //! arrivals and batches; and one writer encodes every reply (`OK`,
 //! `EVENT`, `SUMMARY`, `REPORT`, `STATS`, `ERR`) and frames it for
-//! the dialect, as a v1 line or a v2 frame.
+//! the dialect, as a v1 line or a v2 frame. An `EVENT` body, written
+//! once per decision, goes through the direct codec
+//! [`crate::protocol::encode_event`]; `serde_json` serves only the
+//! `REPORT` and `STATS` bodies.
 //!
 //! Determinism contract: a `Connection`'s output depends only on the
 //! *consumed input bytes* — never on how they were chunked across
@@ -34,10 +37,10 @@
 //! a probe observes real transport progress.)
 
 use crate::protocol::{
-    decode_reset, encode_ok, encode_summary, error_reply_body, summarize_events, write_frame,
-    BatchSummary, ConnStats, FrameBuffer, ProtoVersion, ReplyKind, ServerStats, StatsReport,
-    EVENTS_TOKEN, FRAME_BATCH, FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH,
-    MAX_FRAME_BYTES, PROTO_V2_TOKEN,
+    decode_reset, encode_event, encode_ok, encode_summary, error_reply_body, summarize_events,
+    write_frame, BatchSummary, ConnStats, FrameBuffer, ProtoVersion, ReplyKind, ServerStats,
+    StatsReport, EVENTS_TOKEN, FRAME_BATCH, FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS,
+    GREETING, MAX_BATCH, MAX_FRAME_BYTES, PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, AlgorithmSpec, ArrivalEvent, Registry, Request, RunReport, Session};
 use acmr_workloads::binfmt::decode_record;
@@ -230,7 +233,10 @@ impl Writer {
                 }
                 ReplyKind::Ok
             }
-            Reply::Event(event) => json(body, event, ReplyKind::Event)?,
+            Reply::Event(event) => {
+                encode_event(body, event)?;
+                ReplyKind::Event
+            }
             Reply::Summary(summary) => {
                 encode_summary(body, summary);
                 ReplyKind::Summary
@@ -255,7 +261,9 @@ impl Writer {
     }
 }
 
-/// The JSON body of an `EVENT`, `REPORT` or `STATS` reply.
+/// The JSON body of a `REPORT` or `STATS` reply. An `EVENT` body,
+/// the one written per decision, has its own codec
+/// ([`encode_event`]).
 fn json(
     body: &mut Vec<u8>,
     value: &impl Serialize,

@@ -1,6 +1,11 @@
 //! The `ACMR-SERVE` wire protocol: constants, the capped line reader
-//! both ends use, the error-reply encoding, and the `v2` binary frame
-//! codec.
+//! both ends use, the error-reply encoding, the `EVENT` body codec,
+//! and the `v2` binary frame codec.
+//!
+//! An `EVENT` body, the one reply written per decision, is JSON in
+//! one exact form, written by [`encode_event`] and read by
+//! [`decode_event`] without a value tree; `serde_json` serves only
+//! the `REPORT` and `STATS` bodies.
 //!
 //! Each dialect has one tokenizer, shared by both ends: lines are
 //! carved by [`acmr_workloads::trace::LineBuffer`] and v2 frames by
@@ -55,10 +60,10 @@
 //! use. Error replies carry the same typed codes as v1, as the
 //! payload of an [`FRAME_ERR`] frame. Full spec: `docs/SERVING.md`.
 
-use acmr_core::{AcmrError, ArrivalEvent};
+use acmr_core::{AcmrError, ArrivalEvent, RequestId};
 use acmr_workloads::trace::{LineScanner, CHUNK_SIZE};
 use serde::{Deserialize, Serialize};
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// The greeting the server writes on accept — the version of the
 /// line-based *bootstrap* grammar (`v2` sessions are negotiated per
@@ -256,7 +261,7 @@ pub const FRAME_STATS: u8 = 0x05;
 /// `u64le` session id followed by the canonical spec in UTF-8.
 pub const FRAME_OK: u8 = 0x80;
 /// v2 frame type: one audited decision; payload is the same JSON
-/// document a v1 `EVENT` line carries.
+/// document a v1 `EVENT` line carries ([`encode_event`]).
 pub const FRAME_EVENT: u8 = 0x81;
 /// v2 frame type: one [`BatchSummary`] acknowledging a whole `BATCH`
 /// frame (unless the session opted into per-event replies).
@@ -638,6 +643,202 @@ pub fn decode_summary(payload: &[u8]) -> Result<BatchSummary, AcmrError> {
         rejected_cost_delta: f64at(12),
         total_rejected_cost: f64at(20),
     })
+}
+
+/// The fixed text of an `EVENT` body, in key order: the id's key, the
+/// `accepted` key, the `preempted` list's opening, and the keys of the
+/// three floats (the first one closing the list).
+const EVENT_ID: &[u8] = b"{\"id\":";
+const EVENT_ACCEPTED: &[u8] = b",\"accepted\":";
+const EVENT_PREEMPTED: &[u8] = b",\"preempted\":[";
+const EVENT_FLOATS: [&[u8]; 3] = [
+    b"],\"cost\":",
+    b",\"rejected_cost_delta\":",
+    b",\"total_rejected_cost\":",
+];
+
+/// Append the body of an `EVENT` reply (the v1 line's JSON and the v2
+/// [`FRAME_EVENT`] payload alike): exactly the bytes
+/// `serde_json::to_string(event)` writes, without building a value
+/// tree. Keys in declaration order, no whitespace, ids as decimal
+/// integers, and each float as its `Display` text (the shortest
+/// decimal that round-trips, never an exponent) with `.0` appended
+/// when it has no `.`:
+///
+/// ```text
+/// {"id":7,"accepted":false,"preempted":[2,5],"cost":1.5,"rejected_cost_delta":4.0,"total_rejected_cost":9.0}
+/// ```
+///
+/// A non-finite float has no JSON form: the error is the one the
+/// `serde_json` path reports, and `out` is left as it was.
+pub fn encode_event(out: &mut Vec<u8>, event: &ArrivalEvent) -> Result<(), AcmrError> {
+    let start = out.len();
+    out.extend_from_slice(EVENT_ID);
+    write!(out, "{}", event.id.0)?;
+    out.extend_from_slice(EVENT_ACCEPTED);
+    out.extend_from_slice(if event.accepted { b"true" } else { b"false" });
+    out.extend_from_slice(EVENT_PREEMPTED);
+    for (i, id) in event.preempted.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write!(out, "{}", id.0)?;
+    }
+    let floats = [
+        event.cost,
+        event.rejected_cost_delta,
+        event.total_rejected_cost,
+    ];
+    for (key, x) in EVENT_FLOATS.into_iter().zip(floats) {
+        if !x.is_finite() {
+            out.truncate(start);
+            return Err(AcmrError::Io {
+                message: format!(
+                    "cannot serialize event: json error: cannot serialize non-finite float {x}"
+                ),
+            });
+        }
+        out.extend_from_slice(key);
+        let at = out.len();
+        write!(out, "{x}")?;
+        if !out[at..].contains(&b'.') {
+            out.extend_from_slice(b".0");
+        }
+    }
+    out.push(b'}');
+    Ok(())
+}
+
+/// Parse an `EVENT` body of exactly the form [`encode_event`] writes,
+/// without a value tree and without a UTF-8 pass over the body.
+/// Anything else (another key order, whitespace, an id beyond `u32`,
+/// a leading zero, a float without `.` or with an exponent, trailing
+/// bytes) is the typed `proto` error `malformed EVENT: …`.
+pub fn decode_event(body: &[u8]) -> Result<ArrivalEvent, AcmrError> {
+    let mut p = EventParser { body, at: 0 };
+    p.expect(EVENT_ID)?;
+    let id = p.id()?;
+    p.expect(EVENT_ACCEPTED)?;
+    let accepted = if p.eat(b"true") {
+        true
+    } else if p.eat(b"false") {
+        false
+    } else {
+        return Err(p.malformed("expected `true` or `false`"));
+    };
+    p.expect(EVENT_PREEMPTED)?;
+    let mut preempted = Vec::new();
+    if body.get(p.at) != Some(&b']') {
+        loop {
+            preempted.push(p.id()?);
+            if !p.eat(b",") {
+                break;
+            }
+        }
+    }
+    let mut floats = [0.0; 3];
+    for (key, x) in EVENT_FLOATS.into_iter().zip(&mut floats) {
+        p.expect(key)?;
+        *x = p.float()?;
+    }
+    p.expect(b"}")?;
+    if p.at != body.len() {
+        return Err(p.malformed("trailing bytes"));
+    }
+    let [cost, rejected_cost_delta, total_rejected_cost] = floats;
+    Ok(ArrivalEvent {
+        id,
+        accepted,
+        preempted,
+        cost,
+        rejected_cost_delta,
+        total_rejected_cost,
+    })
+}
+
+/// A cursor over an `EVENT` body for [`decode_event`].
+struct EventParser<'a> {
+    body: &'a [u8],
+    at: usize,
+}
+
+impl<'a> EventParser<'a> {
+    fn malformed(&self, what: &str) -> AcmrError {
+        AcmrError::Remote {
+            code: "proto".into(),
+            message: format!("malformed EVENT: {what} at byte {}", self.at),
+        }
+    }
+
+    /// Step over `lit` if the body continues with it.
+    fn eat(&mut self, lit: &[u8]) -> bool {
+        let hit = self.body[self.at..].starts_with(lit);
+        if hit {
+            self.at += lit.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, lit: &[u8]) -> Result<(), AcmrError> {
+        if self.eat(lit) {
+            return Ok(());
+        }
+        let lit = String::from_utf8_lossy(lit);
+        Err(self.malformed(&format!("expected `{lit}`")))
+    }
+
+    /// Step over a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let n = self.body[self.at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.at += n;
+        n
+    }
+
+    /// A decimal integer as `Display` writes one: `0`, or digits
+    /// without a leading zero. Returns its text.
+    fn integer(&mut self) -> Result<&'a [u8], AcmrError> {
+        let start = self.at;
+        let n = self.digits();
+        if n == 0 || (n > 1 && self.body[start] == b'0') {
+            self.at = start;
+            return Err(self.malformed("expected an integer without leading zeros"));
+        }
+        Ok(&self.body[start..self.at])
+    }
+
+    fn id(&mut self) -> Result<RequestId, AcmrError> {
+        let start = self.at;
+        let id = self.integer()?.iter().try_fold(0u32, |n, &d| {
+            n.checked_mul(10)?.checked_add(u32::from(d - b'0'))
+        });
+        id.map(RequestId).ok_or_else(|| {
+            self.at = start;
+            self.malformed("id beyond u32")
+        })
+    }
+
+    /// A finite float as [`encode_event`] writes one:
+    /// `-?<integer>.<digits>`.
+    fn float(&mut self) -> Result<f64, AcmrError> {
+        let start = self.at;
+        self.eat(b"-");
+        self.integer()?;
+        self.expect(b".")?;
+        if self.digits() == 0 {
+            return Err(self.malformed("expected digits after `.`"));
+        }
+        let text = std::str::from_utf8(&self.body[start..self.at]).expect("ASCII digits");
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            _ => {
+                self.at = start;
+                Err(self.malformed("float beyond f64"))
+            }
+        }
+    }
 }
 
 /// Decoded [`FRAME_RESET`] payload: everything the v1 handshake

@@ -382,6 +382,9 @@ impl ShardCtx {
         let mut next_key = 0usize;
         let mut events: Vec<Event> = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
+        // Every read of this shard lands here: allocated and zeroed
+        // once, not per readable event.
+        let mut read_buf = vec![0u8; 64 * 1024];
         loop {
             self.counters
                 .uptime_ms
@@ -402,7 +405,7 @@ impl ShardCtx {
                     continue; // closed earlier in this very batch
                 };
                 if event.readable {
-                    read_some(conn, now);
+                    read_some(conn, now, &mut read_buf);
                 }
                 touched.push(event.key);
             }
@@ -588,9 +591,9 @@ fn conn_finished(conn: &Conn, now: Instant) -> bool {
 }
 
 /// Read as much as fairness allows into the machine (or the drain
-/// sink). Level-triggered polling re-arms leftover bytes.
-fn read_some(conn: &mut Conn, now: Instant) {
-    let mut buf = [0u8; 64 * 1024];
+/// sink), through the shard's read buffer `buf`. Level-triggered
+/// polling re-arms leftover bytes.
+fn read_some(conn: &mut Conn, now: Instant, buf: &mut [u8]) {
     let mut taken = 0usize;
     loop {
         if conn.draining.is_none() && conn.machine.pending_output().len() > HIGH_WATERMARK {
@@ -599,7 +602,7 @@ fn read_some(conn: &mut Conn, now: Instant) {
         if taken >= READ_QUANTUM {
             return; // fairness: let shard siblings run
         }
-        match (&conn.stream).read(&mut buf) {
+        match (&conn.stream).read(buf) {
             Ok(0) => {
                 conn.peer_eof = true;
                 if conn.draining.is_none() {

@@ -417,6 +417,25 @@ fn scripts() -> Vec<Script> {
             "err_v2_reset_malformed",
             open("greedy proto=v2").frame(FRAME_RESET, &[1, 0]).bytes(),
         ),
+        // Greedy keeps the first arrival on the one unit edge and
+        // rejects the next two; the third pushes the rejected total
+        // past f64::MAX to +inf, which no EVENT body can carry.
+        script(
+            "err_v1_event_total_overflows",
+            Wire::default()
+                .lines("OPEN greedy\nedges 1\ncaps 1\n")
+                .lines("1.5e308 0\n1.5e308 0\n1.5e308 0\n")
+                .bytes(),
+        ),
+        script(
+            "err_v2_event_total_overflows",
+            Wire::default()
+                .lines("OPEN greedy proto=v2\nedges 1\ncaps 1\n")
+                .req(1.5e308, &[0])
+                .req(1.5e308, &[0])
+                .req(1.5e308, &[0])
+                .bytes(),
+        ),
         script(
             "err_v1_algorithm_panic",
             open("panics-on-third").lines("1 0\n1 0\n1 0\n").bytes(),

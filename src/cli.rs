@@ -29,6 +29,7 @@ use crate::core::{AdmissionInstance, RequestSource, DEFAULT_ALGORITHM};
 use crate::harness::{
     default_registry, run_report, BoundBudget, ClusterDriver, SourceRef, SweepJob, TraceSource,
 };
+use crate::serve::protocol::encode_event;
 use crate::serve::{
     serve_trace, serve_trace_v2, JobArrivals, ProtoVersion, ServeConfig, WorkerPool, DEFAULT_ADDR,
     LISTENING_PREFIX,
@@ -923,14 +924,19 @@ pub fn cmd_client(
     let print_events = flags.contains_key("events");
 
     let mut write_error: Option<std::io::Error> = None;
+    let mut line = Vec::new();
     let report = {
         let mut on_event = |event: &crate::core::ArrivalEvent| {
             if !print_events || write_error.is_some() {
                 return;
             }
-            let written = serde_json::to_string(event)
+            line.clear();
+            let written = encode_event(&mut line, event)
                 .map_err(std::io::Error::other)
-                .and_then(|json| writeln!(events_out, "{json}"));
+                .and_then(|()| {
+                    line.push(b'\n');
+                    events_out.write_all(&line)
+                });
             if let Err(e) = written {
                 write_error = Some(e);
             }
@@ -1872,6 +1878,68 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("unknown-algorithm"), "{e}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn client_events_print_the_serde_json_bytes_of_the_session_events() {
+        let handle = crate::serve::serve(
+            default_registry(),
+            crate::serve::ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let addr = handle.local_addr().to_string();
+        let trace = cmd_gen(&argv(&[
+            "--m",
+            "12",
+            "--cap",
+            "2",
+            "--overload",
+            "4",
+            "--seed",
+            "6",
+            "--weighted",
+        ]))
+        .unwrap();
+        // The in-process session's events, as serde_json writes them.
+        let spec = "aag-weighted?seed=9";
+        let instance = read_trace(&trace).unwrap();
+        let mut session = crate::core::Session::from_registry(
+            &default_registry(),
+            &AlgorithmSpec::parse(spec).unwrap(),
+            &instance.capacities,
+            0,
+        )
+        .unwrap();
+        let events: Vec<_> = instance
+            .requests
+            .iter()
+            .map(|r| session.push(r).unwrap())
+            .collect();
+        assert!(
+            events.iter().any(|e| !e.preempted.is_empty()),
+            "the trace must make aag-weighted preempt"
+        );
+        let expected: Vec<String> = events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap())
+            .collect();
+        for proto in ["v1", "v2"] {
+            let mut sink = Vec::new();
+            cmd_client(
+                &argv(&[
+                    "--stream", "-", "--addr", &addr, "--alg", spec, "--events", "--proto", proto,
+                ]),
+                &mut trace.as_bytes(),
+                &mut sink,
+            )
+            .unwrap();
+            let printed: Vec<&str> = std::str::from_utf8(&sink).unwrap().lines().collect();
+            assert_eq!(printed, expected, "--proto {proto}");
+        }
         handle.shutdown();
     }
 
