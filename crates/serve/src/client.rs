@@ -66,8 +66,8 @@ impl Replies {
     fn next(&mut self) -> Result<ReplyKind, AcmrError> {
         let kind = match &mut self.read {
             ReadHalf::Lines(lines) => {
-                let (_, line) = lines.next_line()?.ok_or_else(closed)?;
-                let (keyword, body) = line.split_once(' ').unwrap_or((&line, ""));
+                let (_, line) = lines.next_line_str()?.ok_or_else(closed)?;
+                let (keyword, body) = line.split_once(' ').unwrap_or((line, ""));
                 self.body.clear();
                 self.body.extend_from_slice(body.trim_start().as_bytes());
                 ReplyKind::from_keyword(keyword)
@@ -583,7 +583,7 @@ fn greet(stream: TcpStream) -> Result<(Replies, BufWriter<TcpStream>), AcmrError
         message: format!("cannot clone socket: {e}"),
     })?;
     let mut lines = FrameReader::new(stream);
-    let (_, greeting) = lines.next_line()?.ok_or_else(closed)?;
+    let (_, greeting) = lines.next_line_str()?.ok_or_else(closed)?;
     if greeting != GREETING {
         return Err(proto_error(format!(
             "unexpected greeting {greeting:?} (expected {GREETING:?})"

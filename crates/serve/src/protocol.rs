@@ -172,17 +172,19 @@ pub fn decode_error_reply(rest: &str) -> AcmrError {
 /// [`MAX_FRAME_BYTES`] with a typed [`AcmrError::TraceParse`] —
 /// bounded memory against hostile peers, never a panic.
 ///
-/// A thin owned-`String` wrapper over
-/// [`acmr_workloads::trace::LineScanner`] — the *same* byte-level
-/// tokenizer the trace file reader uses, so the socket and the file
-/// carve lines identically by construction.
+/// A thin wrapper over [`acmr_workloads::trace::LineScanner`] — the
+/// *same* byte-level tokenizer the trace file reader uses, so the
+/// socket and the file carve lines identically by construction. Lines
+/// come out borrowed from the scanner's buffer
+/// ([`FrameReader::next_line_str`]) or as owned `String`s
+/// ([`FrameReader::next_line`]).
 ///
 /// ```
 /// use acmr_serve::protocol::FrameReader;
 ///
 /// let mut frames = FrameReader::new("OPEN greedy\nedges 2\n".as_bytes());
 /// assert_eq!(frames.next_line().unwrap(), Some((1, "OPEN greedy".to_string())));
-/// assert_eq!(frames.next_line().unwrap(), Some((2, "edges 2".to_string())));
+/// assert_eq!(frames.next_line_str().unwrap(), Some((2, "edges 2")));
 /// assert_eq!(frames.next_line().unwrap(), None); // clean EOF
 /// ```
 pub struct FrameReader<R: Read> {
@@ -218,10 +220,13 @@ impl<R: Read> FrameReader<R> {
     /// end of stream. A peer that stops mid-line yields the partial
     /// line once EOF is observed, exactly like the trace reader.
     pub fn next_line(&mut self) -> Result<Option<(usize, String)>, AcmrError> {
-        Ok(self
-            .scan
-            .next_line()?
-            .map(|(n, line)| (n, line.to_string())))
+        Ok(self.next_line_str()?.map(|(n, line)| (n, line.to_string())))
+    }
+
+    /// [`FrameReader::next_line`] without the copy: the line borrows
+    /// the reader's buffer until the next read.
+    pub fn next_line_str(&mut self) -> Result<Option<(usize, &str)>, AcmrError> {
+        self.scan.next_line()
     }
 
     /// Dismantle the reader for the v2 protocol upgrade: any bytes
