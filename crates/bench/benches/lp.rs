@@ -15,6 +15,7 @@
 //! `x ≤ 1` row per item) and simplex pivots, the bound and its median
 //! time, and branch-and-bound's nodes and median time where it runs.
 
+use acmr_bench::median_ms;
 use acmr_core::AdmissionInstance;
 use acmr_harness::admission_covering_problem;
 use acmr_lp::{branch_and_bound, BnbLimits, CoveringProblem};
@@ -22,11 +23,11 @@ use acmr_workloads::{
     random_path_workload, stochastic_workload, CostModel, PathWorkloadSpec, StochasticSpec,
     Topology, TrafficModel,
 };
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Branch-and-bound runs on programs of at most this many items.
 const MAX_BNB_ITEMS: usize = 120;
@@ -125,26 +126,11 @@ fn mmpp_program() -> CoveringProblem {
     admission_covering_problem(&inst)
 }
 
-/// Median wall-clock milliseconds of `routine` over as many runs as
-/// fit in [`BUDGET`] (at most 1000), after one warm-up run.
-fn median_ms<R>(mut routine: impl FnMut() -> R) -> f64 {
-    black_box(routine());
-    let started = Instant::now();
-    let mut samples = Vec::new();
-    while started.elapsed() < BUDGET && samples.len() < 1000 {
-        let t0 = Instant::now();
-        black_box(routine());
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn measure(name: String, p: &CoveringProblem) -> Program {
     let lp = p.lp_relaxation();
     let solution = acmr_lp::solve(&lp).expect("the bench programs are feasible");
     let lp_bound = p.lp_lower_bound().expect("the bench programs are feasible");
-    let lp_median_ms = median_ms(|| p.lp_lower_bound().unwrap());
+    let lp_median_ms = median_ms(BUDGET, || p.lp_lower_bound().unwrap());
     println!(
         "bench lp_substrate/simplex_lp/{name}_items{} ... median {lp_median_ms:.3} ms ({} pivots)",
         p.num_items(),
@@ -155,7 +141,7 @@ fn measure(name: String, p: &CoveringProblem) -> Program {
             max_nodes: BNB_NODES,
         };
         let result = branch_and_bound(p, limits).expect("the bench programs are feasible");
-        let median_ms = median_ms(|| branch_and_bound(p, limits).map(|r| r.cost));
+        let median_ms = median_ms(BUDGET, || branch_and_bound(p, limits).map(|r| r.cost));
         println!(
             "bench lp_substrate/bnb_exact/{name} ... median {median_ms:.3} ms ({} nodes)",
             result.nodes

@@ -15,10 +15,13 @@
 //! `Session::run_stream_batched` and the two `RunReport`s are asserted
 //! byte-identical (serialized JSON included) — the bench refuses to
 //! time arms that could disagree. The timed section then measures
-//! pure replay (decode every request, no algorithm) per arm, best of
-//! three passes, and asserts the mmap arm beats the text baseline by
-//! the required >3×. Results land in `BENCH_trace2.json` for CI to
-//! upload next to `BENCH_streaming.json`.
+//! pure replay (decode every request, no algorithm): the arms
+//! alternate, one text pass then one mmap pass, three times, so a
+//! slowdown of the host during the run falls on both arms alike. Each
+//! arm's best pass must show the mmap arm beating the text baseline by
+//! the required >3×. Results, each arm's slowest pass next to its
+//! best, land in `BENCH_trace2.json` for CI to upload next to
+//! `BENCH_streaming.json`.
 
 use acmr_bench::e13::{self, EDGES, REQUESTS, SPEC};
 use acmr_core::{AlgorithmSpec, Registry, RequestSource, RunReport, Session};
@@ -30,7 +33,7 @@ use serde::Serialize;
 use std::io::BufWriter;
 use std::time::Instant;
 
-/// Replay passes per timed arm; the fastest is recorded.
+/// Replay passes per timed arm; the fastest is the arm's time.
 const REPS: usize = 3;
 
 /// Convert the text trace at `text_path` to binary at `bin_path`,
@@ -69,21 +72,52 @@ fn drain<S: RequestSource>(mut source: S) -> (usize, f64) {
     }
 }
 
-/// Time `open() -> drain` over [`REPS`] passes; return the fastest
-/// wall-clock in ms, asserting every pass decodes all of E13.
-fn time_replay<S: RequestSource>(mut open: impl FnMut() -> S) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut checksum = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let (n, cost) = drain(open());
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(n, REQUESTS, "replay must decode the full trace");
-        // Every pass must decode identical content, not just count.
-        assert_eq!(*checksum.get_or_insert(cost), cost, "replay checksum");
-        best = best.min(ms);
+/// One timed pass of an arm: `open() -> drain`, in ms, asserting it
+/// decodes all of E13 and the same content as the arm's other passes.
+fn timed_pass<S: RequestSource>(open: impl FnOnce() -> S, checksum: &mut Option<f64>) -> f64 {
+    let t = Instant::now();
+    let (n, cost) = drain(open());
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(n, REQUESTS, "replay must decode the full trace");
+    // Every pass must decode identical content, not just count.
+    assert_eq!(*checksum.get_or_insert(cost), cost, "replay checksum");
+    ms
+}
+
+/// Fastest and slowest of one arm's passes, in ms.
+#[derive(Clone, Copy)]
+struct Passes {
+    best: f64,
+    slowest: f64,
+}
+
+impl Passes {
+    fn new() -> Self {
+        Passes {
+            best: f64::INFINITY,
+            slowest: 0.0,
+        }
     }
-    best
+
+    fn add(&mut self, ms: f64) {
+        self.best = self.best.min(ms);
+        self.slowest = self.slowest.max(ms);
+    }
+}
+
+/// Time the two arms alternately, one text pass then one mmap pass,
+/// [`REPS`] times; returns the (text, mmap) passes.
+fn time_replay<T: RequestSource, M: RequestSource>(
+    mut open_text: impl FnMut() -> T,
+    mut open_mmap: impl FnMut() -> M,
+) -> (Passes, Passes) {
+    let (mut text, mut mmap) = (Passes::new(), Passes::new());
+    let (mut text_sum, mut mmap_sum) = (None, None);
+    for _ in 0..REPS {
+        text.add(timed_pass(&mut open_text, &mut text_sum));
+        mmap.add(timed_pass(&mut open_mmap, &mut mmap_sum));
+    }
+    (text, mmap)
 }
 
 /// Machine-readable summary of the trace2 two-arm comparison.
@@ -101,9 +135,13 @@ struct Trace2Summary {
     mmap_backed: bool,
     /// The two session reports were byte-identical before timing.
     reports_identical: bool,
+    /// The text arm's best pass.
     text_replay_ms: f64,
+    text_replay_slowest_ms: f64,
     text_replay_reqs_per_sec: f64,
+    /// The mmap arm's best pass.
     mmap_replay_ms: f64,
+    mmap_replay_slowest_ms: f64,
     mmap_replay_reqs_per_sec: f64,
     /// Replay speedup of the mmap arm over the text baseline — the
     /// acceptance criterion is >3.
@@ -150,9 +188,12 @@ fn trace2_replay() {
         .expect("map binary trace")
         .is_mapped();
 
-    // Timed arms: pure replay (decode only), best of REPS passes.
-    let text_replay_ms = time_replay(|| TraceReader::open(&text_path).expect("open text trace"));
-    let mmap_replay_ms = time_replay(|| BinMapReader::open(&bin_path).expect("map binary trace"));
+    // Timed arms: pure replay (decode only), alternating passes.
+    let (text, mmap) = time_replay(
+        || TraceReader::open(&text_path).expect("open text trace"),
+        || BinMapReader::open(&bin_path).expect("map binary trace"),
+    );
+    let (text_replay_ms, mmap_replay_ms) = (text.best, mmap.best);
 
     let _ = std::fs::remove_file(&text_path);
     let _ = std::fs::remove_file(&bin_path);
@@ -168,8 +209,10 @@ fn trace2_replay() {
         mmap_backed,
         reports_identical: true,
         text_replay_ms,
+        text_replay_slowest_ms: text.slowest,
         text_replay_reqs_per_sec: REQUESTS as f64 / (text_replay_ms / 1e3),
         mmap_replay_ms,
+        mmap_replay_slowest_ms: mmap.slowest,
         mmap_replay_reqs_per_sec: REQUESTS as f64 / (mmap_replay_ms / 1e3),
         mmap_over_text_ratio: ratio,
         peak_rss_kb: e13::peak_rss_kb().unwrap_or(0),

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Benches (`cargo bench -p acmr-bench`): `fractional`, `randomized`,
-//! `setcover`, `bicriteria`, `baselines`, `lp`, and `throughput`
-//! (experiment E10 — requests/second scaling).
+//! `setcover`, `bicriteria`, `baselines`, `lp`, `gen` (workload
+//! generation), and `throughput` (experiment E10 — requests/second
+//! scaling).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,6 +84,23 @@ pub mod e13 {
             .parse()
             .ok()
     }
+}
+
+/// Median wall-clock milliseconds of `routine` over as many runs as
+/// fit in `budget` (at most 1000), after one warm-up run.
+pub fn median_ms<R>(budget: std::time::Duration, mut routine: impl FnMut() -> R) -> f64 {
+    use std::hint::black_box;
+    use std::time::Instant;
+    black_box(routine());
+    let started = Instant::now();
+    let mut samples = Vec::new();
+    while started.elapsed() < budget && samples.len() < 1000 {
+        let t0 = Instant::now();
+        black_box(routine());
+        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Print a table and optionally persist its CSV next to the repo

@@ -1,6 +1,6 @@
 //! Requests and admission-control instances.
 
-use acmr_graph::{CapGraph, EdgeSet, Path};
+use acmr_graph::{CapGraph, EdgeSet};
 use serde::{Deserialize, Serialize};
 
 /// Dense request identifier: index into the arrival order.
@@ -19,8 +19,8 @@ impl RequestId {
 /// `p_i > 0`.
 ///
 /// Per the paper's concluding remark the algorithms treat the request
-/// as an arbitrary edge subset; [`Request::from_path`] builds one from
-/// an actual routed path.
+/// as an arbitrary edge subset; a routed path enters as its
+/// [`Path::edge_set`](acmr_graph::Path::edge_set).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// The set of edges the request occupies while accepted.
@@ -46,11 +46,6 @@ impl Request {
             footprint,
             cost: 1.0,
         }
-    }
-
-    /// Build from a routed path.
-    pub fn from_path(path: &Path, cost: f64) -> Self {
-        Request::new(path.edge_set(), cost)
     }
 }
 

@@ -43,6 +43,34 @@ impl EdgeSet {
         EdgeSet::from_sorted_iter(edges.into_iter())
     }
 
+    /// Build from a borrowed list of edges, e.g. a route held in
+    /// reusable scratch; sorts and deduplicates a copy. Allocates only
+    /// for more than five edges.
+    pub fn from_slice(edges: &[EdgeId]) -> Self {
+        if edges.len() > INLINE {
+            return EdgeSet::new(edges.to_vec());
+        }
+        // Insertion sort into the inline array, dropping repeats.
+        let mut ids = [EdgeId(0); INLINE];
+        let mut len = 0;
+        for &e in edges {
+            let mut i = len;
+            while i > 0 && ids[i - 1] > e {
+                i -= 1;
+            }
+            if i > 0 && ids[i - 1] == e {
+                continue;
+            }
+            ids.copy_within(i..len, i + 1);
+            ids[i] = e;
+            len += 1;
+        }
+        EdgeSet(Repr::Inline {
+            len: len as u8,
+            ids,
+        })
+    }
+
     /// Build from ids the caller has already checked to be strictly
     /// increasing — e.g. straight from a validated binary trace record.
     /// Allocates only for more than five edges.

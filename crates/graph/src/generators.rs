@@ -7,7 +7,7 @@
 //! reproducibility.
 
 use crate::graph::CapGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use rand::Rng;
 
 /// Directed line `0 → 1 → … → n-1` with `n-1` edges of capacity `cap`.
@@ -118,6 +118,14 @@ pub fn erdos_renyi<R: Rng>(n: u32, p: f64, cap: u32, rng: &mut R) -> CapGraph {
     b.build()
 }
 
+/// The route from node `src` to node `dst` in [`line`](fn@line): edge `i` joins
+/// node `i` to node `i + 1`, so the one path, the one
+/// [`bfs_path`](crate::routing::bfs_path) finds, is the interval
+/// `src..dst` of edge ids (empty unless `src < dst`).
+pub fn line_path(src: NodeId, dst: NodeId) -> impl ExactSizeIterator<Item = EdgeId> {
+    (src.0..dst.0).map(EdgeId)
+}
+
 /// A line graph whose edge count is exactly `m` (so `m+1` nodes); the
 /// experiment sweeps parameterize directly on `m = |E|`.
 pub fn line_with_edges(m: u32, cap: u32) -> CapGraph {
@@ -129,6 +137,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn line_path_is_the_bfs_route() {
+        let g = line_with_edges(9, 1);
+        for a in 0..10 {
+            for b in 0..10 {
+                let route = crate::routing::bfs_path(&g, NodeId(a), NodeId(b));
+                let interval: Vec<EdgeId> = line_path(NodeId(a), NodeId(b)).collect();
+                assert_eq!(route.map_or(vec![], |p| p.edges().to_vec()), interval);
+            }
+        }
+    }
 
     #[test]
     fn line_counts() {

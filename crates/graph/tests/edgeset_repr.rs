@@ -33,6 +33,7 @@ fn constructions(ids: &[u32]) -> Vec<EdgeSet> {
     let mut all = vec![
         built.clone(),
         EdgeSet::from_sorted_iter(want.iter().copied()),
+        EdgeSet::from_slice(&ids.iter().copied().map(EdgeId).collect::<Vec<_>>()),
         ids.iter().copied().map(EdgeId).collect(),
         EdgeSet::from(ids.iter().copied().map(EdgeId).collect::<Vec<_>>()),
         serde_json::from_str(&json).expect("an edge set deserializes"),

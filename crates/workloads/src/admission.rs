@@ -9,7 +9,8 @@
 
 use crate::cost::CostModel;
 use acmr_core::{AdmissionInstance, Request};
-use acmr_graph::{generators, routing, CapGraph, NodeId};
+use acmr_graph::routing::{self, RouteScratch};
+use acmr_graph::{generators, CapGraph, EdgeSet, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -85,9 +86,10 @@ impl PathWorkloadSpec {
 
 /// Generate `(graph, instance)` for a spec.
 ///
-/// Requests are sampled as random simple paths (BFS-routed node pairs
-/// on the line — i.e. intervals — and self-avoiding walks elsewhere)
-/// until total edge demand reaches `ρ · Σ_e c_e`.
+/// Requests are sampled as random simple paths (intervals between
+/// random node pairs on the line, self-avoiding walks elsewhere) until
+/// total edge demand reaches `ρ · Σ_e c_e`. The cost sampler and the
+/// walks' routing scratch are built once per call.
 pub fn random_path_workload<R: Rng>(
     spec: &PathWorkloadSpec,
     rng: &mut R,
@@ -98,27 +100,32 @@ pub fn random_path_workload<R: Rng>(
     let target = spec.overload * capacity_mass;
     let mut demand = 0.0f64;
     let mut failures = 0u32;
+    let costs = spec.costs.sampler();
+    let mut scratch = RouteScratch::new();
     while demand < target && failures < 10_000 {
-        let path = match spec.topology {
+        let footprint = match spec.topology {
             Topology::Line { .. } => {
                 let (a, b) = routing::random_node_pair(&g, rng);
                 let (src, dst) = if a < b { (a, b) } else { (b, a) };
                 // Clip interval length to max_hops.
                 let dst = NodeId(dst.0.min(src.0 + spec.max_hops));
-                routing::bfs_path(&g, src, dst)
+                (src != dst).then(|| EdgeSet::from_sorted_iter(generators::line_path(src, dst)))
             }
             _ => {
                 let src = NodeId(rng.gen_range(0..g.num_nodes() as u32));
-                routing::random_simple_path(&g, src, spec.max_hops as usize, rng)
+                scratch
+                    .random_walk(&g, src, spec.max_hops as usize, rng)
+                    .map(EdgeSet::from_slice)
             }
         };
-        let Some(path) = path else {
+        let Some(footprint) = footprint else {
             failures += 1;
             continue;
         };
-        demand += path.len() as f64;
-        let cost = spec.costs.sample(rng);
-        inst.push(Request::from_path(&path, cost));
+        // A simple path repeats no edge: its footprint has one edge per hop.
+        demand += footprint.len() as f64;
+        let cost = costs.sample(rng);
+        inst.push(Request::new(footprint, cost));
     }
     (g, inst)
 }

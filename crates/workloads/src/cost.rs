@@ -1,4 +1,13 @@
 //! Request-cost distributions.
+//!
+//! One Zipf table (`ZipfTable`) serves every truncated-Zipf draw of the
+//! generators: [`CostModel::Zipf`] costs, and the stochastic
+//! simulator's session sizes and line path widths. It holds the terms
+//! `1/v^s` for `v = 1..=n` and their sum, computed once per generator
+//! call in the order the per-draw loop used to compute them on every
+//! draw. A draw scales one uniform by the sum and subtracts the stored
+//! terms in order, the same arithmetic on the same values, so every
+//! trace stays byte-identical while a draw costs no `powf`.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -37,28 +46,46 @@ pub enum CostModel {
 }
 
 impl CostModel {
-    /// Draw one cost.
+    /// Draw one cost. For Zipf costs this builds the model's table on
+    /// every call; the generators build it once per call instead.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        match *self {
+        self.sampler().sample(rng)
+    }
+
+    /// This model ready to draw from, its Zipf table built once.
+    pub(crate) fn sampler(&self) -> CostSampler {
+        let zipf = match *self {
+            // A support of 0 or 1 values still consumes one draw.
+            CostModel::Zipf { n_values, s } => ZipfTable::new(n_values.max(1), s),
+            _ => ZipfTable::default(),
+        };
+        CostSampler { model: *self, zipf }
+    }
+
+    /// True iff this model always returns 1.
+    pub fn is_unit(&self) -> bool {
+        matches!(self, CostModel::Unit)
+    }
+}
+
+/// A [`CostModel`] with its Zipf table precomputed.
+#[derive(Clone, Debug)]
+pub(crate) struct CostSampler {
+    model: CostModel,
+    /// The Zipf law's terms; empty for the other models.
+    zipf: ZipfTable,
+}
+
+impl CostSampler {
+    /// Draw one cost: the draws [`CostModel::sample`] always took.
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        match self.model {
             CostModel::Unit => 1.0,
             CostModel::Uniform { lo, hi } => {
                 debug_assert!(lo > 0.0 && hi >= lo);
                 rng.gen_range(lo..=hi)
             }
-            CostModel::Zipf { n_values, s } => {
-                // Inverse-CDF sampling over the discrete support; n is
-                // small (≤ a few thousand) in every experiment.
-                let n = n_values.max(1);
-                let norm: f64 = (1..=n).map(|v| 1.0 / (v as f64).powf(s)).sum();
-                let mut u = rng.gen_range(0.0..1.0) * norm;
-                for v in 1..=n {
-                    u -= 1.0 / (v as f64).powf(s);
-                    if u <= 0.0 {
-                        return v as f64;
-                    }
-                }
-                n as f64
-            }
+            CostModel::Zipf { .. } => f64::from(self.zipf.sample(rng)),
             CostModel::Bimodal { lo, hi, p_hi } => {
                 if rng.gen_bool(p_hi) {
                     hi
@@ -68,10 +95,41 @@ impl CostModel {
             }
         }
     }
+}
 
-    /// True iff this model always returns 1.
-    pub fn is_unit(&self) -> bool {
-        matches!(self, CostModel::Unit)
+/// Truncated Zipf law on `{1, …, n}`: value `v` has probability
+/// proportional to `1/v^s`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ZipfTable {
+    /// `terms[v - 1] = 1/v^s`.
+    terms: Vec<f64>,
+    /// The terms' sum, added in order.
+    norm: f64,
+}
+
+impl ZipfTable {
+    /// The law on `{1, …, n}` with exponent `s`.
+    pub(crate) fn new(n: u32, s: f64) -> Self {
+        let terms: Vec<f64> = (1..=n).map(|v| 1.0 / f64::from(v).powf(s)).collect();
+        let norm = terms.iter().sum();
+        ZipfTable { terms, norm }
+    }
+
+    /// Number of values in the support.
+    pub(crate) fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// One inverse-CDF draw; always consumes one uniform.
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
+        let mut u = rng.gen_range(0.0..1.0) * self.norm;
+        for (v, term) in (1..).zip(&self.terms) {
+            u -= term;
+            if u <= 0.0 {
+                return v;
+            }
+        }
+        self.terms.len() as u32
     }
 }
 

@@ -28,6 +28,8 @@ pub mod adversarial;
 pub mod binfmt;
 pub mod cost;
 pub mod lower_bound;
+#[cfg(test)]
+mod oracle;
 pub mod setcover;
 pub mod stochastic;
 pub mod trace;

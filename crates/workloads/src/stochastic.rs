@@ -18,9 +18,10 @@
 //! trace, byte for byte.
 
 use crate::admission::Topology;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, ZipfTable};
 use acmr_core::{AdmissionInstance, Request};
-use acmr_graph::{routing, CapGraph, NodeId};
+use acmr_graph::routing::RouteScratch;
+use acmr_graph::{generators, CapGraph, EdgeSet, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +108,7 @@ impl TrafficModel {
     }
 
     /// Long-run mean of the raw (unnormalized) multiplier.
-    fn mean_multiplier(&self) -> f64 {
+    pub(crate) fn mean_multiplier(&self) -> f64 {
         match self {
             TrafficModel::Iid | TrafficModel::Diurnal { .. } => 1.0,
             TrafficModel::Mmpp { phases } => {
@@ -126,7 +127,7 @@ impl TrafficModel {
     }
 
     /// Raw multiplier in slot `t` given the current MMPP phase.
-    fn multiplier(&self, t: u32, phase: usize) -> f64 {
+    pub(crate) fn multiplier(&self, t: u32, phase: usize) -> f64 {
         match self {
             TrafficModel::Iid => 1.0,
             TrafficModel::Mmpp { phases } => phases[phase].rate,
@@ -158,7 +159,7 @@ impl TrafficModel {
 
     /// Advance the MMPP phase chain by one slot (identity, consuming no
     /// randomness, for the other models).
-    fn step<R: Rng>(&self, phase: usize, rng: &mut R) -> usize {
+    pub(crate) fn step<R: Rng>(&self, phase: usize, rng: &mut R) -> usize {
         match self {
             TrafficModel::Mmpp { phases } => {
                 if rng.gen_range(0.0..1.0) < phases[phase].stay {
@@ -179,7 +180,7 @@ impl TrafficModel {
         }
     }
 
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         match self {
             TrafficModel::Iid => {}
             TrafficModel::Mmpp { phases } => {
@@ -321,43 +322,42 @@ pub fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> u32 {
     }
 }
 
-/// Truncated-Zipf draw on `{1, …, max}` with exponent `alpha` — used
-/// for both session sizes and line path widths.
-fn zipf_trunc<R: Rng>(alpha: f64, max: u32, rng: &mut R) -> u32 {
-    let n = max.max(1);
-    if n == 1 {
-        return 1;
+/// Truncated-Zipf draw from `table` (`{1, …, max}`), used for both
+/// session sizes and line path widths: a one-value law returns 1
+/// without drawing.
+fn zipf_trunc<R: Rng>(table: &ZipfTable, rng: &mut R) -> u32 {
+    if table.len() == 1 {
+        1
+    } else {
+        table.sample(rng)
     }
-    let norm: f64 = (1..=n).map(|v| 1.0 / (v as f64).powf(alpha)).sum();
-    let mut u = rng.gen_range(0.0..1.0) * norm;
-    for v in 1..=n {
-        u -= 1.0 / (v as f64).powf(alpha);
-        if u <= 0.0 {
-            return v;
-        }
-    }
-    n
 }
 
+/// One session's footprint; `widths` is the line's width law (other
+/// topologies walk, over `scratch`, instead).
 fn sample_path<R: Rng>(
     topology: Topology,
     g: &CapGraph,
     max_hops: u32,
-    width_alpha: f64,
+    widths: &ZipfTable,
+    scratch: &mut RouteScratch,
     rng: &mut R,
-) -> Option<acmr_graph::Path> {
+) -> Option<EdgeSet> {
     match topology {
         Topology::Line { .. } => {
             // Heavy-tailed widths: most flows are short, the occasional
             // wide one spans a big interval.
             let n = g.num_nodes() as u32;
-            let hops = zipf_trunc(width_alpha, max_hops.min(n - 1), rng);
+            let hops = zipf_trunc(widths, rng);
             let src = rng.gen_range(0..n - hops);
-            routing::bfs_path(g, NodeId(src), NodeId(src + hops))
+            let route = generators::line_path(NodeId(src), NodeId(src + hops));
+            Some(EdgeSet::from_sorted_iter(route))
         }
         _ => {
             let src = NodeId(rng.gen_range(0..g.num_nodes() as u32));
-            routing::random_simple_path(g, src, max_hops as usize, rng)
+            scratch
+                .random_walk(g, src, max_hops as usize, rng)
+                .map(EdgeSet::from_slice)
         }
     }
 }
@@ -379,6 +379,12 @@ pub fn stochastic_workload<R: Rng>(
     let mut inst = AdmissionInstance::from_graph(&g);
     let mut summary = StochasticSummary::default();
     let mean_mult = spec.model.mean_multiplier();
+    // Every sampler and the routing scratch serve the whole call.
+    let costs = spec.costs.sampler();
+    let sizes = ZipfTable::new(spec.session_max.max(1), spec.session_alpha);
+    let width_max = spec.max_hops.min((g.num_nodes() as u32).saturating_sub(1));
+    let widths = ZipfTable::new(width_max.max(1), spec.width_alpha);
+    let mut scratch = RouteScratch::new();
     let mut phase = 0usize;
     for t in 0..spec.duration {
         let lambda = spec.arrival_rate * spec.model.multiplier(t, phase) / mean_mult;
@@ -386,20 +392,21 @@ pub fn stochastic_workload<R: Rng>(
         summary.sessions_per_slot.push(sessions);
         summary.phase_per_slot.push(phase);
         for _ in 0..sessions {
-            let size = zipf_trunc(spec.session_alpha, spec.session_max, rng);
+            let size = zipf_trunc(&sizes, rng);
             // A session rides one route; retry a few times if the walk
-            // dead-ends (possible on sparse Gnp graphs).
-            let mut path = None;
+            // has nowhere to go.
+            let mut footprint = None;
             for _ in 0..8 {
-                path = sample_path(spec.topology, &g, spec.max_hops, spec.width_alpha, rng);
-                if path.is_some() {
+                footprint =
+                    sample_path(spec.topology, &g, spec.max_hops, &widths, &mut scratch, rng);
+                if footprint.is_some() {
                     break;
                 }
             }
-            let Some(path) = path else { continue };
+            let Some(footprint) = footprint else { continue };
             for _ in 0..size {
-                let cost = spec.costs.sample(rng);
-                inst.push(Request::from_path(&path, cost));
+                let cost = costs.sample(rng);
+                inst.push(Request::new(footprint.clone(), cost));
             }
         }
         phase = spec.model.step(phase, rng);
@@ -433,7 +440,8 @@ mod tests {
     #[test]
     fn session_sizes_heavy_on_one() {
         let mut rng = StdRng::seed_from_u64(2);
-        let sizes: Vec<u32> = (0..4000).map(|_| zipf_trunc(2.5, 8, &mut rng)).collect();
+        let table = ZipfTable::new(8, 2.5);
+        let sizes: Vec<u32> = (0..4000).map(|_| zipf_trunc(&table, &mut rng)).collect();
         assert!(sizes.iter().all(|&s| (1..=8).contains(&s)));
         let ones = sizes.iter().filter(|&&s| s == 1).count();
         assert!(ones > 2400, "alpha=2.5 should concentrate on 1 ({ones})");

@@ -466,3 +466,104 @@ fn buyback_gen_pipeline_and_float_flag_validation() {
         "{e}"
     );
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `acmr gen` writes the same bytes it always has: the line, grid and
+/// tree topologies and every stochastic model (`--m 48 --cap 3
+/// --max-hops 6 --seed 11`, 64 slots), unit and `--weighted` costs,
+/// text and binary output. Each entry is the output's length and
+/// FNV-1a hash; the values were generated with the per-draw Zipf
+/// sampler and the per-call BFS and walk that the precomputed table
+/// and the routing scratch replaced.
+#[test]
+fn gen_output_bytes_are_pinned() {
+    use acmr::cli::cmd_gen;
+
+    const PINS: &[(&str, usize, u64)] = &[
+        ("line text", 1020, 0x8955dd78e604b371),
+        ("line binary", 1904, 0x355a8c40e81e82f1),
+        ("line --weighted text", 1061, 0x56b4fc6f7be81537),
+        ("line --weighted binary", 1908, 0x6ed36814b35a383f),
+        ("grid text", 4105, 0xe73fad9123fe2eb7),
+        ("grid binary", 6444, 0xfe0a1615202a1dbc),
+        ("grid --weighted text", 4131, 0xea90ef8a8c31b6cc),
+        ("grid --weighted binary", 6444, 0xa68ac37dd3f248c2),
+        ("tree text", 3036, 0x585c2845074545dc),
+        ("tree binary", 5906, 0xf7687f2c2c8efd2a),
+        ("tree --weighted text", 3250, 0x51d167317a6722bd),
+        ("tree --weighted binary", 6076, 0x17b19fec15ab0fea),
+        ("iid text", 3024, 0x4acb5d026472188f),
+        ("iid binary", 6724, 0x3743ef28f1fdc2c5),
+        ("iid --weighted text", 3446, 0xa5fec7f9c461574e),
+        ("iid --weighted binary", 7594, 0xd61eecd758788376),
+        ("mmpp text", 3162, 0x284273b953105a0a),
+        ("mmpp binary", 7236, 0xbbbb815eb92bd331),
+        ("mmpp --weighted text", 3288, 0xceef407551bf7d78),
+        ("mmpp --weighted binary", 7242, 0xe0c485b5b913d302),
+        ("diurnal text", 2899, 0x77cd98071beb9e2d),
+        ("diurnal binary", 6392, 0xf2d8d09c737c96c0),
+        ("diurnal --weighted text", 3210, 0x9430a35faf04d488),
+        ("diurnal --weighted binary", 7054, 0xff631372e511658d),
+        ("flash text", 3039, 0x7444a9e06754fa21),
+        ("flash binary", 6912, 0x8c6056649e9d9d77),
+        ("flash --weighted text", 3205, 0xb0a252a1806e43a9),
+        ("flash --weighted binary", 7028, 0x7b22f5fe6f8ad444),
+    ];
+    let bin = std::env::temp_dir().join(format!("acmr-gen-pins-{}.bin", std::process::id()));
+    let topologies: [&[&str]; 7] = [
+        &["--topology", "line"],
+        &["--topology", "grid"],
+        &["--topology", "tree"],
+        &["--topology", "stochastic", "--model", "iid"],
+        &["--topology", "stochastic", "--model", "mmpp"],
+        &["--topology", "stochastic", "--model", "diurnal"],
+        &["--topology", "stochastic", "--model", "flash"],
+    ];
+    let mut got = Vec::new();
+    for topology in topologies {
+        for weighted in [false, true] {
+            for format in ["text", "binary"] {
+                let mut argv: Vec<&str> = topology.to_vec();
+                argv.extend(["--m", "48", "--cap", "3", "--max-hops", "6", "--seed", "11"]);
+                if topology[1] == "stochastic" {
+                    argv.extend(["--duration", "64"]);
+                }
+                if weighted {
+                    argv.push("--weighted");
+                }
+                let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+                let bytes = if format == "text" {
+                    cmd_gen(&args).unwrap().into_bytes()
+                } else {
+                    let mut args = args.clone();
+                    args.extend(["--format".into(), "binary".into(), "--out".into()]);
+                    args.push(bin.display().to_string());
+                    assert_eq!(cmd_gen(&args).unwrap(), "");
+                    std::fs::read(&bin).unwrap()
+                };
+                let weighted = if weighted { " --weighted" } else { "" };
+                let label = format!("{}{weighted} {format}", topology[topology.len() - 1]);
+                got.push((label, bytes.len(), fnv1a(&bytes)));
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&bin);
+    let table: String = got
+        .iter()
+        .map(|(label, len, hash)| format!("    ({label:?}, {len}, {hash:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, usize, u64)> = PINS
+        .iter()
+        .map(|&(label, len, hash)| (label.to_string(), len, hash))
+        .collect();
+    assert_eq!(
+        got, want,
+        "acmr gen output changed; this run wrote:\n{table}"
+    );
+}
