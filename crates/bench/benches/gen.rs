@@ -2,7 +2,7 @@
 //! `stochastic_workload` take per generated arrival, on the traces the
 //! serving measurements start from.
 //!
-//! Three arms, each one generator call on a fixed seed:
+//! Four arms, each one generator call on a fixed seed:
 //!
 //! 1. **wire-greedy line**: 512 edges, capacity 8, at most 4 hops,
 //!    costs Zipf over {1..4} with exponent 0, and overload for 200k
@@ -13,7 +13,11 @@
 //!    α = 2.5 capped at 8, widths α = 1.3 (a `sweep-opt` class trace);
 //! 3. **weighted line**: the trace of `acmr gen --m 512 --cap 8
 //!    --overload 250 --max-hops 4 --weighted` (Zipf costs over {1..64}
-//!    with exponent 1.1, seed 0).
+//!    with exponent 1.1, seed 0);
+//! 4. **grid walks**: the trace of `acmr gen --topology grid --m 512
+//!    --cap 8 --overload 50 --max-hops 4` (a 23 × 23 grid, unit costs,
+//!    seed 0): self-avoiding walks over one routing scratch, with no
+//!    cost draw beside them.
 //!
 //! Each arm's time is the median over repeated generations within a
 //! fixed budget. The summary lands in `BENCH_gen.json`: the host's core
@@ -113,6 +117,17 @@ fn weighted_line() -> AdmissionInstance {
     random_path_workload(&spec, &mut StdRng::seed_from_u64(0)).1
 }
 
+fn grid_walks() -> AdmissionInstance {
+    let spec = PathWorkloadSpec {
+        topology: Topology::Grid { rows: 23, cols: 23 },
+        capacity: 8,
+        overload: 50.0,
+        costs: CostModel::Unit,
+        max_hops: 4,
+    };
+    random_path_workload(&spec, &mut StdRng::seed_from_u64(0)).1
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -148,6 +163,7 @@ fn bench_gen(_criterion: &mut Criterion) {
         measure("wire-greedy-line", "random_path_workload", wire_greedy_line),
         measure("sweep-opt-mmpp", "stochastic_workload", sweep_opt_mmpp),
         measure("weighted-line", "random_path_workload", weighted_line),
+        measure("grid-walks", "random_path_workload", grid_walks),
     ];
     let summary = GenSummary {
         bench: "gen",

@@ -24,7 +24,7 @@
 //!   experiment suite (line, ring, star, balanced tree, grid, complete,
 //!   Erdős–Rényi `G(n,p)`).
 //! * [`routing`] — BFS/Dijkstra shortest paths and seeded random simple
-//!   path sampling, used by workload generators, over one reusable
+//!   path sampling; workload generators walk over one reusable
 //!   [`routing::RouteScratch`] per trace.
 //!
 //! All randomness is taken through caller-supplied [`rand::Rng`]

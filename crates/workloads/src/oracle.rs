@@ -2,12 +2,12 @@
 //! [`stochastic_workload`] against reference generators built from
 //! the code they replaced. The references draw Zipf values with a loop
 //! that recomputes the normalizer and every term with `powf` on each
-//! draw, route with BFS and walks that allocate their state per call,
-//! and build each request from an owned path. Over thousands of seeded
-//! specs, both sides must give identical instances (edge ids and cost
-//! bits) and leave their RNGs in the same state, and the public
-//! `bfs_path` and `random_simple_path` must return the references'
-//! routes on every graph drawn.
+//! draw, route the line by `bfs_path` and walk by `random_simple_path`
+//! (both allocate their state per call), and build each request from an
+//! owned path. Over thousands of seeded specs, both sides must give
+//! identical instances (edge ids and cost bits) and leave their RNGs in
+//! the same state, and one routing scratch, reused across every graph
+//! drawn, must walk as `random_simple_path` does on each of them.
 
 use crate::admission::{random_path_workload, PathWorkloadSpec, Topology};
 use crate::cost::CostModel;
@@ -15,11 +15,11 @@ use crate::stochastic::{
     poisson, stochastic_workload, Phase, StochasticSpec, StochasticSummary, TrafficModel,
 };
 use acmr_core::{AdmissionInstance, Request};
-use acmr_graph::{routing, CapGraph, EdgeId, NodeId, Path};
+use acmr_graph::routing::{self, RouteScratch};
+use acmr_graph::{CapGraph, NodeId, Path};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// The per-draw cost sampler: Zipf recomputes its normalizer and terms.
 fn reference_cost<R: Rng>(model: &CostModel, rng: &mut R) -> f64 {
@@ -65,79 +65,6 @@ fn reference_zipf_trunc<R: Rng>(alpha: f64, max: u32, rng: &mut R) -> u32 {
     n
 }
 
-/// BFS with node-count arrays and a queue allocated per call.
-fn reference_bfs_path(g: &CapGraph, src: NodeId, dst: NodeId) -> Option<Path> {
-    if src == dst {
-        return None;
-    }
-    let n = g.num_nodes();
-    let mut parent_edge = vec![u32::MAX; n];
-    let mut visited = vec![false; n];
-    visited[src.index()] = true;
-    let mut queue = VecDeque::with_capacity(n);
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        for &e in g.out_edges(v) {
-            let w = g.edge(e).to;
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                parent_edge[w.index()] = e.0;
-                if w == dst {
-                    queue.clear();
-                    break;
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    if !visited[dst.index()] {
-        return None;
-    }
-    let mut edges = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let e = EdgeId(parent_edge[cur.index()]);
-        edges.push(e);
-        cur = g.edge(e).from;
-    }
-    edges.reverse();
-    Some(Path::new(edges))
-}
-
-/// Self-avoiding walk with a node-count visited array per call.
-fn reference_random_simple_path<R: Rng>(
-    g: &CapGraph,
-    src: NodeId,
-    max_hops: usize,
-    rng: &mut R,
-) -> Option<Path> {
-    let mut visited = vec![false; g.num_nodes()];
-    visited[src.index()] = true;
-    let mut cur = src;
-    let mut edges = Vec::with_capacity(max_hops.min(16));
-    let mut candidates = Vec::new();
-    for _ in 0..max_hops {
-        candidates.clear();
-        candidates.extend(
-            g.out_edges(cur)
-                .iter()
-                .copied()
-                .filter(|&e| !visited[g.edge(e).to.index()]),
-        );
-        let Some(&e) = candidates.choose(rng) else {
-            break;
-        };
-        edges.push(e);
-        cur = g.edge(e).to;
-        visited[cur.index()] = true;
-    }
-    if edges.is_empty() {
-        None
-    } else {
-        Some(Path::new(edges))
-    }
-}
-
 /// A request built from an owned path.
 fn reference_from_path(path: &Path, cost: f64) -> Request {
     Request::new(path.edge_set(), cost)
@@ -159,11 +86,11 @@ fn reference_path_workload<R: Rng>(
                 let (a, b) = routing::random_node_pair(&g, rng);
                 let (src, dst) = if a < b { (a, b) } else { (b, a) };
                 let dst = NodeId(dst.0.min(src.0 + spec.max_hops));
-                reference_bfs_path(&g, src, dst)
+                routing::bfs_path(&g, src, dst)
             }
             _ => {
                 let src = NodeId(rng.gen_range(0..g.num_nodes() as u32));
-                reference_random_simple_path(&g, src, spec.max_hops as usize, rng)
+                routing::random_simple_path(&g, src, spec.max_hops as usize, rng)
             }
         };
         let Some(path) = path else {
@@ -189,11 +116,11 @@ fn reference_sample_path<R: Rng>(
             let n = g.num_nodes() as u32;
             let hops = reference_zipf_trunc(width_alpha, max_hops.min(n - 1), rng);
             let src = rng.gen_range(0..n - hops);
-            reference_bfs_path(g, NodeId(src), NodeId(src + hops))
+            routing::bfs_path(g, NodeId(src), NodeId(src + hops))
         }
         _ => {
             let src = NodeId(rng.gen_range(0..g.num_nodes() as u32));
-            reference_random_simple_path(g, src, max_hops as usize, rng)
+            routing::random_simple_path(g, src, max_hops as usize, rng)
         }
     }
 }
@@ -399,6 +326,7 @@ const SPECS: u64 = 1_100;
 #[test]
 fn generator_oracle_matches_the_per_draw_reference() {
     let mut seen = BTreeSet::new();
+    let mut scratch = RouteScratch::new();
     for i in 0..SPECS {
         let mut pick = StdRng::seed_from_u64(0x6e4e_0000 + i);
         let spec = PathWorkloadSpec {
@@ -416,22 +344,19 @@ fn generator_oracle_matches_the_per_draw_reference() {
         assert_eq!(g.num_nodes(), g_ref.num_nodes(), "{label}: graph");
         assert_same_instance(&label, &got, &want);
         assert_eq!(r_new.next_u64(), r_ref.next_u64(), "{label}: RNG state");
-        // The public routes on this graph too, beyond the line's BFS
-        // and the walks the generator took.
+        // The scratch walk on this graph too, beyond the walks the
+        // generator took, on a scratch last used on other graphs.
         let n = g.num_nodes() as u32;
         for _ in 0..8 {
-            let (a, b) = (NodeId(pick.gen_range(0..n)), NodeId(pick.gen_range(0..n)));
-            assert_eq!(
-                routing::bfs_path(&g, a, b),
-                reference_bfs_path(&g, a, b),
-                "{label}: bfs {a} -> {b}"
-            );
+            let a = NodeId(pick.gen_range(0..n));
             let mut r_new = StdRng::seed_from_u64(pick.next_u64());
             let mut r_ref = r_new.clone();
             let hops = pick.gen_range(1..10);
             assert_eq!(
-                routing::random_simple_path(&g, a, hops, &mut r_new),
-                reference_random_simple_path(&g, a, hops, &mut r_ref),
+                scratch
+                    .random_walk(&g, a, hops, &mut r_new)
+                    .map(|edges| Path::new(edges.to_vec())),
+                routing::random_simple_path(&g, a, hops, &mut r_ref),
                 "{label}: walk from {a}"
             );
             assert_eq!(r_new.next_u64(), r_ref.next_u64(), "{label}: walk draws");
