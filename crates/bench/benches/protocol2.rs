@@ -12,25 +12,22 @@
 //!    pipelined `serve_trace_v2` path the cluster driver uses). This
 //!    is the per-connection wire ceiling an operator sizes against.
 //! 2. **Cluster vs sharded on the E12 sweep** (3 workers, one host) —
-//!    the v1 wire made `ClusterDriver` pay a ~20× wall-clock tax over
-//!    `ShardedDriver` on sweep-shaped jobs (many small traces, where
-//!    per-arrival round trips and JSON dominate). The v2 arm runs the
-//!    same sweep over the same pool in binary-frame persistent-session
-//!    mode; `cluster_v2_over_sharded` is the number the tentpole
-//!    exists to push to ≤ 1.
+//!    the v1 wire once made `ClusterDriver` pay a ~20× wall-clock tax
+//!    over `ShardedDriver` on sweep-shaped jobs (many small traces,
+//!    where per-arrival round trips and JSON dominate). The cluster
+//!    now always runs binary-frame persistent sessions;
+//!    `cluster_v2_over_sharded` is the number to keep near 1.
 //!
-//! Both comparisons double as differentials: every v2 report must
-//! equal its v1 twin and the in-memory reference, or the bench
-//! panics.
+//! Both comparisons double as differentials: the v1 and v2 reports
+//! must equal the in-memory reference, and the cluster sweep the
+//! sharded one, or the bench panics.
 
 use acmr_core::Request;
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::{
     cross_jobs, default_registry, run_report, BoundBudget, ClusterDriver, ShardedDriver, SourceRef,
 };
-use acmr_serve::{
-    serve, serve_trace, serve_trace_v2, ProtoVersion, ServeConfig, ServerHandle, WorkerPool,
-};
+use acmr_serve::{serve, serve_trace, serve_trace_v2, ServeConfig, ServerHandle, WorkerPool};
 use acmr_workloads::{dyadic_admission_instance, nested_intervals, two_phase_squeeze};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -86,10 +83,7 @@ struct Protocol2Summary {
     worker_mode: &'static str,
     sweep_batch: usize,
     sharded_ms: f64,
-    cluster_v1_ms: f64,
     cluster_v2_ms: f64,
-    /// The v1 wire tax this PR set out to erase (≫ 1 before it).
-    cluster_v1_over_sharded: f64,
     /// The headline: cluster wall-clock over sharded with v2
     /// persistent sessions — target ≤ 1.0 on one host.
     cluster_v2_over_sharded: f64,
@@ -102,9 +96,8 @@ fn median_ms(samples: &mut [Duration]) -> f64 {
 
 /// Same worker-spawning policy as the cluster bench: real `acmr
 /// serve` processes when the release binary exists, in-process
-/// loopback servers otherwise. The returned pool (the v2 one — the
-/// pool default) owns any spawned children; the v1 pool adopts the
-/// same fleet by address.
+/// loopback servers otherwise. The returned pool owns any spawned
+/// children.
 fn start_workers() -> (Vec<ServerHandle>, WorkerPool, &'static str) {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| ".".into());
     let release_bin = loop {
@@ -194,7 +187,7 @@ fn protocol2() {
     let v2_rps = REQUESTS as f64 / v2_secs;
 
     // ------------------------------------------------------------------
-    // Arm 2: the E12 sweep — sharded vs cluster-v1 vs cluster-v2.
+    // Arm 2: the E12 sweep — sharded vs cluster (v2).
     // ------------------------------------------------------------------
     let traces = vec![
         ("nested".to_string(), nested_intervals(16, 2, 2, 2)),
@@ -211,28 +204,17 @@ fn protocol2() {
         max_lp_items: 0,
     };
 
-    let (handles, pool_v2, worker_mode) = start_workers();
-    let addrs: Vec<String> = pool_v2.addrs().iter().map(|a| a.to_string()).collect();
-    let pool_v1 = WorkerPool::connect(&addrs)
-        .expect("adopt workers (v1)")
-        .proto(ProtoVersion::V1);
+    let (handles, pool, worker_mode) = start_workers();
 
     let sharded_driver = ShardedDriver::new()
         .threads(WORKERS)
         .batch(SWEEP_BATCH)
         .budget(budget);
-    let cluster_v1_driver = ClusterDriver::new(&pool_v1)
-        .batch(SWEEP_BATCH)
-        .budget(budget);
-    let cluster_v2_driver = ClusterDriver::new(&pool_v2)
-        .batch(SWEEP_BATCH)
-        .budget(budget);
+    let cluster_v2_driver = ClusterDriver::new(&pool).batch(SWEEP_BATCH).budget(budget);
 
     let mut sharded = Vec::with_capacity(ROUNDS);
-    let mut cluster_v1 = Vec::with_capacity(ROUNDS);
     let mut cluster_v2 = Vec::with_capacity(ROUNDS);
     let mut last_sharded = None;
-    let mut last_v1 = None;
     let mut last_v2 = None;
     for _ in 0..ROUNDS {
         let t = Instant::now();
@@ -240,21 +222,12 @@ fn protocol2() {
         sharded.push(t.elapsed());
 
         let t = Instant::now();
-        last_v1 = Some(cluster_v1_driver.run(&traces, &jobs).unwrap());
-        cluster_v1.push(t.elapsed());
-
-        let t = Instant::now();
         last_v2 = Some(cluster_v2_driver.run(&traces, &jobs).unwrap());
         cluster_v2.push(t.elapsed());
     }
 
-    // Differential guard: both wire dialects, byte-identical sweeps.
+    // Differential guard: byte-identical sweeps.
     let sharded_sweep = serde_json::to_string_pretty(&last_sharded.unwrap()).unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&last_v1.unwrap()).unwrap(),
-        sharded_sweep,
-        "cluster v1 sweep diverged from sharded"
-    );
     assert_eq!(
         serde_json::to_string_pretty(&last_v2.unwrap()).unwrap(),
         sharded_sweep,
@@ -262,7 +235,6 @@ fn protocol2() {
     );
 
     let sharded_ms = median_ms(&mut sharded);
-    let cluster_v1_ms = median_ms(&mut cluster_v1);
     let cluster_v2_ms = median_ms(&mut cluster_v2);
     let summary = Protocol2Summary {
         workload: "line-512-cap8-200k",
@@ -278,21 +250,17 @@ fn protocol2() {
         worker_mode,
         sweep_batch: SWEEP_BATCH,
         sharded_ms,
-        cluster_v1_ms,
         cluster_v2_ms,
-        cluster_v1_over_sharded: cluster_v1_ms / sharded_ms,
         cluster_v2_over_sharded: cluster_v2_ms / sharded_ms,
     };
     println!(
         "bench e16_protocol2/loopback ... v1 {:.0} dec/s, v2 {:.0} dec/s ({:.1}x); \
-         sweep sharded {:.2} ms, cluster v1 {:.2} ms ({:.2}x), cluster v2 {:.2} ms ({:.2}x) \
+         sweep sharded {:.2} ms, cluster v2 {:.2} ms ({:.2}x) \
          — {} jobs over {} workers ({})",
         summary.v1_decisions_per_sec,
         summary.v2_decisions_per_sec,
         summary.v2_over_v1,
         summary.sharded_ms,
-        summary.cluster_v1_ms,
-        summary.cluster_v1_over_sharded,
         summary.cluster_v2_ms,
         summary.cluster_v2_over_sharded,
         summary.jobs,
@@ -301,8 +269,7 @@ fn protocol2() {
     );
     acmr_bench::emit_bench_json("protocol2", &summary);
 
-    pool_v1.shutdown();
-    pool_v2.shutdown();
+    pool.shutdown();
     for handle in handles {
         handle.shutdown();
     }

@@ -9,19 +9,18 @@
 //! session against a worker from an [`acmr_serve::WorkerPool`]
 //! (spawned `acmr serve` children or adopted remote addresses),
 //! replays its trace over the wire in `BATCH` frames, and reads the
-//! final [`RunReport`] back. By default the pool negotiates the v2
-//! binary-frame dialect and keeps one **persistent session** per
-//! worker slot: consecutive jobs reuse the connection via `RESET`
-//! frames, the whole trace is pipelined (record-byte arrivals,
-//! batch-summary acknowledgements, one round trip per job), and the
-//! whole-trace retry contract below is unchanged — a retry always
-//! replays from the first arrival on a fresh session
-//! (`WorkerPool::proto` drops back to the v1 line protocol for
-//! fleets that predate v2; `docs/SERVING.md` specifies both). A
-//! path-backed binary trace is forwarded as it is: each `BATCH`
-//! payload is the trace file's own record bytes, checked like the
-//! decoder checks them but never decoded on the driver; text traces
-//! and in-memory instances are encoded request by request.
+//! final [`RunReport`] back. The pool always speaks the v2
+//! binary-frame dialect (`docs/SERVING.md`), which every `acmr serve`
+//! accepts, and keeps one **persistent session** per worker slot:
+//! consecutive jobs reuse the connection via `RESET` frames, the
+//! whole trace is pipelined (record-byte arrivals, batch-summary
+//! acknowledgements, one round trip per job), and the whole-trace
+//! retry contract below is unchanged — a retry always replays from
+//! the first arrival on a fresh session. A path-backed binary trace
+//! is forwarded as it is: each `BATCH` payload is the trace file's
+//! own record bytes, checked like the decoder checks them but never
+//! decoded on the driver; text traces and in-memory instances are
+//! encoded request by request.
 //!
 //! Division of labor, by design:
 //!
@@ -177,13 +176,7 @@ impl<'p> ClusterDriver<'p> {
         jobs: &[SweepJob],
     ) -> Result<SweepReport, AcmrError> {
         let names: Vec<&str> = traces.iter().map(|(n, _)| n.as_str()).collect();
-        let sources: Vec<SourceRef<'_>> = traces
-            .iter()
-            .map(|(_, s)| match s {
-                TraceSource::InMemory(inst) => SourceRef::Mem(inst),
-                TraceSource::Path(path) => SourceRef::Path(path),
-            })
-            .collect();
+        let sources: Vec<SourceRef<'_>> = traces.iter().map(|(_, s)| s.into()).collect();
         self.run_refs(&names, &sources, jobs)
     }
 

@@ -205,13 +205,13 @@ impl ServeClient {
         capacities: &[u32],
     ) -> Result<Self, AcmrError> {
         let stream = connect_stream(addr)?;
-        ServeClient::from_stream(stream, spec, base_seed, capacities)
+        ServeClient::open(stream, spec, base_seed, capacities, ProtoVersion::V1, false)
     }
 
     /// [`ServeClient::connect`] negotiating protocol v2: binary
     /// frames, record-byte arrivals, batch-summary acknowledgements
     /// (per-arrival events with `events: true`), and
-    /// [`ServeClient::reset`] for session reuse. A v1-only server
+    /// [`ServeClient::reset`] for session reuse. A server without v2
     /// answers the negotiation with its typed `ERR parse` reply —
     /// surfaced here as that error, never a hang.
     pub fn connect_v2(
@@ -222,7 +222,7 @@ impl ServeClient {
         events: bool,
     ) -> Result<Self, AcmrError> {
         let stream = connect_stream(addr)?;
-        ServeClient::from_stream_with(
+        ServeClient::open(
             stream,
             spec,
             base_seed,
@@ -232,25 +232,15 @@ impl ServeClient {
         )
     }
 
-    /// [`ServeClient::connect`] over an already-established TCP
-    /// stream. Split out so [`crate::pool::WorkerPool`] can
-    /// distinguish *connection* failures (the worker process is gone
-    /// — quarantine the slot) from handshake/session failures (maybe
-    /// transient — retry elsewhere) structurally, by owning the
-    /// `TcpStream::connect` step itself.
-    pub(crate) fn from_stream(
-        stream: TcpStream,
-        spec: &str,
-        base_seed: Option<u64>,
-        capacities: &[u32],
-    ) -> Result<Self, AcmrError> {
-        ServeClient::from_stream_with(stream, spec, base_seed, capacities, ProtoVersion::V1, false)
-    }
-
-    /// The one handshake implementation: greeting, `OPEN` (with the
-    /// v2 negotiation tokens when asked), `edges`/`caps`, `OK` — then,
-    /// for v2, the switch to binary frames.
-    pub(crate) fn from_stream_with(
+    /// The one handshake implementation, over an already-established
+    /// TCP stream: greeting, `OPEN` (with the v2 negotiation tokens
+    /// when asked), `edges`/`caps`, `OK` — then, for v2, the switch to
+    /// binary frames. [`crate::pool::WorkerPool`] owns the
+    /// `TcpStream::connect` step itself, so a *connection* failure
+    /// (the worker process is gone — quarantine the slot) stays
+    /// structurally distinct from a handshake or session failure
+    /// (maybe transient — retry elsewhere).
+    pub(crate) fn open(
         stream: TcpStream,
         spec: &str,
         base_seed: Option<u64>,
@@ -701,13 +691,11 @@ where
     run_job_v2(&mut client, arrivals.into_iter(), batch, false)
 }
 
-/// Drive an already-open session through a full arrival stream — the
-/// replay half of [`serve_trace`], shared with the
-/// [`crate::pool::WorkerPool`] v1 retry path (which must reconnect
-/// and replay from the top, so connecting and replaying are separate
-/// steps there). Works on any session that streams per-arrival
-/// events: v1, or v2 with `events=on`.
-pub(crate) fn replay_session<I>(
+/// Drive an already-open session through a full arrival stream, one
+/// event per arrival — the replay half of [`serve_trace`] and of
+/// [`serve_trace_v2`] with `events: true`. Works on any session that
+/// streams per-arrival events: v1, or v2 with `events=on`.
+fn replay_session<I>(
     mut client: ServeClient,
     arrivals: I,
     batch: Option<usize>,

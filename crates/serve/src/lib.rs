@@ -5,11 +5,12 @@
 //! drives one streaming [`acmr_core::Session`] per connection — the
 //! production shape of the paper's online model, where requests
 //! genuinely arrive one at a time over a wire and every accept/reject
-//! decision is pushed back as it is made. Two wire dialects share the
-//! grammar: the v1 line protocol, and the v2 binary-frame protocol
-//! (negotiated at `OPEN` via `proto=v2`) whose arrival frames are
-//! exactly ACMR-TRACE v2 record bytes, with batch-summary
-//! acknowledgements and `RESET`-based session reuse.
+//! decision is pushed back as it is made. Every server speaks two wire
+//! dialects on one port, and the connecting client picks one: the v1
+//! line protocol, or the v2 binary-frame protocol (negotiated at
+//! `OPEN` via `proto=v2`) whose arrival frames are exactly ACMR-TRACE
+//! v2 record bytes, with batch-summary acknowledgements and
+//! `RESET`-based session reuse.
 //!
 //! The crate is split along a sans-I/O seam, std-only (the workspace
 //! builds offline, so polling comes from the vendored `polling` shim

@@ -110,27 +110,15 @@ impl ServerCounters {
     }
 }
 
-/// What a [`Connection`] shares with its server: protocol ceiling and
-/// the server-wide counters, which also allocate session ids. The
-/// [`Default`] value (fresh counters, so ids from 0, v2 allowed) is
-/// what in-process tests use; the reactor hands every machine the
-/// same counters.
-#[derive(Clone)]
+/// What a [`Connection`] shares with its server: the server-wide
+/// counters, which also allocate session ids. Every connection accepts
+/// both dialects; the client picks one at `OPEN`. The [`Default`]
+/// value (fresh counters, so ids from 0) is what in-process tests use;
+/// the reactor hands every machine the same counters.
+#[derive(Clone, Default)]
 pub struct MachineConfig {
-    /// Highest protocol version to negotiate (same meaning as
-    /// [`crate::ServeConfig::max_proto`]).
-    pub max_proto: ProtoVersion,
     /// Server-wide counters this connection contributes to.
     pub server: Arc<ServerCounters>,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            max_proto: ProtoVersion::V2,
-            server: Arc::new(ServerCounters::default()),
-        }
-    }
 }
 
 /// The framing the connection speaks: lines for the handshake and v1
@@ -298,7 +286,6 @@ fn json(
 /// ```
 pub struct Connection {
     registry: Arc<Registry>,
-    max_proto: ProtoVersion,
     server: Arc<ServerCounters>,
     lines: LineBuffer,
     frames: FrameBuffer,
@@ -335,7 +322,6 @@ impl Connection {
     pub fn new(registry: Arc<Registry>, config: MachineConfig) -> Self {
         let mut conn = Connection {
             registry,
-            max_proto: config.max_proto,
             server: config.server,
             lines: LineBuffer::new(MAX_FRAME_BYTES),
             frames: FrameBuffer::new(),
@@ -593,7 +579,7 @@ impl Connection {
                 _ if line.is_empty() => {}
                 Phase::AwaitOpen | Phase::Live if line == "STATS" => return Ok(Some(Step::Stats)),
                 Phase::AwaitOpen => {
-                    self.handshake = Some(parse_open(self.max_proto, ln, line)?);
+                    self.handshake = Some(parse_open(ln, line)?);
                     self.phase = Phase::AwaitEdges;
                 }
                 Phase::AwaitEdges => {
@@ -794,7 +780,7 @@ impl Connection {
 
 /// Parse `OPEN <spec> [seed=<S>] [proto=v2 [events=on]]` — the exact
 /// grammar (and error wording) of the serving spec.
-fn parse_open(max_proto: ProtoVersion, ln: usize, open: &str) -> Result<OpenArgs, AcmrError> {
+fn parse_open(ln: usize, open: &str) -> Result<OpenArgs, AcmrError> {
     let proto_err = |message: String| AcmrError::TraceParse { line: ln, message };
     let mut toks = open.split_whitespace();
     if toks.next() != Some("OPEN") {
@@ -812,26 +798,15 @@ fn parse_open(max_proto: ProtoVersion, ln: usize, open: &str) -> Result<OpenArgs
     for tok in toks {
         if let Some(seed) = tok.strip_prefix("seed=").and_then(|s| s.parse().ok()) {
             base_seed = seed;
-            continue;
-        }
-        // A v1-capped server answers `proto=v2` with this same typed
-        // parse error — the deterministic downgrade signal the v2
-        // client turns into "use --proto v1 against this fleet".
-        if max_proto == ProtoVersion::V2 && tok == PROTO_V2_TOKEN {
+        } else if tok == PROTO_V2_TOKEN {
             proto = ProtoVersion::V2;
-            continue;
-        }
-        if max_proto == ProtoVersion::V2 && tok == EVENTS_TOKEN {
+        } else if tok == EVENTS_TOKEN {
             events = true;
-            continue;
+        } else {
+            return Err(proto_err(format!(
+                "unexpected OPEN argument {tok:?} (seed=<S>, proto=v2 and events=on are allowed)"
+            )));
         }
-        let allowed = match max_proto {
-            ProtoVersion::V1 => "only seed=<S> is allowed",
-            ProtoVersion::V2 => "seed=<S>, proto=v2 and events=on are allowed",
-        };
-        return Err(proto_err(format!(
-            "unexpected OPEN argument {tok:?} ({allowed})"
-        )));
     }
     if events && proto != ProtoVersion::V2 {
         return Err(proto_err(

@@ -10,6 +10,10 @@
 //! stderr) or adopted by [`WorkerPool::connect`] from pre-started
 //! addresses (`--workers addr,addr,...`).
 //!
+//! Every job speaks protocol v2 — binary frames, batch-summary
+//! acknowledgements, one persistent session per slot revived by
+//! `RESET` — which every `acmr serve` accepts on the same port as v1.
+//!
 //! The retry contract, pinned by the protocol fuzz and
 //! fault-injection suites:
 //!
@@ -55,7 +59,7 @@
 //! queue a job on a busy worker, and each worker serves them all over
 //! the one connection its first job opened.
 
-use crate::client::{replay_session, run_job_v2, JobArrivals, ServeClient};
+use crate::client::{run_job_v2, JobArrivals, ServeClient};
 use crate::protocol::ProtoVersion;
 use acmr_core::{AcmrError, Request, RunReport};
 use std::io::BufRead;
@@ -111,11 +115,11 @@ struct Worker {
     /// claim's compare-exchange, so a job that finds the worker idle
     /// also finds its parked connection.
     jobs: AtomicUsize,
-    /// The slot's cached v2 session (protocol v2 pools only): after a
-    /// successful job the connection parks here post-`END`, and the
-    /// next job revives it with a pipelined `RESET` instead of paying
-    /// TCP connect + handshake again. Dropped on any failure — the
-    /// whole-trace retry contract always replays on a fresh session.
+    /// The slot's cached v2 session: after a successful job the
+    /// connection parks here post-`END`, and the next job revives it
+    /// with a pipelined `RESET` instead of paying TCP connect +
+    /// handshake again. Dropped on any failure — the whole-trace retry
+    /// contract always replays on a fresh session.
     conn: Mutex<Option<ServeClient>>,
     /// The spawned `acmr serve` child; `None` for adopted workers.
     child: Mutex<Option<Child>>,
@@ -217,7 +221,6 @@ pub struct WorkerPool {
     workers: Vec<Worker>,
     retries: usize,
     io_timeout: std::time::Duration,
-    proto: ProtoVersion,
 }
 
 impl WorkerPool {
@@ -249,7 +252,6 @@ impl WorkerPool {
             workers,
             retries,
             io_timeout: DEFAULT_IO_TIMEOUT,
-            proto: ProtoVersion::V2,
         })
     }
 
@@ -277,7 +279,6 @@ impl WorkerPool {
             workers,
             retries: count,
             io_timeout: DEFAULT_IO_TIMEOUT,
-            proto: ProtoVersion::V2,
         })
     }
 
@@ -301,18 +302,6 @@ impl WorkerPool {
     /// fine as long as every individual reply keeps arriving.
     pub fn io_timeout(mut self, timeout: std::time::Duration) -> Self {
         self.io_timeout = timeout;
-        self
-    }
-
-    /// Pick the wire protocol jobs speak to the workers (default:
-    /// [`ProtoVersion::V2`] — binary frames, summary acks, and
-    /// persistent per-slot sessions revived by `RESET`). Force
-    /// [`ProtoVersion::V1`] against an old fleet that answers the v2
-    /// negotiation with its typed `ERR parse` reply — the pool never
-    /// downgrades silently, so mixed fleets fail loudly instead of
-    /// running half the sweep on a slower wire.
-    pub fn proto(mut self, proto: ProtoVersion) -> Self {
-        self.proto = proto;
         self
     }
 
@@ -400,11 +389,11 @@ impl WorkerPool {
     /// idles, and a job always finds the slot's parked connection
     /// when the slot was idle.
     ///
-    /// In protocol v2 (the default) the replay is pipelined — the
+    /// Every job speaks protocol v2. Its replay is pipelined — the
     /// whole trace streams out before any acknowledgement is read —
     /// and the slot's connection is kept across jobs: the next job on
-    /// the slot revives it with a `RESET` frame instead of a fresh
-    /// TCP connect + handshake. A stale cached connection (worker
+    /// the slot revives it with a `RESET` frame instead of a fresh TCP
+    /// connect + handshake. A stale cached connection (worker
     /// restarted, idle timeout fired) falls back to a fresh connect
     /// *within the same attempt* — reviving the cache never costs the
     /// job one of its bounded attempts. When the arrivals come from a
@@ -453,29 +442,26 @@ impl WorkerPool {
             };
             let claim = held.insert(claim);
             let (slot, worker) = (claim.slot, claim.worker);
-            // Persistent-session fast path (v2 only): revive the
-            // slot's parked connection with a pipelined RESET. A
-            // stale cached connection (the worker restarted, an idle
-            // timeout fired) surfaces as a transport error and falls
-            // through to the fresh-connect path below — same slot,
-            // same attempt.
-            if self.proto == ProtoVersion::V2 {
-                if let Some(mut client) = worker.take_conn() {
-                    let (capacities, arrivals) = source()?;
-                    let outcome = client
-                        .write_reset(spec, base_seed, &capacities)
-                        .and_then(|()| run_job_v2(&mut client, arrivals.into_iter(), batch, true));
-                    match outcome {
-                        Ok(report) => {
-                            worker.park_conn(client);
-                            return Ok(report);
-                        }
-                        // Stale cache: drop the client, fall through.
-                        Err(e) if is_transport_error(&e) => drop(client),
-                        // A typed answer from a live worker is the
-                        // job's real answer, cache or no cache.
-                        Err(e) => return Err(e),
+            // Persistent-session fast path: revive the slot's parked
+            // connection with a pipelined RESET. A stale cached
+            // connection (the worker restarted, an idle timeout fired)
+            // surfaces as a transport error and falls through to the
+            // fresh-connect path below — same slot, same attempt.
+            if let Some(mut client) = worker.take_conn() {
+                let (capacities, arrivals) = source()?;
+                let outcome = client
+                    .write_reset(spec, base_seed, &capacities)
+                    .and_then(|()| run_job_v2(&mut client, arrivals.into_iter(), batch, true));
+                match outcome {
+                    Ok(report) => {
+                        worker.park_conn(client);
+                        return Ok(report);
                     }
+                    // Stale cache: drop the client, fall through.
+                    Err(e) if is_transport_error(&e) => drop(client),
+                    // A typed answer from a live worker is the job's
+                    // real answer, cache or no cache.
+                    Err(e) => return Err(e),
                 }
             }
             let (capacities, arrivals) = source()?;
@@ -505,25 +491,21 @@ impl WorkerPool {
             // takes longer than the timeout means the worker is gone.
             let _ = stream.set_read_timeout(Some(self.io_timeout));
             let _ = stream.set_write_timeout(Some(self.io_timeout));
-            let outcome = match self.proto {
-                ProtoVersion::V1 => ServeClient::from_stream(stream, spec, base_seed, &capacities)
-                    .and_then(|client| replay_session(client, arrivals, batch, &mut |_| {})),
-                ProtoVersion::V2 => ServeClient::from_stream_with(
-                    stream,
-                    spec,
-                    base_seed,
-                    &capacities,
-                    ProtoVersion::V2,
-                    false,
-                )
-                .and_then(|mut client| {
-                    let report = run_job_v2(&mut client, arrivals.into_iter(), batch, false)?;
-                    // Success parks the post-END session for the next
-                    // job on this slot.
-                    worker.park_conn(client);
-                    Ok(report)
-                }),
-            };
+            let outcome = ServeClient::open(
+                stream,
+                spec,
+                base_seed,
+                &capacities,
+                ProtoVersion::V2,
+                false,
+            )
+            .and_then(|mut client| {
+                let report = run_job_v2(&mut client, arrivals.into_iter(), batch, false)?;
+                // Success parks the post-END session for the next
+                // job on this slot.
+                worker.park_conn(client);
+                Ok(report)
+            });
             match outcome {
                 Ok(report) => return Ok(report),
                 Err(e) if is_transport_error(&e) => {

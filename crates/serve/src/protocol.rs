@@ -79,7 +79,8 @@ pub const PROTO_V2_TOKEN: &str = "proto=v2";
 /// by one [`BatchSummary`] frame.
 pub const EVENTS_TOKEN: &str = "events=on";
 
-/// Which protocol a serving endpoint (or client) speaks after `OPEN`.
+/// Which protocol a session speaks after `OPEN`: the client's choice,
+/// since every server accepts both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtoVersion {
     /// The line protocol: JSON `EVENT` per arrival, text frames.
@@ -90,20 +91,12 @@ pub enum ProtoVersion {
 }
 
 impl ProtoVersion {
-    /// Parse a `--proto` flag value (`"v1"` / `"v2"`).
+    /// Parse an `acmr client --proto` flag value (`"v1"` / `"v2"`).
     pub fn parse(s: &str) -> Option<ProtoVersion> {
         match s {
             "v1" => Some(ProtoVersion::V1),
             "v2" => Some(ProtoVersion::V2),
             _ => None,
-        }
-    }
-
-    /// The flag spelling (`"v1"` / `"v2"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ProtoVersion::V1 => "v1",
-            ProtoVersion::V2 => "v2",
         }
     }
 }
@@ -1169,7 +1162,6 @@ mod tests {
         assert_eq!(ProtoVersion::parse("v1"), Some(ProtoVersion::V1));
         assert_eq!(ProtoVersion::parse("v2"), Some(ProtoVersion::V2));
         assert_eq!(ProtoVersion::parse("v3"), None);
-        assert_eq!(ProtoVersion::V2.label(), "v2");
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! stream; the protocol fuzz suite still pins that, byte for byte.
 
 use crate::machine::{Connection, MachineConfig, ServerCounters};
-use crate::protocol::ProtoVersion;
 use acmr_core::{AcmrError, Registry};
 use polling::{Event, Poller};
 use std::cell::Cell;
@@ -86,12 +85,6 @@ pub struct ServeConfig {
     /// stalled peer can pin a `max_connections` slot; the cutoff
     /// surfaces as a terminal `ERR io` reply.
     pub idle_timeout: Option<Duration>,
-    /// Highest protocol version this server negotiates. The default
-    /// ([`ProtoVersion::V2`]) accepts both plain-line v1 sessions and
-    /// `proto=v2` binary-frame sessions; forcing [`ProtoVersion::V1`]
-    /// makes the server answer `proto=v2` requests with the v1 typed
-    /// `ERR parse` reply — the downgrade signal old fleets emit.
-    pub max_proto: ProtoVersion,
     /// Event-loop shards. `0` (the default) sizes to the host's
     /// available parallelism, capped at 8 — each shard is one thread
     /// multiplexing its share of the connections, so more shards only
@@ -106,7 +99,6 @@ impl Default for ServeConfig {
             addr: DEFAULT_ADDR.to_string(),
             max_connections: 1024,
             idle_timeout: None,
-            max_proto: ProtoVersion::V2,
             reactor_threads: 0,
         }
     }
@@ -229,7 +221,6 @@ pub fn serve(registry: Registry, config: ServeConfig) -> Result<ServerHandle, Ac
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
             idle_timeout: config.idle_timeout,
-            max_proto: config.max_proto,
             max_connections: config.max_connections,
             started,
             draining_conns: Cell::new(0),
@@ -338,7 +329,6 @@ struct ShardCtx {
     counters: Arc<ServerCounters>,
     stop: Arc<AtomicBool>,
     idle_timeout: Option<Duration>,
-    max_proto: ProtoVersion,
     max_connections: usize,
     started: Instant,
     /// How many of this shard's connections are in the drain phase.
@@ -451,7 +441,6 @@ impl ShardCtx {
         let mut machine = Connection::new(
             Arc::clone(&self.registry),
             MachineConfig {
-                max_proto: self.max_proto,
                 server: Arc::clone(&self.counters),
             },
         );

@@ -9,8 +9,7 @@
 //!    only on the input bytes, never on how they were split across
 //!    `feed` calls: one-byte-at-a-time through whole-buffer produce
 //!    byte-identical replies, across the full v1/v2 negotiation
-//!    matrix (v1, v2 summary acks, v2 `events=on`, and a v2 request
-//!    against a v1-capped machine).
+//!    matrix (v1, v2 summary acks, v2 `events=on`).
 //! 2. **Corrupt any byte** — flipping any single input byte to any
 //!    value never panics the machine; every reply it emits still
 //!    parses as the protocol's reply grammar, and every error is the
@@ -23,8 +22,8 @@ use acmr_core::{AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId}
 use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
-    decode_error_reply, decode_summary, encode_reset, write_frame, FrameBuffer, ProtoVersion,
-    FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET,
+    decode_error_reply, decode_summary, encode_reset, write_frame, FrameBuffer, FRAME_BATCH,
+    FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET,
     FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, SPEC_POINTER,
 };
 use acmr_serve::{Connection, MachineConfig};
@@ -43,27 +42,12 @@ enum Mode {
     V1,
     V2Summary,
     V2Events,
-    /// `proto=v2` sent to a machine capped at v1: the negotiation
-    /// must fail with the typed `ERR parse` reply, not an upgrade.
-    V2AgainstV1Cap,
 }
 
-const MODES: [Mode; 4] = [
-    Mode::V1,
-    Mode::V2Summary,
-    Mode::V2Events,
-    Mode::V2AgainstV1Cap,
-];
+const MODES: [Mode; 3] = [Mode::V1, Mode::V2Summary, Mode::V2Events];
 
-fn machine_for(mode: Mode) -> Connection {
-    let config = MachineConfig {
-        max_proto: match mode {
-            Mode::V2AgainstV1Cap => ProtoVersion::V1,
-            _ => ProtoVersion::V2,
-        },
-        ..MachineConfig::default()
-    };
-    Connection::new(Arc::new(default_registry()), config)
+fn machine() -> Connection {
+    Connection::new(Arc::new(default_registry()), MachineConfig::default())
 }
 
 fn instance() -> AdmissionInstance {
@@ -79,7 +63,7 @@ fn session_script(mode: Mode, spec: &str, batch: Option<usize>, hangup: bool) ->
     write!(s, "OPEN {spec}").unwrap();
     match mode {
         Mode::V1 => {}
-        Mode::V2Summary | Mode::V2AgainstV1Cap => write!(s, " proto=v2").unwrap(),
+        Mode::V2Summary => write!(s, " proto=v2").unwrap(),
         Mode::V2Events => write!(s, " proto=v2 events=on").unwrap(),
     }
     writeln!(s).unwrap();
@@ -89,9 +73,6 @@ fn session_script(mode: Mode, spec: &str, batch: Option<usize>, hangup: bool) ->
         write!(s, " {c}").unwrap();
     }
     writeln!(s).unwrap();
-    // A v1-capped machine rejects the negotiation at OPEN; the rest of
-    // the script is bytes it will never read, which is fine — hostile
-    // peers keep talking after an ERR too.
     match mode {
         Mode::V1 => {
             match batch {
@@ -113,7 +94,7 @@ fn session_script(mode: Mode, spec: &str, batch: Option<usize>, hangup: bool) ->
                 writeln!(s, "END").unwrap();
             }
         }
-        Mode::V2Summary | Mode::V2Events | Mode::V2AgainstV1Cap => {
+        Mode::V2Summary | Mode::V2Events => {
             let m = inst.capacities.len() as u32;
             let mut payload = Vec::new();
             match batch {
@@ -258,8 +239,8 @@ fn assert_valid_output(out: &[u8], ctx: &str) -> Vec<String> {
 }
 
 /// Feed a whole script in one call, then EOF; return the output.
-fn drive_whole(mode: Mode, script: &[u8]) -> Vec<u8> {
-    let mut c = machine_for(mode);
+fn drive_whole(script: &[u8]) -> Vec<u8> {
+    let mut c = machine();
     c.feed(script);
     c.feed_eof();
     c.drain_output()
@@ -287,12 +268,12 @@ proptest! {
             Some(s) => format!("aag-weighted?seed={s}"),
         };
         let script = session_script(mode, &spec, batch, hangup);
-        let whole = drive_whole(mode, &script);
+        let whole = drive_whole(&script);
         assert_valid_output(&whole, &format!("{mode:?} whole"));
 
         // Chunked feed, draining after every chunk (the generated
         // chunk sizes repeat cyclically to cover the whole script).
-        let mut c = machine_for(mode);
+        let mut c = machine();
         let mut out = Vec::new();
         let mut offset = 0usize;
         let mut i = 0usize;
@@ -325,7 +306,7 @@ proptest! {
         let mut script = session_script(mode, "greedy?seed=5", Some(5), false);
         let pos = pos_seed % script.len();
         script[pos] = byte;
-        let out = drive_whole(mode, &script);
+        let out = drive_whole(&script);
         assert_valid_output(&out, &format!("{mode:?} corrupt [{pos}]={byte:#04x}"));
     }
 
@@ -340,31 +321,13 @@ proptest! {
         let mode = MODES[mode_ix];
         let script = session_script(mode, "greedy?seed=5", Some(5), false);
         let len = len_seed % (script.len() + 1);
-        let mut c = machine_for(mode);
+        let mut c = machine();
         c.feed(&script[..len]);
         c.feed_eof();
         prop_assert!(c.is_done(), "machine not done after EOF at byte {}", len);
         let out = c.drain_output();
         assert_valid_output(&out, &format!("{mode:?} truncate at {len}"));
     }
-}
-
-#[test]
-fn v1_capped_machine_rejects_the_v2_negotiation_with_err_parse() {
-    // The matrix cell worth pinning deterministically: `proto=v2`
-    // against a v1-only machine is a typed parse error, in the line
-    // dialect (the upgrade never happened).
-    let mut c = machine_for(Mode::V2AgainstV1Cap);
-    c.feed(&session_script(Mode::V2AgainstV1Cap, "greedy", None, false));
-    c.feed_eof();
-    assert!(c.is_done());
-    let out = c.drain_output();
-    let text = std::str::from_utf8(&out).unwrap();
-    let err = text
-        .lines()
-        .find(|l| l.starts_with("ERR "))
-        .expect("typed ERR reply");
-    assert!(err.starts_with("ERR parse"), "{err:?}");
 }
 
 #[test]
@@ -377,7 +340,7 @@ fn zero_capacities_are_refused_alike_by_open_and_reset() {
     encode_reset(&mut payload, "greedy", None, &[0, 2]);
     write_frame(&mut reset, FRAME_RESET, &payload).unwrap();
     for (name, script) in [("OPEN", open), ("RESET", reset)] {
-        let replies = assert_valid_output(&drive_whole(Mode::V2Summary, &script), name);
+        let replies = assert_valid_output(&drive_whole(&script), name);
         let errs = replies.iter().filter(|r| r.starts_with("ERR ")).count();
         assert_eq!(errs, 1, "{name}: {replies:?}");
         let last = replies.last().unwrap();
@@ -402,7 +365,7 @@ fn an_empty_summary_batch_acknowledges_the_running_objective() {
     write_frame(&mut script, FRAME_BATCH, &batch).unwrap();
     write_frame(&mut script, FRAME_BATCH, &0u32.to_le_bytes()).unwrap();
     write_frame(&mut script, FRAME_END, &[]).unwrap();
-    let out = drive_whole(Mode::V2Summary, &script);
+    let out = drive_whole(&script);
     assert_valid_output(&out, "empty batch");
     let ok_end = out
         .windows(9)
@@ -439,7 +402,7 @@ fn stats_probe_is_deterministic_for_a_fixed_feed() {
     // never sends STATS. For one fixed feed pattern the reply is
     // still fully deterministic, pinned here.
     let run = || {
-        let mut c = machine_for(Mode::V1);
+        let mut c = machine();
         c.feed(b"STATS\n");
         let first = c.drain_output();
         c.feed(b"STATS\n");
@@ -474,7 +437,7 @@ fn algorithm_panic_ends_the_session_with_one_typed_err() {
         Box::new(|_, _| Ok(Box::new(PanicsOnThird))),
     );
     let registry = Arc::new(registry);
-    for mode in [Mode::V1, Mode::V2Summary, Mode::V2Events] {
+    for mode in MODES {
         for batch in [None, Some(5)] {
             let ctx = format!("{mode:?}, batch {batch:?}");
             let config = MachineConfig::default();

@@ -33,9 +33,8 @@ use acmr_core::{AcmrError, OnlineAdmission, Outcome, Request, RequestId};
 use acmr_graph::EdgeId;
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
-    encode_reset, write_frame, ProtoVersion, FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT,
-    FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET, FRAME_STATS, FRAME_STATS_REPLY, FRAME_SUMMARY,
-    MAX_BATCH,
+    encode_reset, write_frame, FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK,
+    FRAME_REPORT, FRAME_REQ, FRAME_RESET, FRAME_STATS, FRAME_STATS_REPLY, FRAME_SUMMARY, MAX_BATCH,
 };
 use acmr_serve::{Connection, MachineConfig};
 use acmr_workloads::binfmt::encode_record_into;
@@ -73,7 +72,6 @@ enum Then {
 
 struct Script {
     name: &'static str,
-    max_proto: ProtoVersion,
     input: Vec<u8>,
     then: Then,
     /// Sends `STATS`: compared only when fed whole.
@@ -83,7 +81,6 @@ struct Script {
 fn script(name: &'static str, input: Vec<u8>) -> Script {
     Script {
         name,
-        max_proto: ProtoVersion::V2,
         input,
         then: Then::Eof,
         stats: false,
@@ -98,11 +95,6 @@ impl Script {
 
     fn with_stats(mut self) -> Self {
         self.stats = true;
-        self
-    }
-
-    fn v1_capped(mut self) -> Self {
-        self.max_proto = ProtoVersion::V1;
         self
     }
 }
@@ -305,11 +297,6 @@ fn scripts() -> Vec<Script> {
             open("greedy events=on").bytes(),
         ),
         script(
-            "err_open_v2_on_v1_capped_machine",
-            open("greedy proto=v2").req(1.0, &[0]).bytes(),
-        )
-        .v1_capped(),
-        script(
             "err_bad_edges",
             Wire::default().lines("OPEN greedy\nedges x\n").bytes(),
         ),
@@ -479,10 +466,7 @@ fn registry() -> Arc<acmr_core::Registry> {
 /// Run one script, feeding its input in `chunk`-byte pieces (draining
 /// after each, as a reactor would), and render the transcript.
 fn run(registry: &Arc<acmr_core::Registry>, s: &Script, chunk: usize) -> String {
-    let config = MachineConfig {
-        max_proto: s.max_proto,
-        ..MachineConfig::default()
-    };
+    let config = MachineConfig::default();
     let server = Arc::clone(&config.server);
     let mut conn = Connection::new(Arc::clone(registry), config);
     let mut out = conn.drain_output();

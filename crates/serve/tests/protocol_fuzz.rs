@@ -20,7 +20,7 @@ use acmr_graph::{EdgeId, EdgeSet};
 use acmr_harness::default_registry;
 use acmr_serve::protocol::{
     decode_ok, encode_reset, write_frame, FRAME_BATCH, FRAME_END, FRAME_OK, FRAME_REPORT,
-    FRAME_REQ, FRAME_RESET, GREETING, MAX_FRAME_BYTES,
+    FRAME_REQ, FRAME_RESET, GREETING, MAX_FRAME_BYTES, PROTO_V2_TOKEN,
 };
 use acmr_serve::{
     is_transport_error, serve, ProtoVersion, ServeClient, ServeConfig, ServerHandle, WorkerPool,
@@ -593,17 +593,18 @@ fn client_reports_a_typed_error_when_the_server_drops_mid_session() {
 
 #[test]
 fn exhausted_retries_against_a_dropping_server_surface_one_cluster_error() {
-    // Every connection through this proxy dies after the OK reply:
-    // the pool's bounded retry must give up with the typed cluster
-    // error, never hang or return a half-replayed report.
+    // Every connection through this proxy dies mid-session, right
+    // after the greeting and the v2 OK line: the pool's bounded retry
+    // must give up with the typed cluster error, never hang or return
+    // a half-replayed report. The server is fresh and the pool makes
+    // three attempts, so every session id is one digit and every OK
+    // line the same length.
     let handle = start_server();
     let inst = repeated_hot_edge(4, 3, 12);
-    let proxy = dropping_proxy(handle.local_addr(), 2, usize::MAX);
-    // The line-counting proxy pins the v1 wire; the v2 twin of this
-    // scenario lives in `severing_proxy`-based tests below.
+    let handshake = format!("{GREETING}\nOK 0 greedy {PROTO_V2_TOKEN}\n").len();
+    let proxy = severing_proxy(handle.local_addr(), handshake, usize::MAX);
     let pool = WorkerPool::connect(&[proxy.to_string()])
         .expect("adopt proxy")
-        .proto(ProtoVersion::V1)
         .retries(2);
     let err = pool_job(&pool, &inst, None).expect_err("retries must exhaust");
     match &err {
@@ -619,45 +620,6 @@ fn exhausted_retries_against_a_dropping_server_surface_one_cluster_error() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The reconnect/retry path: the server (here, a hostile
-    /// middlebox in front of a real one) drops the connection at an
-    /// **arbitrary reply-frame boundary** — before the greeting,
-    /// mid-handshake, between events, before the final report. The
-    /// `ServeClient` surfaces a typed transport error, and the
-    /// `WorkerPool` retry replays the **whole trace** on a fresh
-    /// session: the final report must be identical to an undisturbed
-    /// run — `requests` included, so a half-replayed session can
-    /// never masquerade as a result.
-    #[test]
-    fn worker_pool_replays_the_whole_trace_when_dropped_at_any_frame_boundary(
-        cut_after in 0usize..16,
-        batch in prop_oneof![Just(None), Just(Some(5))],
-    ) {
-        let handle = start_server();
-        let inst = repeated_hot_edge(4, 3, 12);
-        // The line-counting proxy pins the v1 wire on both pools; the
-        // v2 twin (byte-boundary cuts) is its own proptest below.
-        let direct_pool = WorkerPool::connect(&[handle.local_addr().to_string()])
-            .unwrap()
-            .proto(ProtoVersion::V1);
-        let expected = pool_job(&direct_pool, &inst, batch).expect("direct replay");
-        prop_assert_eq!(expected.requests, inst.requests.len());
-
-        // First connection dies after `cut_after` reply lines; the
-        // retry's fresh connection is piped cleanly.
-        let proxy = dropping_proxy(handle.local_addr(), cut_after, 1);
-        let pool = WorkerPool::connect(&[proxy.to_string()])
-            .unwrap()
-            .proto(ProtoVersion::V1)
-            .retries(2);
-        let report = pool_job(&pool, &inst, batch).expect("retried replay");
-        prop_assert_eq!(&report, &expected, "retried report diverges");
-        prop_assert_eq!(report.requests, inst.requests.len());
-
-        assert_server_alive(&handle);
-        handle.shutdown();
-    }
 
     /// Corrupting any single byte of a valid session script: the
     /// server replies (ERR or a still-valid protocol run), never
@@ -955,12 +917,14 @@ fn severing_proxy(backend: SocketAddr, cut_after_bytes: usize, drop_conns: usize
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The v2 whole-trace-retry twin of the v1 proptest above: the
-    /// first connection dies after an **arbitrary number of reply
-    /// bytes** — before the greeting, mid-OK, inside a SUMMARY or
-    /// REPORT frame. The pool's retry replays the whole trace over a
-    /// fresh v2 session and the report is byte-identical to an
-    /// undisturbed v2 run.
+    /// The reconnect/retry path: the server (here, a hostile
+    /// middlebox in front of a real one) severs the first connection
+    /// after an **arbitrary number of reply bytes** — before the
+    /// greeting, mid-OK, inside a SUMMARY or REPORT frame. The pool's
+    /// retry replays the **whole trace** over a fresh v2 session, and
+    /// the report is byte-identical to an undisturbed run —
+    /// `requests` included, so a half-replayed session can never
+    /// masquerade as a result.
     #[test]
     fn v2_pool_replays_the_whole_trace_when_severed_at_any_reply_byte(
         cut_after in 0usize..200,
@@ -984,55 +948,26 @@ proptest! {
 
 #[test]
 fn negotiation_matrix_always_gets_a_typed_answer() {
-    // All four client×server pairings resolve with a typed answer —
-    // a working session or a typed ERR — never a hang or a silent
-    // downgrade.
+    // One server accepts both dialects on one port: each client gets
+    // the dialect it asked for — never a hang or a silent downgrade.
     let caps = [2u32, 1];
-    let v2_server = start_server();
-    let v1_server = serve(
-        default_registry(),
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            max_proto: ProtoVersion::V1,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind v1-capped server");
+    let server = start_server();
 
-    // v1 client × v1 server and v1 client × v2 server: plain sessions.
-    for srv in [&v1_server, &v2_server] {
-        let client = ServeClient::connect(srv.local_addr(), "greedy", None, &caps).unwrap();
-        assert_eq!(client.proto(), ProtoVersion::V1);
-        let report = client.finish().unwrap();
-        assert_eq!(report.requests, 0);
-    }
+    // v1 client: a plain line session.
+    let client = ServeClient::connect(server.local_addr(), "greedy", None, &caps).unwrap();
+    assert_eq!(client.proto(), ProtoVersion::V1);
+    let report = client.finish().unwrap();
+    assert_eq!(report.requests, 0);
 
-    // v2 client × v2 server: the upgrade is acknowledged.
-    let client = ServeClient::connect_v2(v2_server.local_addr(), "greedy", None, &caps, false)
+    // v2 client: the upgrade is acknowledged.
+    let client = ServeClient::connect_v2(server.local_addr(), "greedy", None, &caps, false)
         .expect("v2 negotiation");
     assert_eq!(client.proto(), ProtoVersion::V2);
     let report = client.finish().unwrap();
     assert_eq!(report.requests, 0);
 
-    // v2 client × v1-capped server: the negotiation token is answered
-    // with the server's typed parse error — no hang, and no silent
-    // fallback to v1 (the operator must choose `--proto v1`).
-    let err = match ServeClient::connect_v2(v1_server.local_addr(), "greedy", None, &caps, false) {
-        Err(e) => e,
-        Ok(_) => panic!("a v1-capped server must refuse proto=v2"),
-    };
-    match &err {
-        acmr_core::AcmrError::Remote { code, message } => {
-            assert_eq!(code, "parse", "{message}");
-            assert!(message.contains("proto=v2"), "{message}");
-        }
-        other => panic!("expected a typed remote error, got {other:?}"),
-    }
-
-    wait_for_drained(&v1_server);
-    wait_for_drained(&v2_server);
-    v1_server.shutdown();
-    v2_server.shutdown();
+    wait_for_drained(&server);
+    server.shutdown();
 }
 
 /// Rejects its first two arrivals, then panics: a bug inside an

@@ -30,10 +30,10 @@
 //! the in-memory bytes, which is what guarantees the streamed and
 //! in-memory paths accept byte-for-byte the same language.
 //!
-//! Malformed input yields a typed error ([`AcmrError::TraceParse`]
-//! from the streaming reader, the equivalent [`TraceError`] from
-//! `read_trace`) carrying the 1-based line number — never a panic (the
-//! `trace_fuzz` suite pins this under byte-level corruption).
+//! Malformed input yields a typed [`AcmrError::TraceParse`], from the
+//! streaming reader and `read_trace` alike, carrying the 1-based line
+//! number — never a panic (the `trace_fuzz` suite pins this under
+//! byte-level corruption).
 //!
 //! Symmetrically, [`TraceWriter`] emits the format incrementally to
 //! any [`std::io::Write`] — the generator side of streaming: traces
@@ -53,41 +53,6 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// otherwise buffer without limit); at 16 MiB it is far above any line
 /// the writer can produce for realistic footprints.
 pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
-
-/// Parse failure, with the 1-based line number where it occurred.
-///
-/// This is the whole-string [`read_trace`] error type, kept for
-/// compatibility; the streaming [`TraceReader`] reports the same
-/// failures as [`AcmrError::TraceParse`] (the two convert into each
-/// other losslessly).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line of the offending input.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {} (format spec: docs/TRACE_FORMAT.md)",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<TraceError> for AcmrError {
-    fn from(e: TraceError) -> Self {
-        AcmrError::TraceParse {
-            line: e.line,
-            message: e.message,
-        }
-    }
-}
 
 fn err(line: usize, message: impl Into<String>) -> AcmrError {
     AcmrError::TraceParse {
@@ -670,18 +635,10 @@ pub fn write_trace(inst: &AdmissionInstance) -> String {
 
 /// Parse an instance from the trace format (in-memory convenience over
 /// [`TraceReader`], so both paths accept exactly the same language).
-pub fn read_trace(text: &str) -> Result<AdmissionInstance, TraceError> {
-    let demote = |e: AcmrError| match e {
-        AcmrError::TraceParse { line, message } => TraceError { line, message },
-        // Unreachable from an in-memory byte slice, but keep it total.
-        other => TraceError {
-            line: 0,
-            message: other.to_string(),
-        },
-    };
-    let mut reader = TraceReader::new(text.as_bytes()).map_err(demote)?;
+pub fn read_trace(text: &str) -> Result<AdmissionInstance, AcmrError> {
+    let mut reader = TraceReader::new(text.as_bytes())?;
     let mut inst = AdmissionInstance::from_capacities(reader.capacities().to_vec());
-    while let Some(r) = reader.next_request().map_err(demote)? {
+    while let Some(r) = reader.next_request()? {
         inst.push(r);
     }
     Ok(inst)
@@ -712,7 +669,7 @@ mod tests {
     #[test]
     fn rejects_capacity_mismatch() {
         let e = read_trace("ACMR-TRACE v1\nedges 2\ncaps 1\nrequests 0\n").unwrap_err();
-        assert_eq!(e.line, 3);
+        assert!(matches!(e, AcmrError::TraceParse { line: 3, .. }), "{e}");
     }
 
     #[test]
@@ -724,7 +681,10 @@ mod tests {
     fn rejects_out_of_range_edge() {
         let text = "ACMR-TRACE v1\nedges 1\ncaps 2\nrequests 1\n1 5\n";
         let e = read_trace(text).unwrap_err();
-        assert!(e.message.contains("out of range"));
+        assert!(
+            matches!(&e, AcmrError::TraceParse { message, .. } if message.contains("out of range")),
+            "{e}"
+        );
     }
 
     #[test]
@@ -873,8 +833,7 @@ mod tests {
     #[test]
     fn error_display_points_at_format_spec() {
         let e = read_trace("nope").unwrap_err();
+        assert!(matches!(e, AcmrError::TraceParse { line: 1, .. }), "{e}");
         assert!(e.to_string().contains("docs/TRACE_FORMAT.md"), "{e}");
-        let acmr: AcmrError = e.into();
-        assert!(acmr.to_string().contains("docs/TRACE_FORMAT.md"));
     }
 }

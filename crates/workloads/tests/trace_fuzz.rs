@@ -8,7 +8,7 @@ use acmr_core::{
     AcmrError, AdmissionInstance, OnlineAdmission, Outcome, Request, RequestId, Session,
 };
 use acmr_graph::{EdgeId, EdgeSet};
-use acmr_workloads::trace::{read_trace, write_trace, TraceError, TraceReader};
+use acmr_workloads::trace::{read_trace, write_trace, TraceReader};
 use proptest::prelude::*;
 
 /// A canonical valid trace the malformed-input tests mutate.
@@ -79,17 +79,15 @@ fn malformed_inputs_yield_typed_errors_not_panics() {
         ),
     ];
     for (input, needle) in cases {
-        let err: TraceError = read_trace(input).expect_err(&format!("accepted {input:?}"));
+        let err = read_trace(input).expect_err(&format!("accepted {input:?}"));
+        let AcmrError::TraceParse { line, message } = &err else {
+            panic!("input {input:?}: expected a trace parse error, got {err:?}");
+        };
         assert!(
-            err.message.contains(needle),
-            "input {input:?}: error {:?} does not mention {needle:?}",
-            err.message
+            message.contains(needle),
+            "input {input:?}: error {message:?} does not mention {needle:?}"
         );
-        assert!(
-            err.line <= input.lines().count() + 1,
-            "line {} absurd",
-            err.line
-        );
+        assert!(*line <= input.lines().count() + 1, "line {line} absurd");
         // Display form carries the line number for operators.
         assert!(err.to_string().contains("trace parse error at line"));
     }

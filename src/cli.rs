@@ -106,8 +106,8 @@ const GEN_FLAGS: &str = "topology m cap overload seed weighted max-hops format o
     shrink total width hits levels model arrival-rate duration period amplitude boost waves growth";
 const STATS_FLAGS: &str = "addr format";
 const CONVERT_FLAGS: &str = "to";
-const RUN_FLAGS: &str = "alg seed batch format stream cluster workers proto";
-const SERVE_FLAGS: &str = "addr max-conns idle-timeout proto reactor-threads";
+const RUN_FLAGS: &str = "alg seed batch format stream cluster workers";
+const SERVE_FLAGS: &str = "addr max-conns idle-timeout reactor-threads";
 const CLIENT_FLAGS: &str = "stream addr alg seed batch format events proto stats";
 
 fn get<T: std::str::FromStr>(
@@ -645,10 +645,11 @@ fn batch_flag(flags: &HashMap<String, String>) -> Result<Option<usize>, CliError
     }
 }
 
-/// The `--proto v1|v2` wire dialect (`acmr serve`, `acmr client`,
-/// `acmr run --cluster/--workers`). Defaults to v2 — the binary-frame
-/// fast path; force `v1` against fleets that predate it (a v2 request
-/// to a v1-only server is answered with its typed `ERR parse` reply,
+/// The `acmr client --proto v1|v2` wire dialect: the one place a
+/// command picks it, since every server accepts both and cluster runs
+/// always speak v2. Defaults to v2 — the binary-frame fast path; `v1`
+/// speaks the line protocol to servers that predate it (a v2 request
+/// to such a server is answered with its typed `ERR parse` reply,
 /// never silently downgraded — see `docs/OPERATIONS.md`).
 fn proto_flag(flags: &HashMap<String, String>) -> Result<ProtoVersion, CliError> {
     match flags.get("proto").map(String::as_str) {
@@ -666,7 +667,6 @@ fn proto_flag(flags: &HashMap<String, String>) -> Result<ProtoVersion, CliError>
 /// parses); `--workers` adopts pre-started serving endpoints instead.
 /// `None` when neither flag is present — the in-process paths.
 fn cluster_pool(flags: &HashMap<String, String>) -> Result<Option<WorkerPool>, CliError> {
-    let proto = proto_flag(flags)?;
     match (flags.get("cluster"), flags.get("workers")) {
         (Some(_), Some(_)) => Err(err(
             "--cluster and --workers are mutually exclusive (spawn local workers OR adopt remote ones)",
@@ -679,7 +679,7 @@ fn cluster_pool(flags: &HashMap<String, String>) -> Result<Option<WorkerPool>, C
             let binary = std::env::current_exe()
                 .map_err(|e| err(format!("cannot locate the acmr binary to spawn workers: {e}")))?;
             WorkerPool::spawn_local(&binary, count)
-                .map(|p| Some(p.proto(proto)))
+                .map(Some)
                 .map_err(|e| err(e.to_string()))
         }
         (None, Some(list)) => {
@@ -690,7 +690,7 @@ fn cluster_pool(flags: &HashMap<String, String>) -> Result<Option<WorkerPool>, C
                 ));
             }
             WorkerPool::connect(&addrs)
-                .map(|p| Some(p.proto(proto)))
+                .map(Some)
                 .map_err(|e| err(e.to_string()))
         }
         (None, None) => Ok(None),
@@ -841,9 +841,6 @@ pub fn serve_options(args: &[String]) -> Result<ServeConfig, CliError> {
             Some(std::time::Duration::from_secs(secs))
         }
     };
-    // --proto v1 caps the server at the line protocol: v2 negotiation
-    // attempts get the typed `ERR parse` reply instead of an upgrade.
-    let max_proto = proto_flag(&flags)?;
     // --reactor-threads N sets the event-loop shard count; 0 (the
     // default) sizes to the host's available parallelism.
     let reactor_threads: usize = get(&flags, "reactor-threads", 0)?;
@@ -851,7 +848,6 @@ pub fn serve_options(args: &[String]) -> Result<ServeConfig, CliError> {
         addr,
         max_connections,
         idle_timeout,
-        max_proto,
         reactor_threads,
     })
 }
@@ -1103,7 +1099,6 @@ USAGE:
   acmr algs                                            # list algorithms
   acmr run  [--alg SPEC] [--seed S] [--batch N] [--format text|json]
             [--stream FILE|-] [--cluster N | --workers ADDR,ADDR]
-            [--proto v1|v2]
             SPEC: a registry name with optional options, e.g.
             'aag-unweighted?seed=7&no-prune' — see `acmr algs`
             --batch N feeds arrivals through the batched session path
@@ -1117,15 +1112,14 @@ USAGE:
             adopts pre-started serving endpoints instead. Worker
             failures retry on survivors, bounded, with typed errors
   acmr serve  [--addr HOST:PORT] [--max-conns N]       # live front end
-            [--idle-timeout SECS] [--proto v1|v2] [--reactor-threads N]
+            [--idle-timeout SECS] [--reactor-threads N]
             serves the ACMR-SERVE socket protocol: one admission
             session per connection, one audited decision event per
             arrival (default addr 127.0.0.1:4790; --addr HOST:0 picks
             an ephemeral port; stderr's first line is the machine-
             parseable `LISTENING HOST:PORT`; --idle-timeout bounds
-            how long a silent peer may hold a connection slot;
-            --proto v1 caps sessions at the line protocol — by default
-            clients may negotiate the v2 binary-frame dialect).
+            how long a silent peer may hold a connection slot; each
+            client picks the v1 line or the v2 binary-frame dialect).
             Connections are multiplexed across --reactor-threads
             event-loop shards (0, the default, sizes to the host);
             past --max-conns a connection gets one typed `ERR busy`
@@ -1729,6 +1723,10 @@ mod tests {
                 "btach",
             ),
             (&["run", "--stream", "-", "--formt", "json"], "formt"),
+            // Cluster runs always speak v2: the dialect flag is the
+            // client's alone, refused before anything spawns.
+            (&["run", "--proto", "v2"], "proto"),
+            (&["run", "--cluster", "2", "--proto", "v1"], "proto"),
             (&["gen", "--m", "8", "--cpa", "2"], "cpa"),
             (
                 &[
@@ -1806,6 +1804,12 @@ mod tests {
         assert!(serve_options(&argv(&["--idle-timeout", "soon"])).is_err());
         let e = serve_options(&argv(&["--port", "7"])).unwrap_err();
         assert!(e.to_string().contains("unknown serve flag"), "{e}");
+        // Every server accepts both dialects; only the client picks one.
+        let e = serve_options(&argv(&["--proto", "v1"])).unwrap_err();
+        assert!(
+            e.to_string().starts_with("unknown serve flag --proto ("),
+            "{e}"
+        );
         // An unbindable address is a typed error, not a panic.
         let e = cmd_serve(&argv(&["--addr", "256.256.256.256:1"])).unwrap_err();
         assert!(e.to_string().contains("cannot bind"), "{e}");
